@@ -68,7 +68,8 @@
 // and cancels in-flight evaluations, which answer a typed draining 503.
 //
 // From-scratch evaluations (materialized serving off or inapplicable) run
-// against a fresh copy of the current EDB, bounded by the request's
+// over the current version of the shared base image — aliased, not copied
+// — and, like materialization builds, are bounded by the request's
 // context: the client disconnecting or the per-request timeout expiring
 // stops the evaluation at the next round boundary (or mid-round under
 // parallel evaluation) instead of burning the fixpoint to completion.

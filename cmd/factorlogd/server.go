@@ -128,10 +128,11 @@ type server struct {
 	constraints []ast.Rule
 	declared    []ast.Atom // ?- queries from the program file, warmed at startup
 
-	// mat owns the mutable base EDB (the program file's facts plus every
-	// /facts batch since) and the materialization registry. All serving
-	// paths read the base through it; matServe selects whether eligible
-	// queries answer from materializations or evaluate from scratch.
+	// mat owns the base image (the program file's facts plus every /facts
+	// batch since, as one versioned engine.Base) and the materialization
+	// registry. All serving paths read the base through it; matServe selects
+	// whether eligible queries answer from materializations or evaluate from
+	// scratch over the current version.
 	mat      *pipeline.Materializer
 	matServe bool
 
@@ -220,14 +221,13 @@ func newServer(src, constraints string, cfg config) (*server, error) {
 	cache := pipeline.NewPlanCache()
 
 	// Durability: open (and recover) the write-ahead log before the
-	// materializer exists, so the recovered base and epoch seed it. A
-	// program-hash mismatch refuses startup — replaying another program's
-	// mutation history would silently corrupt the base.
-	baseFacts := u.Facts
+	// materializer exists, so the recovered base image and its epoch seed
+	// it. A program-hash mismatch refuses startup — replaying another
+	// program's mutation history would silently corrupt the base.
 	var (
-		wlog       *wal.Log
-		startEpoch int64
-		durable    pipeline.DurableLog
+		base    *engine.Base
+		wlog    *wal.Log
+		durable pipeline.DurableLog
 	)
 	if cfg.walDir != "" {
 		l, rec, err := wal.Open(wal.Options{
@@ -239,19 +239,21 @@ func newServer(src, constraints string, cfg config) (*server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("wal: %w", err)
 		}
-		baseFacts, err = recoverBase(u.Facts, rec)
+		base, err = recoverBase(u.Facts, rec)
 		if err != nil {
 			l.Close()
 			return nil, fmt.Errorf("wal replay: %w", err)
 		}
-		wlog, startEpoch, durable = l, rec.Epoch, walAdapter{l}
+		wlog, durable = l, walAdapter{l}
+	} else if base, err = engine.NewBase(u.Facts, 0); err != nil {
+		return nil, err
 	}
+	startEpoch := base.Current().Epoch()
 
-	mat, err := pipeline.NewMaterializer(prog, tgds, baseFacts, cache,
+	mat, err := pipeline.NewMaterializerOn(prog, tgds, base, cache,
 		pipeline.MaterializerOptions{
-			Entries:    cfg.matEntries,
-			StartEpoch: startEpoch,
-			Durable:    durable,
+			Entries: cfg.matEntries,
+			Durable: durable,
 			Engine: engine.MaterializeOptions{
 				MaxFacts: cfg.budget,
 				MaxBytes: cfg.maxBytes,
@@ -350,62 +352,44 @@ func atomStrings(atoms []ast.Atom) []string {
 	return out
 }
 
-// recoverBase reconstructs the pre-crash base EDB: the newest snapshot's
-// facts (or the program file's, when no snapshot was ever written) with
-// the committed log tail replayed on top — retractions before assertions,
-// exactly as the original batches applied them.
-func recoverBase(progFacts []ast.Atom, rec *wal.Recovery) ([]ast.Atom, error) {
-	idx := map[string]int{}
-	var facts []ast.Atom
-	add := func(a ast.Atom) {
-		k := a.String()
-		if _, ok := idx[k]; ok {
-			return
-		}
-		idx[k] = len(facts)
-		facts = append(facts, a)
-	}
-	del := func(k string) {
-		i, ok := idx[k]
-		if !ok {
-			return
-		}
-		last := len(facts) - 1
-		facts[i] = facts[last]
-		idx[facts[i].String()] = i
-		facts = facts[:last]
-		delete(idx, k)
-	}
+// recoverBase reconstructs the pre-crash base image: the newest snapshot's
+// facts at the snapshot's epoch (or the program file's at epoch 0, when no
+// snapshot was ever written) with the committed log tail replayed on top
+// through the same engine.Base.Apply live batches go through —
+// retractions before assertions, one epoch per batch. The log is dense and
+// holds effective batches only, so the replay must land on the log's last
+// epoch; anything else means snapshot and log disagree, and startup is
+// refused rather than served from a base nobody acknowledged.
+func recoverBase(progFacts []ast.Atom, rec *wal.Recovery) (*engine.Base, error) {
+	facts, epoch := progFacts, int64(0)
 	if rec.Snapshot != nil {
-		for _, f := range rec.Snapshot.Facts {
-			a, err := parser.ParseAtom(f)
-			if err != nil {
-				return nil, fmt.Errorf("snapshot fact %q: %w", f, err)
-			}
-			add(a)
+		var err error
+		if facts, err = parseFactAtoms(rec.Snapshot.Facts); err != nil {
+			return nil, fmt.Errorf("snapshot fact %w", err)
 		}
-	} else {
-		for _, a := range progFacts {
-			add(a)
-		}
+		epoch = rec.Snapshot.Epoch
+	}
+	base, err := engine.NewBase(facts, epoch)
+	if err != nil {
+		return nil, err
 	}
 	for _, b := range rec.Batches {
-		for _, f := range b.Retract {
-			a, err := parser.ParseAtom(f)
-			if err != nil {
-				return nil, fmt.Errorf("epoch %d retract %q: %w", b.Epoch, f, err)
-			}
-			del(a.String())
+		retract, err := parseFactAtoms(b.Retract)
+		if err != nil {
+			return nil, fmt.Errorf("epoch %d retract %w", b.Epoch, err)
 		}
-		for _, f := range b.Assert {
-			a, err := parser.ParseAtom(f)
-			if err != nil {
-				return nil, fmt.Errorf("epoch %d assert %q: %w", b.Epoch, f, err)
-			}
-			add(a)
+		assert, err := parseFactAtoms(b.Assert)
+		if err != nil {
+			return nil, fmt.Errorf("epoch %d assert %w", b.Epoch, err)
+		}
+		if _, _, _, err := base.Apply(assert, retract); err != nil {
+			return nil, fmt.Errorf("epoch %d: %w", b.Epoch, err)
 		}
 	}
-	return facts, nil
+	if got := base.Current().Epoch(); got != rec.Epoch {
+		return nil, fmt.Errorf("replay reached epoch %d, the log ends at %d", got, rec.Epoch)
+	}
+	return base, nil
 }
 
 // Close releases the server's durable resources: it flushes the pending
@@ -817,18 +801,15 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		opts.Span = tc.Root()
 	}
 
-	// Fresh EDB per request: evaluation derives into the DB, so sharing one
-	// across requests would leak one query's derivations into the next. The
-	// base is snapshotted with its epoch so the response reports exactly the
-	// mutation state it evaluated.
-	base, epoch := s.mat.BaseSnapshot()
-	db := engine.NewDB()
-	if err := engine.LoadFacts(db, base); err != nil {
-		s.failEval(w, ctx, qid, strategy.String(), statusForError(err), err)
-		return
-	}
+	// A DB per request, the base shared: the request pins the current image
+	// version and evaluates over a DB that aliases its frozen relations — no
+	// fact is copied, and the response reports exactly the epoch it pinned.
+	// Evaluation derives only into relations private to this DB, so one
+	// query's derivations never reach the next.
+	version := s.mat.Version()
+	epoch := version.Epoch()
 
-	res, err := plan.Run(db, opts)
+	res, err := plan.Run(version.EvalDB(), opts)
 	if err != nil {
 		s.failEval(w, ctx, qid, strategy.String(), statusForError(err), err)
 		return
@@ -1021,11 +1002,11 @@ func (s *server) maybeSnapshot() {
 	if s.mat.Epoch()-s.wl.SnapshotEpoch() < s.snapshotEvery {
 		return
 	}
-	base, epoch := s.mat.BaseSnapshot()
+	version := s.mat.Version()
 	err := s.wl.WriteSnapshot(wal.Snapshot{
-		Epoch:       epoch,
+		Epoch:       version.Epoch(),
 		ProgramHash: s.hash,
-		Facts:       atomStrings(base),
+		Facts:       version.FactStrings(),
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "factorlogd: snapshot:", err)

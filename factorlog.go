@@ -149,8 +149,10 @@ func NewTraceID() string { return trace.NewID() }
 
 // System is a compiled (program, query) pair with cached transformations.
 type System struct {
-	pl       *pipeline.Pipeline
-	baseEDB  []ast.Atom
+	pl *pipeline.Pipeline
+	// base is the Load source's facts as one interned image: every NewDB
+	// aliases it, Materialize slices it, and Auto takes its statistics.
+	base     *engine.Base
 	evalOpts engine.Options
 }
 
@@ -167,15 +169,17 @@ func Load(src string) (*System, error) {
 	if len(u.Queries) > 1 {
 		return nil, fmt.Errorf("factorlog: %d queries in source, want exactly 1", len(u.Queries))
 	}
-	return &System{
-		pl:      pipeline.New(u.Program(), u.Queries[0]),
-		baseEDB: u.Facts,
-	}, nil
+	base, err := engine.NewBase(u.Facts, 0)
+	if err != nil {
+		return nil, err
+	}
+	return &System{pl: pipeline.New(u.Program(), u.Queries[0]), base: base}, nil
 }
 
 // LoadProgram builds a System from an already-parsed program and query.
 func LoadProgram(p *ast.Program, query ast.Atom) *System {
-	return &System{pl: pipeline.New(p, query)}
+	base, _ := engine.NewBase(nil, 0) // no facts, nothing to reject
+	return &System{pl: pipeline.New(p, query), base: base}
 }
 
 // WithConstraints declares full-TGD constraints the EDB is known to
@@ -274,14 +278,11 @@ type DB struct {
 	inner *engine.DB
 }
 
-// NewDB returns a database pre-loaded with any facts from the Load source.
+// NewDB returns a database holding the facts from the Load source. The
+// facts are shared, not copied: a relation is cloned only when Fact or an
+// evaluation first writes to it.
 func (s *System) NewDB() *DB {
-	db := engine.NewDB()
-	if err := engine.LoadFacts(db, s.baseEDB); err != nil {
-		// baseEDB atoms are ground by construction (parser checked).
-		panic(err)
-	}
-	return &DB{inner: db}
+	return &DB{inner: s.base.Current().EvalDB()}
 }
 
 // Fact inserts a fact with constant arguments. Arguments are constant
@@ -515,7 +516,7 @@ func (s *System) Explain(strategy Strategy) (*Explanation, error) {
 		}
 		return &Explanation{Strategy: strategy, Program: c.Program.String()}, nil
 	case Auto:
-		dec, err := s.pl.AutoPick(cost.SnapshotFromAtoms(s.baseEDB, 0))
+		dec, err := s.pl.AutoPick(cost.SnapshotFromVersion(s.base.Current()))
 		if err != nil {
 			return nil, err
 		}
@@ -537,7 +538,7 @@ type PlanInfo = pipeline.ExplainInfo
 // cmd/factorlogd).
 func (s *System) Plan(strategy Strategy) (*PlanInfo, error) {
 	if strategy == Auto {
-		dec, err := s.pl.AutoPick(cost.SnapshotFromAtoms(s.baseEDB, 0))
+		dec, err := s.pl.AutoPick(cost.SnapshotFromVersion(s.base.Current()))
 		if err != nil {
 			return nil, err
 		}
@@ -612,10 +613,17 @@ func (s *System) Materialize(strategy Strategy) (*Materialized, error) {
 	if err != nil {
 		return nil, err
 	}
-	mat, err := engine.Materialize(prog, s.baseEDB, engine.MaterializeOptions{
+	ctx := s.evalOpts.Context
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	// Keep every predicate of the Load source, named by the strategy's
+	// program or not: BaseCount and later Retracts speak of all of them.
+	v := s.base.Current()
+	mat, err := engine.MaterializeVersion(ctx, prog, v, engine.MaterializeOptions{
 		MaxFacts: s.evalOpts.MaxFacts,
 		MaxBytes: s.evalOpts.MaxBytes,
-	})
+	}, v.Preds()...)
 	if err != nil {
 		return nil, err
 	}

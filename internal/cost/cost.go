@@ -31,8 +31,7 @@ type RelationStats struct {
 	// position.
 	Columns []ColumnStats `json:"columns,omitempty"`
 	// ArenaBytes/IndexBytes/PresentLoad/IndexLoad/Indexes mirror
-	// engine.Relation.StorageFootprint for snapshots taken from an arena
-	// (SnapshotFromDB); zero for snapshots taken from an atom list.
+	// engine.Relation.StorageFootprint.
 	ArenaBytes  int64   `json:"arena_bytes,omitempty"`
 	IndexBytes  int64   `json:"index_bytes,omitempty"`
 	PresentLoad float64 `json:"present_load,omitempty"`
@@ -77,40 +76,26 @@ func (s *Snapshot) Preds() []string {
 	return out
 }
 
-// SnapshotFromAtoms summarizes a ground-atom EDB (the Materializer's base
-// fact list). Columns are compared by rendered term, so compound terms
-// count correctly. Atoms of inconsistent arity contribute rows but no
-// column stats past the shortest arity seen.
+// SnapshotFromAtoms is SnapshotFromVersion over a private image of a
+// ground-atom EDB. The atoms must be ground with one arity per predicate —
+// what every caller holds; anything else yields an empty snapshot.
 func SnapshotFromAtoms(facts []ast.Atom, epoch int64) *Snapshot {
-	snap := &Snapshot{Epoch: epoch, Relations: map[string]RelationStats{}}
-	distinct := map[string][]map[string]struct{}{}
-	for _, a := range facts {
-		rs := snap.Relations[a.Pred]
-		rs.Pred = a.Pred
-		rs.Rows++
-		cols := distinct[a.Pred]
-		if cols == nil {
-			cols = make([]map[string]struct{}, len(a.Args))
-			for i := range cols {
-				cols[i] = map[string]struct{}{}
-			}
-			distinct[a.Pred] = cols
-		}
-		for i, t := range a.Args {
-			if i < len(cols) {
-				cols[i][t.String()] = struct{}{}
-			}
-		}
-		snap.Relations[a.Pred] = rs
-		snap.TotalRows++
+	b, err := engine.NewBase(facts, epoch)
+	if err != nil {
+		return &Snapshot{Epoch: epoch, Relations: map[string]RelationStats{}}
 	}
-	for pred, cols := range distinct {
-		rs := snap.Relations[pred]
-		rs.Columns = make([]ColumnStats, len(cols))
-		for i, set := range cols {
-			rs.Columns[i] = ColumnStats{Distinct: len(set)}
-		}
-		snap.Relations[pred] = rs
+	return SnapshotFromVersion(b.Current())
+}
+
+// SnapshotFromVersion summarizes a base image. Per-column distinct counts
+// come from the frozen relations' own caches (engine.Relation.
+// DistinctCounts), and a version shares every relation a batch did not
+// touch with its predecessor, so after a mutation only the touched
+// relations are recounted.
+func SnapshotFromVersion(v *engine.Version) *Snapshot {
+	snap := &Snapshot{Epoch: v.Epoch(), Relations: map[string]RelationStats{}}
+	for _, pred := range v.Preds() {
+		snap.add(pred, v.Relation(pred))
 	}
 	return snap
 }
@@ -123,34 +108,28 @@ func SnapshotFromAtoms(facts []ast.Atom, epoch int64) *Snapshot {
 func SnapshotFromDB(db *engine.DB, epoch int64) *Snapshot {
 	snap := &Snapshot{Epoch: epoch, Relations: map[string]RelationStats{}}
 	for _, pred := range db.Preds() {
-		rel := db.Lookup(pred)
-		if rel == nil {
-			continue
+		if rel := db.Lookup(pred); rel != nil {
+			snap.add(pred, rel)
 		}
-		rs := RelationStats{Pred: pred}
-		rs.ArenaBytes, rs.IndexBytes, rs.PresentLoad, rs.IndexLoad, rs.Indexes = rel.StorageFootprint()
-		arity := rel.Arity()
-		cols := make([]map[engine.Val]struct{}, arity)
-		for i := range cols {
-			cols[i] = map[engine.Val]struct{}{}
-		}
-		for pos := int32(0); pos < int32(rel.Len()); pos++ {
-			if rel.Round(pos) < 0 {
-				continue // dead row
-			}
-			rs.Rows++
-			for i, v := range rel.Tuple(pos) {
-				cols[i][v] = struct{}{}
-			}
-		}
-		rs.Columns = make([]ColumnStats, arity)
-		for i, set := range cols {
-			rs.Columns[i] = ColumnStats{Distinct: len(set)}
-		}
-		snap.Relations[pred] = rs
-		snap.TotalRows += rs.Rows
 	}
 	return snap
+}
+
+// add records one relation's statistics. A relation with no live rows is
+// left out, as if its predicate had never been asserted.
+func (s *Snapshot) add(pred string, rel *engine.Relation) {
+	rs := RelationStats{Pred: pred, Rows: rel.Live()}
+	if rs.Rows == 0 {
+		return
+	}
+	rs.ArenaBytes, rs.IndexBytes, rs.PresentLoad, rs.IndexLoad, rs.Indexes = rel.StorageFootprint()
+	distinct := rel.DistinctCounts()
+	rs.Columns = make([]ColumnStats, len(distinct))
+	for i, d := range distinct {
+		rs.Columns[i] = ColumnStats{Distinct: d}
+	}
+	s.Relations[pred] = rs
+	s.TotalRows += rs.Rows
 }
 
 // WithObserved returns a shallow copy of the snapshot with observed row

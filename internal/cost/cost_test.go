@@ -190,3 +190,50 @@ func TestReorderPricesBoundFirst(t *testing.T) {
 		t.Fatalf("reordered cost %.1f > as-written %.1f", reordered.Cost, asWritten.Cost)
 	}
 }
+
+// TestSnapshotFromVersionRecountsTouchedOnly: statistics live with the
+// frozen relations, and a version shares the relations a batch did not
+// touch with its predecessor — so after a batch on e, e is recounted and f
+// is not.
+func TestSnapshotFromVersionRecountsTouchedOnly(t *testing.T) {
+	u, err := parser.Parse("e(a,b). e(a,c). e(b,c). f(x,1). f(y,1). f(z,2).\n?- e(X,Y).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := engine.NewBase(u.Facts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := base.Current()
+	s1 := SnapshotFromVersion(v1)
+	if e, f := s1.Relations["e"], s1.Relations["f"]; s1.TotalRows != 6 ||
+		e.Rows != 3 || e.Columns[0].Distinct != 2 || f.Columns[0].Distinct != 3 || f.Columns[1].Distinct != 2 {
+		t.Fatalf("snapshot at epoch 0: %+v", s1)
+	}
+	assert, err := parser.ParseAtom("e(d,c)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	retract, err := parser.ParseAtom("e(a,b)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, _, _, err := base.Apply([]ast.Atom{assert}, []ast.Atom{retract})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2 := SnapshotFromVersion(v2)
+	if e := s2.Relations["e"]; s2.Epoch != 1 || e.Rows != 3 || e.Columns[0].Distinct != 3 || e.Columns[1].Distinct != 1 {
+		t.Fatalf("e after the batch: %+v", e)
+	}
+	// Same frozen relation, same cached count — not a recount that happens
+	// to agree.
+	f1, f2 := v1.Relation("f").DistinctCounts(), v2.Relation("f").DistinctCounts()
+	if v1.Relation("f") != v2.Relation("f") || &f1[0] != &f2[0] {
+		t.Error("f was recounted although the batch did not touch it")
+	}
+	e1, e2 := v1.Relation("e").DistinctCounts(), v2.Relation("e").DistinctCounts()
+	if &e1[0] == &e2[0] || e1[0] != 2 {
+		t.Error("e's statistics were not recounted for the new version, or the old version's moved")
+	}
+}

@@ -465,16 +465,9 @@ func (ev *evaluator) traceRule(r *compiledRule) {
 
 func (ev *evaluator) run() error {
 	// Materialize head and body relations up front so empty IDB predicates
-	// exist and arities are checked.
-	for _, r := range ev.rules {
-		if _, err := ev.db.Rel(r.headPred, len(r.headArgs)); err != nil {
-			return err
-		}
-		for _, l := range r.body {
-			if _, err := ev.db.Rel(l.pred, l.arity); err != nil {
-				return err
-			}
-		}
+	// exist, arities are checked, and every head is private to this DB.
+	if err := PrepareRelations(ev.db, ev.rules); err != nil {
+		return err
 	}
 
 	// Build every planned index up front (compile-time index planning):
@@ -550,7 +543,9 @@ func total(m map[string]int) int {
 }
 
 // buildIndexes materializes every index the compiled rules declare they
-// probe; ensureIndex is idempotent, so repeated needs are free.
+// probe; ensureIndex is idempotent, so repeated needs are free — and on a
+// relation aliased from a base image the index is usually there already,
+// built by an earlier request.
 func buildIndexes(db *DB, rules []*compiledRule) {
 	for _, r := range rules {
 		for _, need := range r.indexNeeds {
@@ -833,10 +828,11 @@ func AnswerSet(db *DB, query ast.Atom) (map[string]bool, error) {
 	return out, nil
 }
 
-// LoadFacts interns and inserts ground atoms into db. Like Eval it runs
-// behind a recover barrier: servers load a fresh EDB per request, so a
-// panic during insertion (e.g. arena growth) must fail that one load as a
-// typed ErrInternal, not the process.
+// LoadFacts interns and inserts ground atoms into db — the loader for
+// callers that own their DB (the CLI, the experiments, tests; a server
+// aliases a base image through Version.EvalDB instead). Like Eval it runs
+// behind a recover barrier, so a panic during insertion (e.g. arena
+// growth) fails that one load as a typed ErrInternal, not the process.
 func LoadFacts(db *DB, facts []ast.Atom) (err error) {
 	defer recoverTo("load", &err)
 	for _, f := range facts {

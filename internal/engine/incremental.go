@@ -53,8 +53,9 @@ var ErrMutation = errors.New("invalid mutation")
 
 // MaterializeOptions bounds a materialization's maintenance work.
 type MaterializeOptions struct {
-	// StartEpoch is the epoch the initial build is tagged with; each
-	// successful Apply advances the epoch by one.
+	// StartEpoch is the epoch Materialize tags the initial build with
+	// (MaterializeVersion starts at its version's epoch); each successful
+	// Apply advances the epoch by one.
 	StartEpoch int64
 	// MaxWaves bounds maintenance waves per operation; 0 means the
 	// default (1<<20), a backstop against runaway cascades.
@@ -96,6 +97,10 @@ type ApplyStats struct {
 	// Rebuilt reports that the DRed-style stratum rebuild ran (a
 	// retraction's downstream closure touched a recursive stratum).
 	Rebuilt bool
+	// Restamped counts the rows whose round stamps the batch visited to
+	// zero them before its insertion phase: the rows the previous build or
+	// batch stamped, not the database.
+	Restamped int
 	// Total is the number of live facts after the operation.
 	Total int
 }
@@ -106,10 +111,20 @@ func (st ApplyStats) Changed() int { return st.NewFacts + st.DeletedFacts }
 
 // Materialization maintains the fixpoint of a program over a mutable EDB.
 // It is not safe for concurrent use; callers serialize (the pipeline
-// registry holds a per-entry lock, the facade is single-threaded).
+// registry holds its entry's mutex across refresh and answer read, the
+// facade is single-threaded).
+//
+// Its rows come from a base image Version, sliced by relevance: only the
+// relations the program names (plus any the caller asks to keep) are
+// carried. The mutable EDB starts as aliases of the image's frozen
+// relations and clones one only when a batch first changes it; the counted
+// database is bulk-cloned from them (Relation.clone: arena and table
+// copies, nothing re-interned or re-hashed). Terms the program or later
+// batches introduce are interned in a child of the image's store and die
+// with the materialization.
 type Materialization struct {
 	prog  *ast.Program
-	store *Store
+	store *Store // a child of the image's store
 	rules []*compiledRule
 	idb   map[string]bool
 	// recursive marks predicates defined in a recursive stratum.
@@ -118,22 +133,42 @@ type Materialization struct {
 	// reach in one rule application.
 	downstream map[string][]string
 	arity      map[string]int
+	// reads is the relevance set: the predicates whose base rows were
+	// carried over from the image (see Reads).
+	reads map[string]bool
 
-	base  *DB // the mutable EDB (live asserted facts only)
+	base  *DB // the mutable EDB (live asserted facts only); frozen aliases until written
 	db    *DB // materialized EDB + IDB, counted mode
 	epoch int64
 	dirty bool // a failed Apply poisoned db; rebuild before next use
 	opts  MaterializeOptions
 }
 
-// Materialize compiles p, loads the base facts, and computes the initial
-// fixpoint with derivation counts. The returned materialization owns its
-// store; render answers through DB().Store.
+// Materialize is MaterializeVersion over a private image of baseFacts,
+// keeping every predicate: the entry point for callers that hold atoms
+// rather than an image. The returned materialization owns its stores;
+// render answers through DB().Store.
 func Materialize(p *ast.Program, baseFacts []ast.Atom, opts MaterializeOptions) (*Materialization, error) {
+	b, err := NewBase(baseFacts, opts.StartEpoch)
+	if err != nil {
+		return nil, err
+	}
+	v := b.Current()
+	return MaterializeVersion(context.TODO(), p, v, opts, v.Preds()...)
+}
+
+// MaterializeVersion compiles p and computes its fixpoint, with derivation
+// counts, over the base image v. Only the relations p names in a head or a
+// body — and those listed in keep, e.g. a query's own predicate when no
+// rule mentions it — are carried into the materialization; the rest of the
+// image is never touched. The epoch starts at v's. ctx bounds the build:
+// cancellation or a deadline stops it with the engine's typed errors and
+// nothing is returned.
+func MaterializeVersion(ctx context.Context, p *ast.Program, v *Version, opts MaterializeOptions, keep ...string) (*Materialization, error) {
 	if opts.MaxWaves == 0 {
 		opts.MaxWaves = defaultMaxWaves
 	}
-	store := NewStore()
+	store := v.store.Child()
 	rules, err := compileRulesGuarded(p, store, false)
 	if err != nil {
 		return nil, err
@@ -146,7 +181,8 @@ func Materialize(p *ast.Program, baseFacts []ast.Atom, opts MaterializeOptions) 
 		recursive:  map[string]bool{},
 		downstream: map[string][]string{},
 		arity:      map[string]int{},
-		epoch:      opts.StartEpoch,
+		reads:      map[string]bool{},
+		epoch:      v.epoch,
 		opts:       opts,
 	}
 	sched := depgraph.Analyze(p)
@@ -173,26 +209,44 @@ func Materialize(p *ast.Program, baseFacts []ast.Atom, opts MaterializeOptions) 
 		}
 	}
 	m.base = NewDBWith(store)
-	for _, f := range baseFacts {
-		tuple, err := m.groundTuple(f)
-		if err != nil {
+	carry := func(pred string) error {
+		m.reads[pred] = true
+		rel := v.rels[pred]
+		if rel == nil || m.base.relations[pred] != nil {
+			return nil
+		}
+		if known, ok := m.arity[pred]; ok && known != rel.arity {
+			return fmt.Errorf("%w: %s used with arity %d and %d", ErrMutation, pred, known, rel.arity)
+		}
+		m.arity[pred] = rel.arity
+		m.base.relations[pred] = rel
+		return nil
+	}
+	for _, r := range rules {
+		if err := carry(r.headPred); err != nil {
 			return nil, err
 		}
-		if known, ok := m.arity[f.Pred]; ok && known != len(f.Args) {
-			return nil, fmt.Errorf("%w: %s used with arity %d and %d", ErrMutation, f.Pred, known, len(f.Args))
+		for _, l := range r.body {
+			if err := carry(l.pred); err != nil {
+				return nil, err
+			}
 		}
-		m.arity[f.Pred] = len(f.Args)
-		rel, err := m.base.Rel(f.Pred, len(f.Args))
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMutation, err)
-		}
-		rel.Insert(tuple)
 	}
-	if err := m.rebuild(context.Background()); err != nil {
+	for _, pred := range keep {
+		if err := carry(pred); err != nil {
+			return nil, err
+		}
+	}
+	if err := m.rebuild(ctx); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
+
+// Reads reports whether the materialization carries pred's base rows: a
+// rule of its program names pred, or the builder asked to keep it. Facts of
+// any other predicate cannot change its answers.
+func (m *Materialization) Reads(pred string) bool { return m.reads[pred] }
 
 // DB returns the materialized database (EDB + IDB, derivation-counted).
 // Treat it as read-only; Answers/AnswerSet skip dead rows.
@@ -209,40 +263,7 @@ func (m *Materialization) Dirty() bool { return m.dirty }
 func (m *Materialization) BaseCount() int { return m.base.TotalFacts() }
 
 // BaseFacts returns the live EDB facts as ground atoms, in relation order.
-func (m *Materialization) BaseFacts() []ast.Atom {
-	var out []ast.Atom
-	for _, pred := range m.base.Preds() {
-		rel := m.base.Lookup(pred)
-		for pos := int32(0); pos < int32(rel.Len()); pos++ {
-			if rel.Round(pos) < 0 {
-				continue
-			}
-			tuple := rel.Tuple(pos)
-			args := make([]ast.Term, len(tuple))
-			for i, v := range tuple {
-				args[i] = m.store.ToAST(v)
-			}
-			out = append(out, ast.Atom{Pred: pred, Args: args})
-		}
-	}
-	return out
-}
-
-// groundTuple interns a ground atom's arguments, rejecting variables.
-func (m *Materialization) groundTuple(a ast.Atom) ([]Val, error) {
-	if !a.Ground() {
-		return nil, fmt.Errorf("%w: %s is not ground", ErrMutation, a)
-	}
-	tuple := make([]Val, len(a.Args))
-	for i, t := range a.Args {
-		v, err := m.store.FromAST(t)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", ErrMutation, a, err)
-		}
-		tuple[i] = v
-	}
-	return tuple, nil
-}
+func (m *Materialization) BaseFacts() []ast.Atom { return m.base.liveAtoms() }
 
 // validate interns and checks a batch without touching any state, so an
 // invalid batch is rejected atomically with ErrMutation.
@@ -252,7 +273,7 @@ func (m *Materialization) validate(atoms []ast.Atom) ([][]Val, error) {
 		if known, ok := m.arity[a.Pred]; ok && known != len(a.Args) {
 			return nil, fmt.Errorf("%w: %s used with arity %d and %d", ErrMutation, a.Pred, known, len(a.Args))
 		}
-		tuple, err := m.groundTuple(a)
+		tuple, err := groundTuple(m.store, a)
 		if err != nil {
 			return nil, err
 		}
@@ -286,8 +307,10 @@ func (m *Materialization) Apply(ctx context.Context, assert, retract []ast.Atom)
 		// Roll the base back so it reflects the last successful epoch,
 		// then poison the materialized DB: partial wave state is not
 		// recoverable in place, but a rebuild from the restored base is.
+		// (Every relation named here was made private when the batch first
+		// wrote to it.)
 		for _, f := range undoAssert {
-			m.base.Lookup(f.pred).Delete(f.tuple)
+			m.base.Lookup(f.pred).remove(f.tuple)
 		}
 		for _, f := range undoRetract {
 			m.base.Lookup(f.pred).Insert(f.tuple)
@@ -327,10 +350,14 @@ func (m *Materialization) Apply(ctx context.Context, assert, retract []ast.Atom)
 	retractedPreds := map[string]bool{}
 	for i, a := range retract {
 		brel := m.base.Lookup(a.Pred)
-		if brel == nil || !brel.Delete(retractTuples[i]) {
+		if brel == nil || !brel.Contains(retractTuples[i]) {
 			st.NoopRetracts++
 			continue
 		}
+		if brel, err = m.base.own(a.Pred, len(a.Args)); err != nil {
+			return st, fmt.Errorf("%w: %v", ErrMutation, err)
+		}
+		brel.remove(retractTuples[i])
 		undoRetract = append(undoRetract, factRef{a.Pred, retractTuples[i]})
 		st.Retracted++
 		retractedPreds[a.Pred] = true
@@ -368,7 +395,7 @@ func (m *Materialization) Apply(ctx context.Context, assert, retract []ast.Atom)
 	}
 
 	// Phase 2: assertions. New EDB facts are the wave-1 delta.
-	m.db.resetRounds()
+	st.Restamped = m.db.resetRounds()
 	mt.wave = 0
 	mt.newCounts = map[string]int{}
 	for i, a := range assert {
@@ -376,10 +403,14 @@ func (m *Materialization) Apply(ctx context.Context, assert, retract []ast.Atom)
 		if rerr != nil {
 			return st, fmt.Errorf("%w: %v", ErrMutation, rerr)
 		}
-		if !brel.Insert(assertTuples[i]) {
+		if brel.Contains(assertTuples[i]) {
 			st.NoopAsserts++
 			continue
 		}
+		if brel, rerr = m.base.own(a.Pred, len(a.Args)); rerr != nil {
+			return st, fmt.Errorf("%w: %v", ErrMutation, rerr)
+		}
+		brel.Insert(assertTuples[i])
 		undoAssert = append(undoAssert, factRef{a.Pred, assertTuples[i]})
 		st.Asserted++
 		rel, rerr := m.db.Rel(a.Pred, len(a.Args))
@@ -469,35 +500,19 @@ func (m *Materialization) retractionClosure(preds map[string]bool) (map[string]b
 	return closure, recursive
 }
 
-// rebuild recomputes the whole materialization from the base EDB.
+// rebuild recomputes the whole materialization from the base EDB: every
+// base relation is bulk-cloned into a fresh counted database, then the
+// rules run to fixpoint over it.
 func (m *Materialization) rebuild(ctx context.Context) error {
 	db := NewDBWith(m.store)
-	for _, r := range m.rules {
-		rel, err := db.Rel(r.headPred, len(r.headArgs))
-		if err != nil {
-			return err
-		}
-		rel.EnableCounts()
-		for _, l := range r.body {
-			rel, err := db.Rel(l.pred, l.arity)
-			if err != nil {
-				return err
-			}
-			rel.EnableCounts()
-		}
-	}
 	for pred, brel := range m.base.relations {
-		rel, err := db.Rel(pred, brel.Arity())
-		if err != nil {
-			return err
-		}
+		db.relations[pred] = brel.clone(0)
+	}
+	if err := PrepareRelations(db, m.rules); err != nil {
+		return err
+	}
+	for _, rel := range db.relations {
 		rel.EnableCounts()
-		for pos := int32(0); pos < int32(brel.Len()); pos++ {
-			if brel.Round(pos) < 0 {
-				continue
-			}
-			rel.InsertRound(brel.Tuple(pos), 1)
-		}
 	}
 	db.setEpoch(int32(m.epoch))
 	var st ApplyStats
@@ -605,11 +620,7 @@ func (mt *maintainer) initialWaves(active []*compiledRule) error {
 	// bodyless rules above carry stamp 1 already) and seed the wave loop
 	// with the per-predicate live counts.
 	for _, rel := range m.db.relations {
-		for i := range rel.rounds {
-			if rel.rounds[i] >= 0 {
-				rel.rounds[i] = 1
-			}
-		}
+		rel.stampAll(1)
 	}
 	mt.newCounts = map[string]int{}
 	for pred, rel := range m.db.relations {
@@ -743,7 +754,7 @@ func (mt *maintainer) runDeleteWaves(victims []victimRef) error {
 		faultinject.Hit(faultinject.DeltaWave)
 		dyingPreds := map[string]int{}
 		for _, v := range wave {
-			m.db.Lookup(v.pred).rounds[v.row] = 1
+			m.db.Lookup(v.pred).stampDying(v.row)
 			dyingPreds[v.pred]++
 		}
 		mt.next = mt.next[:0]

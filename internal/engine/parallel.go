@@ -289,17 +289,10 @@ func evalParallel(p *ast.Program, db *DB, rules []*compiledRule, opts Options) (
 		}()
 	}
 
-	// Materialize head and body relations up front so empty IDB predicates
-	// exist and arities are checked, exactly like the sequential path.
-	for _, r := range rules {
-		if _, err := db.Rel(r.headPred, len(r.headArgs)); err != nil {
-			return nil, err
-		}
-		for _, l := range r.body {
-			if _, err := db.Rel(l.pred, l.arity); err != nil {
-				return nil, err
-			}
-		}
+	// Materialize head and body relations up front, exactly like the
+	// sequential path.
+	if err := PrepareRelations(db, rules); err != nil {
+		return nil, err
 	}
 
 	ev.workers = make([]*parWorker, opts.Workers)

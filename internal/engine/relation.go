@@ -3,6 +3,8 @@ package engine
 import (
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"factorlog/internal/faultinject"
 	"factorlog/internal/obsv"
@@ -38,12 +40,32 @@ import (
 // support the fact — and the epoch it was first inserted in. Both columns
 // are absent (nil) outside counted mode, so fresh-DB evaluation pays
 // nothing for them.
+//
+// A frozen relation (every relation of a base image Version is one)
+// never changes again and may be read by any number of goroutines and
+// aliased into any number of DBs. Insert, Delete, EnableCounts and the
+// stamping helpers panic on it — a write to shared state is a bug, and the
+// evaluators' recover barriers turn it into a typed ErrInternal. The one
+// thing that may still be added is a column index: ensureIndex, the single
+// gate every index build goes through, builds under ixMu and publishes the
+// new index set atomically, so an index built for one request serves every
+// later one and concurrent readers never see a half-built table.
 type Relation struct {
 	arity   int
 	arena   []Val   // row-major tuple storage; rows never move or change
 	rounds  []int32 // insertion round per row; -1 = deleted (dead sentinel)
 	present tupleSet
-	indexes map[uint32]*index // key: bitmask of indexed columns
+
+	frozen  bool
+	ixMu    sync.Mutex                        // serializes index and statistics builds
+	indexes atomic.Pointer[map[uint32]*index] // key: bitmask of indexed columns; the map is never modified once stored
+	// distinct caches DistinctCounts on a frozen relation.
+	distinct atomic.Pointer[[]int]
+
+	// stampedFrom is the reset low-water mark: every row below it carries
+	// round 0 or the dead sentinel. Rows are appended in stamp order, so
+	// resetRounds only has to visit [stampedFrom, Len).
+	stampedFrom int32
 
 	dead     int     // rows with rounds[row] < 0
 	counted  bool    // counts/epochs columns maintained
@@ -129,6 +151,17 @@ func (s *tupleSet) remove(r *Relation, h uint64, tuple []Val) bool {
 			return true
 		}
 	}
+}
+
+// repoint renames a present row: the slot holding from (a row whose tuple
+// hashes to h) now names to.
+func (s *tupleSet) repoint(h uint64, from, to int32) {
+	mask := uint64(len(s.rows) - 1)
+	i := h & mask
+	for s.rows[i] != from {
+		i = (i + 1) & mask
+	}
+	s.rows[i] = to
 }
 
 func (s *tupleSet) grow() {
@@ -235,7 +268,25 @@ func (ix *index) probe(r *Relation, key []Val) []int32 {
 
 // NewRelation returns an empty relation of the given arity.
 func NewRelation(arity int) *Relation {
-	return &Relation{arity: arity, indexes: make(map[uint32]*index)}
+	return &Relation{arity: arity}
+}
+
+// freeze makes the relation immutable (see the type comment).
+func (r *Relation) freeze() { r.frozen = true }
+
+// checkWritable guards every row-level write.
+func (r *Relation) checkWritable() {
+	if r.frozen {
+		panic("engine: write to a frozen relation")
+	}
+}
+
+// indexSet returns the published indexes; the map must not be modified.
+func (r *Relation) indexSet() map[uint32]*index {
+	if p := r.indexes.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // Arity returns the number of columns.
@@ -296,6 +347,7 @@ func (r *Relation) Insert(tuple []Val) bool { return r.InsertRound(tuple, 0) }
 
 // InsertRound adds tuple with an explicit insertion round.
 func (r *Relation) InsertRound(tuple []Val, round int32) bool {
+	r.checkWritable()
 	if len(tuple) != r.arity {
 		panic(fmt.Sprintf("engine: inserting tuple of len %d into relation of arity %d", len(tuple), r.arity))
 	}
@@ -310,6 +362,9 @@ func (r *Relation) InsertRound(tuple []Val, round int32) bool {
 		faultinject.Hit(faultinject.ArenaGrow)
 	}
 	row := int32(len(r.rounds))
+	if round <= 0 && r.stampedFrom == row {
+		r.stampedFrom = row + 1
+	}
 	r.arena = append(r.arena, tuple...)
 	r.rounds = append(r.rounds, round)
 	if r.counted {
@@ -317,7 +372,7 @@ func (r *Relation) InsertRound(tuple []Val, round int32) bool {
 		r.epochs = append(r.epochs, r.curEpoch)
 	}
 	r.present.add(h, row)
-	for _, ix := range r.indexes {
+	for _, ix := range r.indexSet() {
 		ix.addRow(r, row)
 	}
 	return true
@@ -330,6 +385,7 @@ func (r *Relation) EnableCounts() {
 	if r.counted {
 		return
 	}
+	r.checkWritable()
 	r.counted = true
 	r.counts = make([]int32, len(r.rounds))
 	r.epochs = make([]int32, len(r.rounds))
@@ -366,6 +422,7 @@ func (r *Relation) findRow(tuple []Val) (int32, bool) {
 // stamped with the dead sentinel, count zeroed. Index postings keep the
 // row id — round windows (lower bound ≥ 0) filter it on every probe.
 func (r *Relation) deleteRow(row int32) {
+	r.checkWritable()
 	tuple := r.Tuple(row)
 	if !r.present.remove(r, hashVals(tuple), tuple) {
 		return
@@ -389,8 +446,132 @@ func (r *Relation) Delete(tuple []Val) bool {
 	return true
 }
 
+// remove deletes tuple by moving the last row into its place, so the arena
+// stays dense and no dead row is left for readers to skip — the invariant
+// of base image relations, which executors that never met a deletion
+// (top-down, the streaming scans) read without a liveness check. Row ids
+// change, so it is only for a relation with no column index and no counts
+// yet: an image relation's clone, between clone and freeze.
+func (r *Relation) remove(tuple []Val) bool {
+	r.checkWritable()
+	if r.counted || len(r.indexSet()) > 0 || r.dead > 0 {
+		panic("engine: dense remove on an indexed, counted or tombstoned relation")
+	}
+	h := hashVals(tuple)
+	row, ok := r.present.lookup(r, h, tuple)
+	if !ok {
+		return false
+	}
+	r.present.remove(r, h, tuple)
+	last := int32(len(r.rounds) - 1)
+	if row != last {
+		moved := r.Tuple(last)
+		r.present.repoint(hashVals(moved), last, row)
+		copy(r.arena[int(row)*r.arity:], moved)
+		r.rounds[row] = r.rounds[last]
+	}
+	r.arena = r.arena[:int(last)*r.arity]
+	r.rounds = r.rounds[:last]
+	r.stampedFrom = min(r.stampedFrom, last)
+	return true
+}
+
 // Round returns the insertion round of the tuple at pos.
 func (r *Relation) Round(pos int32) int32 { return r.rounds[pos] }
+
+// stampAll stamps every live row with round: the initial build and the
+// DRed rederivation treat the whole database as one delta.
+func (r *Relation) stampAll(round int32) {
+	r.checkWritable()
+	for i := range r.rounds {
+		if r.rounds[i] >= 0 {
+			r.rounds[i] = round
+		}
+	}
+	r.stampedFrom = 0
+}
+
+// stampDying stamps a live row as a deletion wave's delta. The wave kills
+// the row (deleteRow) before it ends, so the stamp never outlives the wave
+// and the reset low-water mark stays where it is.
+func (r *Relation) stampDying(row int32) {
+	r.checkWritable()
+	r.rounds[row] = 1
+}
+
+// resetRounds zeroes the stamps of the rows at and above the low-water
+// mark (dead rows keep their sentinel — zeroing it would resurrect them)
+// and returns how many rows it visited. A frozen relation is never stamped,
+// so there is nothing to visit.
+func (r *Relation) resetRounds() int {
+	if r.frozen {
+		return 0
+	}
+	from := int(r.stampedFrom)
+	for i := from; i < len(r.rounds); i++ {
+		if r.rounds[i] > 0 {
+			r.rounds[i] = 0
+		}
+	}
+	r.stampedFrom = int32(len(r.rounds))
+	return len(r.rounds) - from
+}
+
+// clone returns a private, writable copy of the rows of a dense, unstamped
+// relation — an image relation, or a materialization's own copy of one —
+// with room for extra more: the arena, the stamps and the membership table
+// are copied wholesale, nothing is re-interned or re-hashed, and column
+// indexes and counted-mode columns are left behind.
+func (r *Relation) clone(extra int) *Relation {
+	nr := NewRelation(r.arity)
+	nr.arena = append(make([]Val, 0, len(r.arena)+extra*r.arity), r.arena...)
+	nr.rounds = append(make([]int32, 0, len(r.rounds)+extra), r.rounds...)
+	nr.present = tupleSet{
+		hashes: append([]uint64(nil), r.present.hashes...),
+		rows:   append([]int32(nil), r.present.rows...),
+		n:      r.present.n,
+		used:   r.present.used,
+	}
+	nr.stampedFrom = int32(len(nr.rounds))
+	return nr
+}
+
+// DistinctCounts returns, per column, the number of distinct values among
+// the live rows. A frozen relation counts once and remembers: its rows
+// never change, and an image version shares untouched relations with its
+// predecessor by pointer, so statistics survive every mutation batch that
+// does not touch the relation.
+func (r *Relation) DistinctCounts() []int {
+	if !r.frozen {
+		return r.countDistinct()
+	}
+	if d := r.distinct.Load(); d != nil {
+		return *d
+	}
+	r.ixMu.Lock()
+	defer r.ixMu.Unlock()
+	if d := r.distinct.Load(); d != nil {
+		return *d
+	}
+	d := r.countDistinct()
+	r.distinct.Store(&d)
+	return d
+}
+
+func (r *Relation) countDistinct() []int {
+	out := make([]int, r.arity)
+	seen := make(map[Val]struct{})
+	for c := 0; c < r.arity; c++ {
+		clear(seen)
+		for row, i := 0, c; row < len(r.rounds); row, i = row+1, i+r.arity {
+			if r.rounds[row] >= 0 {
+				seen[r.arena[i]] = struct{}{}
+			}
+		}
+		out[c] = len(seen)
+	}
+	return out
+}
 
 // Contains reports whether tuple is in the relation. It is a pure read:
 // safe for concurrent use while the relation is frozen.
@@ -407,10 +588,21 @@ func colMask(cols []int) uint32 {
 	return m
 }
 
-// ensureIndex builds (or returns) the index on the given columns.
+// ensureIndex builds (or returns) the index on the given columns. It is the
+// one gate for index builds — lazy Probe, the evaluators' up-front index
+// plans, the parallel strata — and the only write a frozen relation
+// accepts: the build runs under ixMu and the extended index set is
+// published with one atomic store, so concurrent first-time callers build
+// the index once and readers of the old set are never disturbed.
 func (r *Relation) ensureIndex(cols []int) *index {
 	mask := colMask(cols)
-	if ix, ok := r.indexes[mask]; ok {
+	if ix := r.indexSet()[mask]; ix != nil {
+		return ix
+	}
+	r.ixMu.Lock()
+	defer r.ixMu.Unlock()
+	cur := r.indexSet()
+	if ix := cur[mask]; ix != nil {
 		return ix
 	}
 	sorted := append([]int(nil), cols...)
@@ -419,7 +611,12 @@ func (r *Relation) ensureIndex(cols []int) *index {
 	for row := int32(0); row < int32(r.Len()); row++ {
 		ix.addRow(r, row)
 	}
-	r.indexes[mask] = ix
+	next := make(map[uint32]*index, len(cur)+1)
+	for m, x := range cur {
+		next[m] = x
+	}
+	next[mask] = ix
+	r.indexes.Store(&next)
 	return ix
 }
 
@@ -458,8 +655,7 @@ func (r *Relation) Probe(cols []int, key []Val) []int32 {
 // and otherwise build its own transient table, so streamed strata never
 // grow the relation's retained index footprint.
 func (r *Relation) HasIndex(cols []int) bool {
-	_, ok := r.indexes[colMask(cols)]
-	return ok
+	return r.indexSet()[colMask(cols)] != nil
 }
 
 // ProbeIndexed probes a previously built index on cols without building
@@ -467,7 +663,7 @@ func (r *Relation) HasIndex(cols []int) bool {
 // index exists. cols must be sorted ascending (the compiler emits bound
 // columns in column order).
 func (r *Relation) ProbeIndexed(cols []int, key []Val) ([]int32, bool) {
-	ix := r.indexes[colMask(cols)]
+	ix := r.indexSet()[colMask(cols)]
 	if ix == nil {
 		return nil, false
 	}
@@ -483,7 +679,7 @@ func (r *Relation) ProbeIndexed(cols []int, key []Val) ([]int32, bool) {
 // plan; probing an unplanned index is a scheduling bug and panics.
 func (r *Relation) probeFrozen(cols []int, key []Val) []int32 {
 	faultinject.Hit(faultinject.IndexProbe)
-	ix := r.indexes[colMask(cols)]
+	ix := r.indexSet()[colMask(cols)]
 	if ix == nil {
 		panic(fmt.Sprintf("engine: frozen probe of unplanned index %v", cols))
 	}
@@ -502,7 +698,7 @@ func (r *Relation) StorageFootprint() (arenaBytes, indexBytes int64, presentLoad
 		presentLoad = float64(r.present.n) / float64(len(r.present.rows))
 	}
 	loadSum := 0.0
-	for _, ix := range r.indexes {
+	for _, ix := range r.indexSet() {
 		indexBytes += int64(cap(ix.hashes))*hashSize + int64(cap(ix.slots))*slotSize
 		for _, p := range ix.postings {
 			indexBytes += int64(cap(p)) * slotSize
@@ -560,9 +756,41 @@ func (db *DB) Preds() []string {
 	return out
 }
 
+// own returns pred's relation for writing. A frozen relation — one aliased
+// from a base image — is first replaced, in this DB only, by a private
+// clone of its rows: the image is shared and is never written through.
+func (db *DB) own(pred string, arity int) (*Relation, error) {
+	r, err := db.Rel(pred, arity)
+	if err != nil || !r.frozen {
+		return r, err
+	}
+	r = r.clone(0)
+	db.relations[pred] = r
+	return r, nil
+}
+
+// PrepareRelations readies db for an evaluation of rules: every head and
+// body relation exists with a checked arity, and every head relation is
+// private to db (own), since heads are the only relations an evaluator
+// inserts into. All three executors start here, which is what lets a DB
+// alias a base image's frozen relations without copying them.
+func PrepareRelations(db *DB, rules []*CompiledRule) error {
+	for _, r := range rules {
+		if _, err := db.own(r.headPred, len(r.headArgs)); err != nil {
+			return err
+		}
+		for _, l := range r.body {
+			if _, err := db.Rel(l.pred, l.arity); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // Insert adds a fact. It reports whether the fact was new.
 func (db *DB) Insert(pred string, tuple ...Val) (bool, error) {
-	r, err := db.Rel(pred, len(tuple))
+	r, err := db.own(pred, len(tuple))
 	if err != nil {
 		return false, err
 	}
@@ -603,14 +831,20 @@ func (db *DB) setEpoch(e int32) {
 	}
 }
 
-// StorageStats aggregates every relation's StorageFootprint into one
-// database-wide record: total arena and index bytes, plus load factors
-// averaged over non-empty tables.
+// StorageStats aggregates the StorageFootprint of the relations this DB
+// owns into one record: total arena and index bytes, plus load factors
+// averaged over non-empty tables. Frozen relations aliased from a base
+// image are not counted: they belong to the image and are shared by every
+// request that reads it, so an evaluation's storage record and memory
+// budget cover what the evaluation itself allocated.
 func (db *DB) StorageStats() obsv.StorageStats {
 	var st obsv.StorageStats
 	presentSum, presentN := 0.0, 0
 	indexSum, indexN := 0.0, 0
 	for _, r := range db.relations {
+		if r.frozen {
+			continue
+		}
 		arenaBytes, indexBytes, presentLoad, indexLoad, nIndexes := r.StorageFootprint()
 		st.Relations++
 		st.Facts += r.Live()
@@ -636,19 +870,18 @@ func (db *DB) StorageStats() obsv.StorageStats {
 }
 
 // resetRounds zeroes every live row's insertion-round stamp, turning all
-// current facts into base state for a fresh fixpoint. Eval uses it before
-// the sequential retry after a parallel worker panic: the stamps left by
-// the aborted parallel rounds would otherwise fall outside the retry's
-// semi-naive delta windows and break completeness. Dead rows keep their
-// -1 sentinel — zeroing it would resurrect deleted facts.
-func (db *DB) resetRounds() {
+// current facts into base state for a fresh fixpoint, and returns the
+// number of rows it had to visit (see Relation.resetRounds: only the rows
+// stamped since the last reset). Eval uses it before the sequential retry
+// after a parallel worker panic: the stamps left by the aborted parallel
+// rounds would otherwise fall outside the retry's semi-naive delta windows
+// and break completeness. Materialization.Apply uses it between batches.
+func (db *DB) resetRounds() int {
+	n := 0
 	for _, r := range db.relations {
-		for i := range r.rounds {
-			if r.rounds[i] >= 0 {
-				r.rounds[i] = 0
-			}
-		}
+		n += r.resetRounds()
 	}
+	return n
 }
 
 // Clone returns a DB sharing the store but with independent relations

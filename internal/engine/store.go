@@ -34,6 +34,11 @@ const (
 
 type storeChunk [storeChunkSize]entry
 
+// childBase is the first Val a child store assigns. A root store's Vals
+// stay below it, so the two ranges never meet however much the parent
+// interns after the child was made.
+const childBase Val = 1 << 30
+
 // Store interns ground terms. The zero value is not usable; call NewStore.
 //
 // Interning (Const, Compound, and everything built on them) is safe for
@@ -41,12 +46,22 @@ type storeChunk [storeChunkSize]entry
 // ...) are lock-free and may run concurrently with interning, provided each
 // Val read was published to the reading goroutine by a synchronizing
 // operation — the parallel evaluator's round barriers provide exactly that.
+//
+// A store made by Child is an overlay on its parent: it resolves the
+// parent's Vals by delegation and interns whatever the parent does not
+// hold in its own range from childBase up. Lookups try the overlay first
+// and the parent second, and inserts go to the overlay only, so a term has
+// one Val within a child for the child's whole life — whatever the parent
+// interns later — and everything the child interned is garbage once the
+// child is dropped.
 type Store struct {
 	mu        sync.Mutex
+	parent    *Store // nil for a root store
+	base      Val    // first Val this store assigns: 0, or childBase for a child
 	consts    map[string]Val
 	compounds map[string]Val
 	chunks    atomic.Pointer[[]*storeChunk]
-	n         int // interned entries; guarded by mu
+	n         int // entries interned here; guarded by mu
 	keyBuf    []byte
 }
 
@@ -61,14 +76,33 @@ func NewStore() *Store {
 	return s
 }
 
+// Child returns an overlay store on s (see Store). Only a root store has
+// children: an evaluation scopes its terms one level below the base
+// vocabulary, never deeper.
+func (s *Store) Child() *Store {
+	if s.parent != nil {
+		panic("engine: Child of a child store")
+	}
+	c := NewStore()
+	c.parent, c.base = s, childBase
+	return c
+}
+
 // entry resolves a published Val without locking.
 func (s *Store) entry(v Val) *entry {
+	if v < s.base {
+		return s.parent.entry(v)
+	}
+	i := v - s.base
 	spine := *s.chunks.Load()
-	return &spine[v>>storeChunkBits][v&(storeChunkSize-1)]
+	return &spine[i>>storeChunkBits][i&(storeChunkSize-1)]
 }
 
 // addEntry appends e and returns its Val. Caller must hold s.mu.
 func (s *Store) addEntry(e entry) Val {
+	if s.n >= int(childBase) {
+		panic("engine: store is full")
+	}
 	if s.n&(storeChunkSize-1) == 0 {
 		old := *s.chunks.Load()
 		spine := make([]*storeChunk, len(old)+1)
@@ -78,12 +112,13 @@ func (s *Store) addEntry(e entry) Val {
 	}
 	spine := *s.chunks.Load()
 	spine[s.n>>storeChunkBits][s.n&(storeChunkSize-1)] = e
-	v := Val(s.n)
+	v := s.base + Val(s.n)
 	s.n++
 	return v
 }
 
-// Size returns the number of distinct interned terms.
+// Size returns the number of distinct terms interned in this store; a
+// child does not count its parent's.
 func (s *Store) Size() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -94,12 +129,28 @@ func (s *Store) Size() int {
 func (s *Store) Const(name string) Val {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if v, ok := s.consts[name]; ok {
+	if v, ok := s.findConstLocked(name); ok {
 		return v
 	}
 	v := s.addEntry(entry{functor: name})
 	s.consts[name] = v
 	return v
+}
+
+// findConstLocked looks name up without interning it: here first, then in
+// the parent. Caller must hold s.mu; the parent is locked for its own read
+// (lock order child, then parent — a parent never locks a child).
+func (s *Store) findConstLocked(name string) (Val, bool) {
+	if v, ok := s.consts[name]; ok {
+		return v, true
+	}
+	if s.parent == nil {
+		return NoVal, false
+	}
+	s.parent.mu.Lock()
+	defer s.parent.mu.Unlock()
+	v, ok := s.parent.consts[name]
+	return v, ok
 }
 
 // Compound interns a compound term from already-interned arguments. The args
@@ -108,7 +159,7 @@ func (s *Store) Compound(functor string, args ...Val) Val {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	key := s.compoundKey(functor, args)
-	if v, ok := s.compounds[key]; ok {
+	if v, ok := s.findCompoundLocked(key); ok {
 		return v
 	}
 	cp := make([]Val, len(args))
@@ -116,6 +167,22 @@ func (s *Store) Compound(functor string, args ...Val) Val {
 	v := s.addEntry(entry{functor: functor, args: cp})
 	s.compounds[key] = v
 	return v
+}
+
+// findCompoundLocked is findConstLocked for a compound key. A key naming
+// one of this child's own Vals can only miss in the parent, whose keys
+// name parent Vals alone.
+func (s *Store) findCompoundLocked(key string) (Val, bool) {
+	if v, ok := s.compounds[key]; ok {
+		return v, true
+	}
+	if s.parent == nil {
+		return NoVal, false
+	}
+	s.parent.mu.Lock()
+	defer s.parent.mu.Unlock()
+	v, ok := s.parent.compounds[key]
+	return v, ok
 }
 
 func (s *Store) compoundKey(functor string, args []Val) string {
@@ -177,6 +244,32 @@ func (s *Store) FromAST(t ast.Term) (Val, error) {
 			args[i] = v
 		}
 		return s.Compound(t.Functor, args...), nil
+	}
+}
+
+// Find returns the Val of ground term t if it is already interned (here or
+// in the parent), without interning anything. Base retractions use it: a
+// fact naming a term nobody ever interned cannot be present.
+func (s *Store) Find(t ast.Term) (Val, bool) {
+	switch t.Kind {
+	case ast.Var:
+		return NoVal, false
+	case ast.Const:
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.findConstLocked(t.Functor)
+	default:
+		args := make([]Val, len(t.Args))
+		for i, a := range t.Args {
+			v, ok := s.Find(a)
+			if !ok {
+				return NoVal, false
+			}
+			args[i] = v
+		}
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.findCompoundLocked(s.compoundKey(t.Functor, args))
 	}
 }
 

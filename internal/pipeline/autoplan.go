@@ -441,20 +441,21 @@ func (ap *AutoPlanner) Stats() obsv.PlanSearchStats {
 }
 
 // SnapshotSource adapts a Materializer into a StatsSource: the snapshot is
-// rebuilt from the base EDB when the epoch advances and cached otherwise,
+// taken from the base image when the epoch advances and cached otherwise,
 // with the cumulative mutated-row count attached for the change-ratio
-// trigger.
+// trigger. Taking one recounts only the relations the batches since the
+// last one touched (cost.SnapshotFromVersion).
 func SnapshotSource(m *Materializer) StatsSource {
 	var mu sync.Mutex
 	var cached *cost.Snapshot
 	return func() *cost.Snapshot {
 		mu.Lock()
 		defer mu.Unlock()
-		if cached != nil && cached.Epoch == m.Epoch() {
+		v := m.Version()
+		if cached != nil && cached.Epoch == v.Epoch() {
 			return cached
 		}
-		base, epoch := m.BaseSnapshot()
-		snap := cost.SnapshotFromAtoms(base, epoch)
+		snap := cost.SnapshotFromVersion(v)
 		st := m.Stats()
 		snap.Mutations = st.FactsAsserted + st.FactsRetracted
 		cached = snap

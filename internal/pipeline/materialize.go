@@ -16,14 +16,15 @@ import (
 )
 
 // This file is the serving side of incremental view maintenance: a
-// Materializer owns the mutable base EDB, a log of mutation batches, and a
-// bounded registry of engine.Materializations keyed by (canonical query,
-// strategy). Mutations advance a global epoch; a query served from the
-// registry first refreshes its entry to the current epoch — a no-op when
-// already there ("hit"), an incremental catch-up when the logged batches
-// cover the gap ("delta"), and a from-scratch recompute otherwise
-// ("rebuild"; "build" the first time). Each refresh disposition, its wall
-// time, and its O(change)/O(db) ratio feed obsv.MutationStats.
+// Materializer owns the base image (engine.Base), a log of mutation
+// batches, and a bounded registry of engine.Materializations keyed by
+// (canonical query, strategy). Mutations publish a new image version and
+// advance its epoch; a query served from the registry first refreshes its
+// entry to the current epoch — a no-op when already there ("hit"), an
+// incremental catch-up when the logged batches cover the gap ("delta"),
+// and a from-scratch recompute otherwise ("rebuild"; "build" the first
+// time). Each refresh disposition, its wall time, and its O(change)/O(db)
+// ratio feed obsv.MutationStats.
 
 // ErrNotMaterializable reports a Serve for a strategy with no materialized
 // program (the top-down strategies). Gate with MaterializableStrategy.
@@ -94,50 +95,59 @@ type MaterializerOptions struct {
 	// the trimmed batches, in which case the refresh replays them from
 	// the durable log instead.
 	LogLimit int
-	// StartEpoch is the epoch the materializer begins at — the recovered
-	// epoch when the base was rebuilt from a snapshot + log tail, 0 for a
-	// fresh start.
+	// StartEpoch is the epoch NewMaterializer's image begins at
+	// (NewMaterializerOn starts at its image's own epoch — the recovered
+	// one, when the image was rebuilt from a snapshot + log tail).
 	StartEpoch int64
 	// Durable, when non-nil, receives every effective batch before it is
 	// acknowledged and serves trimmed batches back to refreshes.
 	Durable DurableLog
-	// Engine carries per-entry build and maintenance budgets
-	// (StartEpoch is overridden by the materializer).
+	// Engine carries per-entry build and maintenance budgets (its
+	// StartEpoch is not consulted: an entry starts at the epoch of the
+	// image version it is built from).
 	Engine engine.MaterializeOptions
 }
 
-// matEntry is one registered materialization.
+// matEntry is one registered materialization. mu is held across a refresh
+// and the answer read that follows it, so two requests for one shape
+// serialize while requests for different shapes do not.
 type matEntry struct {
 	key         string
 	prog        *ast.Program // the program the strategy evaluates
 	query       ast.Atom     // the answer atom of that program
 	transformed bool         // read via AnswerSet vs. projection
 	pl          *Pipeline    // for ProjectAnswers on untransformed entries
-	mat         *engine.Materialization
 	elem        *list.Element
+
+	mu  sync.Mutex
+	mat *engine.Materialization // guarded by mu; nil until the first build succeeds
 }
 
-// Materializer owns the mutable base EDB and the materialization registry.
-// One lock guards the base, the log, and all refreshes: a refresh blocks
-// concurrent mutations and other materialized serves. That keeps the
-// epoch/log/entry invariants trivially consistent on a single-node ingest
-// path; finer-grained per-entry locking is future work.
+// Materializer owns the base image and the materialization registry.
+//
+// Two locks, never held together for long. The registry lock mu guards the
+// entries map, the LRU order, the batch log and the counters, and is the
+// lock under which Apply publishes a new image version — so a (version,
+// log) pair read under it is consistent. It is held for map operations
+// only. Each entry's own mutex is held across that entry's refresh and
+// answer read: a build or a replay works from an immutable version and an
+// append-only log slice, so it needs nothing from the registry while it
+// runs. Two cold builds, or a build and a hit on another entry, run side by
+// side, and Apply waits for neither. Writers serialize on the image's own
+// writer lock (engine.Base.Begin … Commit), which spans the durable append.
 type Materializer struct {
-	mu          sync.Mutex
 	prog        *ast.Program
 	progHash    string
 	constraints []ast.Rule
 	plans       *PlanCache
 	arity       map[string]int
+	base        *engine.Base
+	opts        MaterializerOptions
 
-	base    []ast.Atom
-	baseIdx map[string]int // atom.String() -> index in base
-	epoch   int64
-	log     []MutationBatch
-
+	mu      sync.Mutex
+	log     []MutationBatch // consecutive epochs ending at the current version's; re-sliced, never overwritten
 	entries map[string]*matEntry
 	order   *list.List // front = most recently served
-	opts    MaterializerOptions
 
 	batches, asserted, retracted    int64
 	noopAsserts, noopRetracts       int64
@@ -148,11 +158,24 @@ type Materializer struct {
 	changeRatio                     *obsv.ValueHistogram
 }
 
-// NewMaterializer builds a materializer over prog's base facts. The base
-// atoms must be ground with consistent arities (engine.ErrMutation
-// otherwise); duplicates collapse. plans may be shared with non-materialized
-// serving so compiled-plan reuse spans both paths.
+// NewMaterializer is NewMaterializerOn over a fresh image of base at
+// opts.StartEpoch. The base atoms must be ground with consistent arities
+// (engine.ErrMutation otherwise); duplicates collapse.
 func NewMaterializer(prog *ast.Program, constraints []ast.Rule, base []ast.Atom,
+	plans *PlanCache, opts MaterializerOptions) (*Materializer, error) {
+	image, err := engine.NewBase(base, opts.StartEpoch)
+	if err != nil {
+		return nil, err
+	}
+	return NewMaterializerOn(prog, constraints, image, plans, opts)
+}
+
+// NewMaterializerOn builds a materializer over a base image, starting at
+// the image's epoch (opts.StartEpoch is not consulted). The image's
+// arities must agree with the program's (engine.ErrMutation otherwise).
+// plans may be shared with non-materialized serving so compiled-plan reuse
+// spans both paths.
+func NewMaterializerOn(prog *ast.Program, constraints []ast.Rule, image *engine.Base,
 	plans *PlanCache, opts MaterializerOptions) (*Materializer, error) {
 	if opts.Entries <= 0 {
 		opts.Entries = 64
@@ -167,32 +190,26 @@ func NewMaterializer(prog *ast.Program, constraints []ast.Rule, base []ast.Atom,
 	if err != nil {
 		return nil, err
 	}
-	m := &Materializer{
+	v := image.Current()
+	for _, pred := range v.Preds() {
+		if known, ok := arity[pred]; ok && known != v.Relation(pred).Arity() {
+			return nil, fmt.Errorf("%w: %s used with arity %d and %d",
+				engine.ErrMutation, pred, known, v.Relation(pred).Arity())
+		}
+	}
+	return &Materializer{
 		prog:        prog,
 		progHash:    HashProgram(prog, constraints),
 		constraints: constraints,
 		plans:       plans,
 		arity:       arity,
-		baseIdx:     map[string]int{},
+		base:        image,
 		entries:     map[string]*matEntry{},
 		order:       list.New(),
 		opts:        opts,
-		epoch:       opts.StartEpoch,
 		refreshWall: obsv.NewHistogram(),
 		changeRatio: obsv.NewValueHistogram(obsv.ChangeRatioBounds()),
-	}
-	for _, a := range base {
-		if err := m.checkAtom(a); err != nil {
-			return nil, err
-		}
-		k := a.String()
-		if _, dup := m.baseIdx[k]; dup {
-			continue
-		}
-		m.baseIdx[k] = len(m.base)
-		m.base = append(m.base, a)
-	}
-	return m, nil
+	}, nil
 }
 
 // checkAtom validates one mutation atom: ground, and consistent with the
@@ -214,102 +231,70 @@ func (m *Materializer) checkAtom(a ast.Atom) error {
 // materializer serves — the identity the durable log's recovery checks.
 func (m *Materializer) ProgramHash() string { return m.progHash }
 
+// Version returns the current base image version: the base EDB and the
+// epoch it reflects, as one immutable value.
+func (m *Materializer) Version() *engine.Version { return m.base.Current() }
+
 // Epoch returns the current mutation epoch.
-func (m *Materializer) Epoch() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.epoch
-}
+func (m *Materializer) Epoch() int64 { return m.base.Current().Epoch() }
 
 // BaseCount returns the number of live base facts.
-func (m *Materializer) BaseCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.base)
-}
+func (m *Materializer) BaseCount() int { return m.base.Current().Facts() }
 
-// BaseFacts returns a copy of the live base EDB — what a from-scratch
-// evaluation at the current epoch should load.
-func (m *Materializer) BaseFacts() []ast.Atom {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]ast.Atom(nil), m.base...)
-}
+// BaseFacts renders the live base EDB as ground atoms — what a
+// from-scratch evaluation through engine.LoadFacts would load. Serving
+// paths read Version instead.
+func (m *Materializer) BaseFacts() []ast.Atom { return m.base.Current().Atoms() }
 
-// BaseSnapshot returns a copy of the live base EDB together with the epoch
-// it reflects, atomically — what a from-scratch evaluation should load and
-// the epoch its response should report.
+// BaseSnapshot is BaseFacts together with the epoch it reflects.
 func (m *Materializer) BaseSnapshot() ([]ast.Atom, int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]ast.Atom(nil), m.base...), m.epoch
+	v := m.base.Current()
+	return v.Atoms(), v.Epoch()
 }
 
 // Apply applies one mutation batch to the base EDB: retractions first,
 // then assertions, so a fact in both lists ends up present. Validation
 // rejects the whole batch before any change (engine.ErrMutation). An
-// effective batch advances the epoch and is appended to the log; a batch
-// of pure noops changes nothing. Registered materializations are not
-// touched — they catch up lazily on their next Serve.
+// effective batch is made durable, then published as the next image
+// version together with its log entry; a batch of pure noops changes
+// nothing, and a batch that cannot be made durable is never published.
+// Registered materializations are not touched — they catch up lazily on
+// their next Serve.
 func (m *Materializer) Apply(assert, retract []ast.Atom) (BatchResult, error) {
+	for _, a := range assert {
+		if err := m.checkAtom(a); err != nil {
+			return BatchResult{Epoch: m.Epoch()}, err
+		}
+	}
+	for _, a := range retract {
+		if err := m.checkAtom(a); err != nil {
+			return BatchResult{Epoch: m.Epoch()}, err
+		}
+	}
+	tx, err := m.base.Begin(assert, retract)
+	if err != nil {
+		return BatchResult{Epoch: m.Epoch()}, err
+	}
+	defer tx.Abort()
+	eff := MutationBatch{Epoch: tx.Epoch(), Assert: tx.Assert, Retract: tx.Retract}
+	if tx.Changed() && m.opts.Durable != nil {
+		if err := m.opts.Durable.Append(eff); err != nil {
+			return BatchResult{Epoch: m.Epoch()}, fmt.Errorf("durable log append: %w", err)
+		}
+	}
+	res := BatchResult{
+		Epoch:        eff.Epoch,
+		Asserted:     len(eff.Assert),
+		Retracted:    len(eff.Retract),
+		NoopAsserts:  len(assert) - len(eff.Assert),
+		NoopRetracts: len(retract) - len(eff.Retract),
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var res BatchResult
-	res.Epoch = m.epoch
-	for _, a := range assert {
-		if err := m.checkAtom(a); err != nil {
-			return res, err
-		}
-	}
-	for _, a := range retract {
-		if err := m.checkAtom(a); err != nil {
-			return res, err
-		}
-	}
-	var eff MutationBatch
-	for _, a := range retract {
-		k := a.String()
-		i, ok := m.baseIdx[k]
-		if !ok {
-			res.NoopRetracts++
-			continue
-		}
-		last := len(m.base) - 1
-		delete(m.baseIdx, k)
-		if i != last {
-			m.base[i] = m.base[last]
-			m.baseIdx[m.base[i].String()] = i
-		}
-		m.base = m.base[:last]
-		eff.Retract = append(eff.Retract, a)
-		res.Retracted++
-	}
-	for _, a := range assert {
-		k := a.String()
-		if _, ok := m.baseIdx[k]; ok {
-			res.NoopAsserts++
-			continue
-		}
-		m.baseIdx[k] = len(m.base)
-		m.base = append(m.base, a)
-		eff.Assert = append(eff.Assert, a)
-		res.Asserted++
-	}
-	if res.Changed() && m.opts.Durable != nil {
-		eff.Epoch = m.epoch + 1
-		if err := m.opts.Durable.Append(eff); err != nil {
-			// The batch could not be made durable, so it must not be
-			// acknowledged: unwind the base to the last committed epoch.
-			m.unwindLocked(eff)
-			res = BatchResult{Epoch: m.epoch}
-			return res, fmt.Errorf("durable log append: %w", err)
-		}
-	}
+	tx.Commit()
 	m.noopAsserts += int64(res.NoopAsserts)
 	m.noopRetracts += int64(res.NoopRetracts)
 	if res.Changed() {
-		m.epoch++
-		eff.Epoch = m.epoch
 		m.log = append(m.log, eff)
 		if len(m.log) > m.opts.LogLimit {
 			m.log = append([]MutationBatch(nil), m.log[len(m.log)-m.opts.LogLimit:]...)
@@ -318,43 +303,15 @@ func (m *Materializer) Apply(assert, retract []ast.Atom) (BatchResult, error) {
 		m.asserted += int64(res.Asserted)
 		m.retracted += int64(res.Retracted)
 	}
-	res.Epoch = m.epoch
 	return res, nil
-}
-
-// unwindLocked reverts one effective batch's base-EDB changes after a
-// durable-append failure: asserted facts come back out, retracted facts go
-// back in. Retract-then-assert of the same fact lists it in both, so the
-// asserts are removed first and the retracts restored after.
-func (m *Materializer) unwindLocked(eff MutationBatch) {
-	for _, a := range eff.Assert {
-		k := a.String()
-		i, ok := m.baseIdx[k]
-		if !ok {
-			continue
-		}
-		last := len(m.base) - 1
-		delete(m.baseIdx, k)
-		if i != last {
-			m.base[i] = m.base[last]
-			m.baseIdx[m.base[i].String()] = i
-		}
-		m.base = m.base[:last]
-	}
-	for _, a := range eff.Retract {
-		k := a.String()
-		if _, ok := m.baseIdx[k]; ok {
-			continue
-		}
-		m.baseIdx[k] = len(m.base)
-		m.base = append(m.base, a)
-	}
 }
 
 // Serve answers query under strategy from the registry, refreshing (or
 // building) the entry to the current epoch first. The compiled plan comes
 // from the shared plan cache, so materialized serving keeps the plan-cache
-// counters meaningful.
+// counters meaningful. ctx bounds the refresh, builds included: a deadline
+// or cancellation stops it with the engine's typed errors, a half-built
+// entry is discarded, and the next Serve builds again.
 func (m *Materializer) Serve(ctx context.Context, query ast.Atom, strategy Strategy) (*MatResult, error) {
 	if !MaterializableStrategy(strategy) {
 		return nil, fmt.Errorf("%w: %v", ErrNotMaterializable, strategy)
@@ -365,12 +322,12 @@ func (m *Materializer) Serve(ctx context.Context, query ast.Atom, strategy Strat
 	}
 
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	key := query.CanonicalKey() + "|" + strategy.String()
 	e := m.entries[key]
 	if e == nil {
 		prog, ansQuery, transformed, perr := plan.Pipeline().MaterializedProgram(strategy)
 		if perr != nil {
+			m.mu.Unlock()
 			return nil, perr
 		}
 		e = &matEntry{key: key, prog: prog, query: ansQuery,
@@ -387,27 +344,72 @@ func (m *Materializer) Serve(ctx context.Context, query ast.Atom, strategy Strat
 	} else {
 		m.order.MoveToFront(e.elem)
 	}
+	// Read under the registry lock, the version and the log agree: the log
+	// ends at the version's epoch.
+	target, log := m.base.Current(), m.log
+	m.mu.Unlock()
 
-	kind, batches, wall, err := m.refreshLocked(ctx, e)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	rf, err := m.refresh(ctx, e, target, log)
 	if err != nil {
 		return nil, err
 	}
-	answers, err := m.answersLocked(e)
+	var answers map[string]bool
+	if e.transformed {
+		answers, err = engine.AnswerSet(e.mat.DB(), e.query)
+	} else {
+		answers, err = e.pl.ProjectAnswers(e.mat.DB())
+	}
 	if err != nil {
 		return nil, err
 	}
-	return &MatResult{Answers: answers, Epoch: m.epoch, Kind: kind,
-		Batches: batches, RefreshWall: wall, PlanHit: planHit}, nil
+	m.record(rf, e.mat.DB().TotalFacts())
+	return &MatResult{Answers: answers, Epoch: e.mat.Epoch(), Kind: rf.kind,
+		Batches: rf.batches, RefreshWall: rf.wall, PlanHit: planHit}, nil
 }
 
-// refreshLocked brings e to the current epoch. A failed refresh leaves the
-// entry's materialization dirty (or nil), so the next Serve rebuilds; the
-// base EDB is never affected (engine.Apply rolls it back inside the entry's
-// own copy only).
-func (m *Materializer) refreshLocked(ctx context.Context, e *matEntry) (kind string, batches int, wall time.Duration, err error) {
-	if e.mat != nil && !e.mat.Dirty() && e.mat.Epoch() == m.epoch {
+// refreshed describes one successful refresh.
+type refreshed struct {
+	kind    string
+	batches int
+	fromWal bool
+	wall    time.Duration
+	changed int // presence changes the refresh caused (all facts, for a build)
+}
+
+// record folds one refresh into the counters.
+func (m *Materializer) record(rf refreshed, total int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	switch rf.kind {
+	case "hit":
 		m.hitCount++
-		return "hit", 0, 0, nil
+		return
+	case "delta":
+		m.deltaCount++
+		if rf.fromWal {
+			m.walDeltaCount++
+		}
+	case "rebuild":
+		m.rebuildCount++
+	case "build":
+		m.buildCount++
+	}
+	m.refreshWall.Observe(rf.wall)
+	if total > 0 {
+		m.changeRatio.Observe(float64(rf.changed) / float64(total))
+	}
+}
+
+// refresh brings e to target's epoch (or leaves it where a racing Serve
+// already took it, if that is later); the caller holds e.mu. log is the
+// registry's batch log as of target. A failed refresh leaves the entry's
+// materialization dirty (or absent), so the next Serve rebuilds; the base
+// image is never affected.
+func (m *Materializer) refresh(ctx context.Context, e *matEntry, target *engine.Version, log []MutationBatch) (rf refreshed, err error) {
+	if e.mat != nil && !e.mat.Dirty() && e.mat.Epoch() >= target.Epoch() {
+		return refreshed{kind: "hit"}, nil
 	}
 	defer func() {
 		// The MatRefresh fault and any maintenance panic surface here as a
@@ -424,75 +426,72 @@ func (m *Materializer) refreshLocked(ctx context.Context, e *matEntry) (kind str
 	// have trimmed batches the WAL still holds, and replaying them beats a
 	// from-scratch rebuild.
 	var replay []MutationBatch
-	fromWal := false
 	if e.mat != nil && !e.mat.Dirty() {
-		if m.logCoversLocked(e.mat.Epoch()) {
-			first := int(e.mat.Epoch() + 1 - m.log[0].Epoch)
-			replay = m.log[first:]
+		from := e.mat.Epoch()
+		if len(log) > 0 && log[0].Epoch <= from+1 {
+			replay = log[from+1-log[0].Epoch:]
 		} else if m.opts.Durable != nil {
-			if got, ok := m.opts.Durable.Since(e.mat.Epoch()); ok && coversRange(got, e.mat.Epoch(), m.epoch) {
-				replay, fromWal = got, true
+			if got, ok := m.opts.Durable.Since(from); ok && coversRange(got, from, target.Epoch()) {
+				replay, rf.fromWal = got[:target.Epoch()-from], true
 			}
 		}
 	}
 
-	changed := 0
-	switch {
-	case len(replay) > 0:
-		kind = "delta"
+	if len(replay) > 0 {
+		rf.kind = "delta"
 		for _, b := range replay {
-			st, aerr := e.mat.Apply(ctx, b.Assert, b.Retract)
+			// Facts of predicates the entry never reads cannot change it;
+			// the batch still advances its epoch.
+			st, aerr := e.mat.Apply(ctx, readBy(e.mat, b.Assert), readBy(e.mat, b.Retract))
 			if aerr != nil {
-				return kind, batches, 0, aerr
+				return rf, aerr
 			}
-			changed += st.Changed()
-			batches++
+			rf.changed += st.Changed()
+			rf.batches++
 		}
-		m.deltaCount++
-		if fromWal {
-			m.walDeltaCount++
-		}
-	default:
-		kind = "rebuild"
+	} else {
+		rf.kind = "rebuild"
 		if e.mat == nil {
-			kind = "build"
+			rf.kind = "build"
 		}
-		opts := m.opts.Engine
-		opts.StartEpoch = m.epoch
-		mat, merr := engine.Materialize(e.prog, m.base, opts)
+		mat, merr := engine.MaterializeVersion(ctx, e.prog, target, m.opts.Engine, e.query.Pred)
 		if merr != nil {
-			return kind, 0, 0, merr
+			return rf, merr
 		}
 		e.mat = mat
-		changed = mat.DB().TotalFacts()
-		if kind == "build" {
-			m.buildCount++
-		} else {
-			m.rebuildCount++
+		rf.changed = mat.DB().TotalFacts()
+	}
+	rf.wall = time.Since(start)
+	return rf, nil
+}
+
+// readBy returns the atoms whose predicate mat reads, sharing atoms'
+// storage when that is all of them.
+func readBy(mat *engine.Materialization, atoms []ast.Atom) []ast.Atom {
+	for i, a := range atoms {
+		if mat.Reads(a.Pred) {
+			continue
 		}
+		kept := append([]ast.Atom(nil), atoms[:i]...)
+		for _, a := range atoms[i+1:] {
+			if mat.Reads(a.Pred) {
+				kept = append(kept, a)
+			}
+		}
+		return kept
 	}
-	wall = time.Since(start)
-	m.refreshWall.Observe(wall)
-	if total := e.mat.DB().TotalFacts(); total > 0 {
-		m.changeRatio.Observe(float64(changed) / float64(total))
-	}
-	return kind, batches, wall, nil
+	return atoms
 }
 
-// logCoversLocked reports whether the batch log reaches back to the batch
-// after fromEpoch (log epochs are consecutive, ending at m.epoch).
-func (m *Materializer) logCoversLocked(fromEpoch int64) bool {
-	return len(m.log) > 0 && m.log[0].Epoch <= fromEpoch+1
-}
-
-// coversRange checks that durable-log batches form the exact consecutive
-// chain (from, to] — a defensive guard so a lagging or gappy log can never
-// be replayed as a delta.
+// coversRange checks that durable-log batches start the exact consecutive
+// chain after from and reach at least to — a defensive guard so a lagging
+// or gappy log can never be replayed as a delta. (The durable log may
+// already hold batches past to: Apply appends before it publishes.)
 func coversRange(batches []MutationBatch, from, to int64) bool {
-	if int64(len(batches)) != to-from {
+	if int64(len(batches)) < to-from {
 		return false
 	}
-	for i, b := range batches {
+	for i, b := range batches[:to-from] {
 		if b.Epoch != from+int64(i)+1 {
 			return false
 		}
@@ -500,18 +499,9 @@ func coversRange(batches []MutationBatch, from, to int64) bool {
 	return true
 }
 
-// answersLocked reads e's answers: transformed entries hold them as tuples
-// of the rewritten query predicate; untransformed ones project the original
-// query's matches onto its free positions.
-func (m *Materializer) answersLocked(e *matEntry) (map[string]bool, error) {
-	if e.transformed {
-		return engine.AnswerSet(e.mat.DB(), e.query)
-	}
-	return e.pl.ProjectAnswers(e.mat.DB())
-}
-
 // Stats snapshots the mutation + materialization counters for /metrics.
 func (m *Materializer) Stats() obsv.MutationStats {
+	v := m.base.Current()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	wall := *m.refreshWall
@@ -519,8 +509,8 @@ func (m *Materializer) Stats() obsv.MutationStats {
 	ratio := *m.changeRatio
 	ratio.BucketCounts = append([]int64(nil), m.changeRatio.BucketCounts...)
 	return obsv.MutationStats{
-		Epoch:          m.epoch,
-		BaseFacts:      len(m.base),
+		Epoch:          v.Epoch(),
+		BaseFacts:      v.Facts(),
 		Batches:        m.batches,
 		FactsAsserted:  m.asserted,
 		FactsRetracted: m.retracted,

@@ -62,17 +62,10 @@ func Eval(p *ast.Program, db *engine.DB, opts engine.Options) (res *Result, err 
 	if err != nil {
 		return nil, err
 	}
-	// Materialize head and body relations up front so empty IDB predicates
-	// exist and arities are checked, matching the fixpoint evaluator.
-	for _, r := range rules {
-		if _, err := db.Rel(r.HeadPred(), len(r.HeadArgs())); err != nil {
-			return nil, err
-		}
-		for _, l := range r.Body() {
-			if _, err := db.Rel(l.Pred(), l.Arity()); err != nil {
-				return nil, err
-			}
-		}
+	// Materialize head and body relations up front, matching the fixpoint
+	// evaluator.
+	if err := engine.PrepareRelations(db, rules); err != nil {
+		return nil, err
 	}
 	sched := depgraph.Analyze(p)
 	plan, err := planCompiled(p, rules, sched)
