@@ -411,7 +411,7 @@ func BenchmarkParallelEval(b *testing.B) {
 
 // BenchmarkTraceOverhead measures what Options.Trace costs on the semi-naive
 // transitive-closure workload. Tracing is meant to be cheap enough to leave
-// on in tools (factorbench -json runs every strategy traced); the off/on
+// on in tools (`run -profile`, the server's sampled traces); the off/on
 // pair here makes the overhead a number the suite watches — it should stay
 // under ~10%.
 func BenchmarkTraceOverhead(b *testing.B) {

@@ -1,10 +1,11 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"strings"
 	"testing"
+
+	"factorlog/internal/experiments"
 )
 
 func capture(t *testing.T, args ...string) (string, error) {
@@ -58,175 +59,20 @@ func TestRunUnknown(t *testing.T) {
 	}
 }
 
-func TestJSONMetrics(t *testing.T) {
-	out, err := capture(t, "-json", "-n", "16")
+// TestRunAll is the default invocation: every experiment of the catalogue
+// (E1…E15 plus E1b) renders its table without error.
+func TestRunAll(t *testing.T) {
+	out, err := capture(t)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc metricsDoc
-	if err := json.Unmarshal([]byte(out), &doc); err != nil {
-		t.Fatalf("-json output is not valid JSON: %v\n%s", err, out)
+	all := experiments.All()
+	if len(all) != 16 {
+		t.Errorf("catalogue has %d experiments, want 16", len(all))
 	}
-	if doc.Schema != "factorlog/metrics/v9" {
-		t.Errorf("schema = %q", doc.Schema)
-	}
-	if doc.MutateCompare != nil {
-		t.Error("mutate_compare emitted without -mutate")
-	}
-	// The v7 stream_compare block: both executors measured, ratios derived,
-	// per-operator row counters captured from the traced streamed run.
-	sc := doc.StreamCompare
-	if sc == nil {
-		t.Fatal("stream_compare missing")
-	}
-	if sc.MaterializeWallNS <= 0 || sc.StreamWallNS <= 0 || sc.Speedup <= 0 || sc.AllocRatio <= 0 {
-		t.Errorf("stream_compare not measured: %+v", sc)
-	}
-	if sc.Stream.Streamed != sc.Stages || sc.Stream.RowsEmitted == 0 {
-		t.Errorf("stream_compare counters: %+v", sc.Stream)
-	}
-	if len(sc.Stream.Ops) == 0 {
-		t.Error("stream_compare has no per-operator row counters")
-	}
-	// The v6 stage summary aggregates pipeline spans across runs.
-	stages := map[string]stageSummary{}
-	for _, st := range doc.StageSummary {
-		stages[st.Stage] = st
-	}
-	for _, name := range []string{"adorn", "magic", "factor", "optimize", "eval"} {
-		st, ok := stages[name]
-		if !ok {
-			t.Errorf("stage_summary missing %q: %v", name, doc.StageSummary)
-			continue
+	for _, e := range all {
+		if !strings.Contains(out, "== "+e.ID+": ") {
+			t.Errorf("default run did not render %s", e.ID)
 		}
-		if st.Runs == 0 || st.TotalWallNS < 0 || st.MaxWallNS > st.TotalWallNS {
-			t.Errorf("stage_summary[%s] inconsistent: %+v", name, st)
-		}
-	}
-	if stages["eval"].TotalAllocs == 0 {
-		t.Error("eval stage summary has no allocation sample")
-	}
-	byStrategy := map[string]metricsRun{}
-	for _, r := range doc.Runs {
-		if r.Workers != 1 {
-			t.Errorf("%s: workers = %d with default -workers", r.Strategy, r.Workers)
-		}
-		byStrategy[r.Strategy] = r
-	}
-	for _, s := range []string{"semi-naive", "magic", "factored+opt"} {
-		r, ok := byStrategy[s]
-		if !ok {
-			t.Fatalf("missing strategy %s in %v", s, doc.Runs)
-		}
-		if r.Error != "" {
-			t.Errorf("%s failed: %s", s, r.Error)
-		}
-		if len(r.Rules) == 0 || len(r.Rounds) == 0 {
-			t.Errorf("%s missing rule/round stats", s)
-		}
-		if len(r.Spans) == 0 || r.Spans[len(r.Spans)-1].Name != "eval" {
-			t.Errorf("%s spans = %v, want eval last", s, r.Spans)
-		}
-		if r.Spans[len(r.Spans)-1].Allocs == 0 {
-			t.Errorf("%s eval span has no allocation sample", s)
-		}
-		if r.Storage.Relations == 0 || r.Storage.ArenaBytes == 0 {
-			t.Errorf("%s storage stats empty: %+v", s, r.Storage)
-		}
-	}
-	// The paper's headline, machine-checkable: factoring cuts inferences.
-	if f, m := byStrategy["factored+opt"], byStrategy["magic"]; f.Inferences >= m.Inferences {
-		t.Errorf("factored+opt inferences %d >= magic %d", f.Inferences, m.Inferences)
-	}
-	// Unavailable strategies are reported, not dropped.
-	if byStrategy["counting"].Error == "" {
-		t.Error("counting should report its unavailability")
-	}
-}
-
-func TestJSONMetricsWorkerSweep(t *testing.T) {
-	out, err := capture(t, "-json", "-n", "16", "-workers", "1,4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc metricsDoc
-	if err := json.Unmarshal([]byte(out), &doc); err != nil {
-		t.Fatalf("-json output is not valid JSON: %v\n%s", err, out)
-	}
-	rows := map[string]map[int]metricsRun{}
-	for _, r := range doc.Runs {
-		if rows[r.Strategy] == nil {
-			rows[r.Strategy] = map[int]metricsRun{}
-		}
-		rows[r.Strategy][r.Workers] = r
-	}
-	for _, s := range []string{"semi-naive", "magic", "factored+opt"} {
-		seq, ok1 := rows[s][1]
-		par, ok4 := rows[s][4]
-		if !ok1 || !ok4 {
-			t.Fatalf("%s: missing worker rows (have %v)", s, rows[s])
-		}
-		if seq.Error != "" || par.Error != "" {
-			t.Fatalf("%s: errors: %q / %q", s, seq.Error, par.Error)
-		}
-		// The parallel-correctness contract, visible in the metrics.
-		if seq.Facts != par.Facts || seq.Answers != par.Answers {
-			t.Errorf("%s: workers=1 (%d facts, %d answers) != workers=4 (%d facts, %d answers)",
-				s, seq.Facts, seq.Answers, par.Facts, par.Answers)
-		}
-		if len(par.Strata) == 0 || len(par.WorkerRows) != 4 {
-			t.Errorf("%s: parallel row missing strata/worker stats (%d strata, %d workers)",
-				s, len(par.Strata), len(par.WorkerRows))
-		}
-	}
-	// Top-down baselines are emitted once, at workers=1.
-	for _, s := range []string{"top-down", "tabled", "naive"} {
-		if _, ok := rows[s][4]; ok {
-			t.Errorf("%s: unexpected workers=4 row", s)
-		}
-	}
-}
-
-func TestMutateCompareJSON(t *testing.T) {
-	out, err := capture(t, "-json", "-mutate", "-n", "24")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc metricsDoc
-	if err := json.Unmarshal([]byte(out), &doc); err != nil {
-		t.Fatalf("-json -mutate output is not valid JSON: %v", err)
-	}
-	mc := doc.MutateCompare
-	if mc == nil {
-		t.Fatal("mutate_compare missing with -mutate")
-	}
-	for name, ph := range map[string]mutatePhase{"assert": mc.Assert, "retract": mc.Retract} {
-		if !ph.Verified {
-			t.Errorf("%s phase not verified: %+v", name, ph)
-		}
-		if ph.IncrementalWallNS <= 0 || ph.ScratchWallNS <= 0 || ph.Speedup <= 0 {
-			t.Errorf("%s phase not measured: %+v", name, ph)
-		}
-		if ph.FinalEpoch != int64(ph.Batches) {
-			t.Errorf("%s phase epoch = %d, want %d", name, ph.FinalEpoch, ph.Batches)
-		}
-	}
-	if mc.Assert.NewFacts == 0 {
-		t.Errorf("assert phase derived nothing: %+v", mc.Assert)
-	}
-	if mc.Retract.DeletedFacts == 0 {
-		t.Errorf("retract phase deleted nothing: %+v", mc.Retract)
-	}
-}
-
-func TestMutateCompareText(t *testing.T) {
-	out, err := capture(t, "-mutate", "-n", "24")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "tail-extension asserts") ||
-		!strings.Contains(out, "source-tuple retracts") ||
-		!strings.Contains(out, "verified=true") {
-		t.Errorf("-mutate text output:\n%s", out)
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"factorlog/internal/obsv"
 )
 
 // chainProgram is linear transitive closure over a tiny seed chain — the
@@ -147,7 +149,7 @@ func TestAutoRepickAfterFactsSkewFlip(t *testing.T) {
 		t.Errorf("post-flip answers = %d, want 2000", flipped.AnswerCount)
 	}
 
-	// /metrics: schema v9 with the episode in plan_search, and the new
+	// /metrics: the episode shows in plan_search, and the planner's
 	// Prometheus families present.
 	mresp, err := http.Get(ts.URL + "/metrics?format=json")
 	if err != nil {
@@ -165,8 +167,8 @@ func TestAutoRepickAfterFactsSkewFlip(t *testing.T) {
 	if err := json.NewDecoder(mresp.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.Schema != "factorlog/metrics/v10" {
-		t.Errorf("schema = %q, want factorlog/metrics/v10", doc.Schema)
+	if doc.Schema != obsv.MetricsSchema {
+		t.Errorf("schema = %q, want %q", doc.Schema, obsv.MetricsSchema)
 	}
 	if doc.PlanSearch.Picks < 1 || doc.PlanSearch.Recosts < 1 || doc.PlanSearch.Repicks < 1 {
 		t.Errorf("plan_search = %+v, want at least one pick, recost, and repick", doc.PlanSearch)

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"factorlog/internal/faultinject"
+	"factorlog/internal/obsv"
 	"factorlog/internal/wal"
 )
 
@@ -370,8 +371,8 @@ func TestDurabilityMetrics(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.Schema != metricsSchema {
-		t.Errorf("schema = %q, want %q", doc.Schema, metricsSchema)
+	if doc.Schema != obsv.MetricsSchema {
+		t.Errorf("schema = %q, want %q", doc.Schema, obsv.MetricsSchema)
 	}
 	d := doc.Durability
 	if !d.Enabled || d.WalEpoch != 1 || d.BatchesLogged != 1 || d.Fsyncs < 1 {

@@ -263,8 +263,8 @@ func TestMetricsPrometheusDefault(t *testing.T) {
 	if err := json.Unmarshal(body, &stats); err != nil {
 		t.Fatalf("bad JSON metrics: %v", err)
 	}
-	if stats.Schema != metricsSchema {
-		t.Errorf("schema %q, want %q", stats.Schema, metricsSchema)
+	if stats.Schema != obsv.MetricsSchema {
+		t.Errorf("schema %q, want %q", stats.Schema, obsv.MetricsSchema)
 	}
 	if stats.Rounds == nil || stats.Rounds.Count != 1 {
 		t.Errorf("rounds histogram not recorded: %+v", stats.Rounds)

@@ -235,7 +235,7 @@ func TestFactsMetricsAndHealth(t *testing.T) {
 	}
 	answersOf(t, ts, "t(5,Y)", "magic")
 
-	// JSON metrics: schema v9, mutation block populated.
+	// JSON metrics: the one schema, mutation block populated.
 	resp, err := http.Get(ts.URL + "/metrics?format=json")
 	if err != nil {
 		t.Fatal(err)
@@ -245,8 +245,8 @@ func TestFactsMetricsAndHealth(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if stats.Schema != "factorlog/metrics/v10" {
-		t.Errorf("schema = %q, want factorlog/metrics/v10", stats.Schema)
+	if stats.Schema != obsv.MetricsSchema {
+		t.Errorf("schema = %q, want %q", stats.Schema, obsv.MetricsSchema)
 	}
 	m := stats.Mutation
 	if m.Epoch != 1 || m.Batches != 1 || m.FactsAsserted != 1 || m.FactsRetracted != 1 || m.NoopRetracts != 1 {

@@ -24,7 +24,7 @@
 //	GET  /readyz   readiness: 200 after warmup, 503 while warming up,
 //	               replaying the WAL tail, or draining
 //	GET  /metrics  Prometheus text exposition (?format=json for the
-//	               factorlog/metrics/v10 document, ?format=text for a table)
+//	               obsv.MetricsSchema document, ?format=text for a table)
 //	GET  /debug/slowlog      recent slow queries, newest first
 //	GET  /debug/trace/{id}   one finished trace by query ID (?format=text for a profile)
 //

@@ -25,16 +25,6 @@ import (
 	"factorlog/internal/wal"
 )
 
-// metricsSchema names the /metrics document layout; v1/v2 and v6/v7 are
-// factorbench evaluation-metrics schemas, v3 lacked storage_high_water and
-// per-span allocation counters, v4 lacked the resilience block (admission,
-// panics, degradations, memory-budget stops, drains), v5 lacked the
-// mutation block (epoch, /facts counters, materialization refreshes), v8
-// lacked the plan_search block (the adaptive optimizer's pick/re-cost
-// counters), v9 lacked the durability block (WAL epoch, group-commit
-// fsyncs, snapshots, replay and torn-tail counters).
-const metricsSchema = "factorlog/metrics/v10"
-
 // errDraining is the cancel cause propagated into in-flight evaluations
 // when shutdown begins; handlers translate it to a typed 503 body.
 var errDraining = errors.New("server draining")
@@ -1286,7 +1276,7 @@ func (s *server) snapshot() obsv.ServerStats {
 	arena.Bounds = append([]float64(nil), s.arena.Bounds...)
 	arena.BucketCounts = append([]int64(nil), s.arena.BucketCounts...)
 	return obsv.ServerStats{
-		Schema:           metricsSchema,
+		Schema:           obsv.MetricsSchema,
 		UptimeSeconds:    time.Since(s.start).Seconds(),
 		Queries:          s.queries,
 		Errors:           s.errors,
@@ -1312,7 +1302,7 @@ func (s *server) snapshot() obsv.ServerStats {
 }
 
 // durabilityStats snapshots the WAL counters; with durability off it is
-// the zero block (enabled:false), keeping the v10 schema shape stable.
+// the zero block (enabled:false), keeping the schema shape stable.
 func (s *server) durabilityStats() obsv.DurabilityStats {
 	if s.wl == nil {
 		return obsv.DurabilityStats{}
@@ -1322,7 +1312,7 @@ func (s *server) durabilityStats() obsv.DurabilityStats {
 
 // handleMetrics serves Prometheus text exposition by default (what scrapers
 // expect of a /metrics endpoint); ?format=json keeps the structured
-// factorlog/metrics/v10 document and ?format=text the human-readable table.
+// obsv.MetricsSchema document and ?format=text the human-readable table.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	stats := s.snapshot()
 	switch r.URL.Query().Get("format") {

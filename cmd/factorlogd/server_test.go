@@ -165,8 +165,8 @@ func TestMetricsReportCacheHits(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Schema != metricsSchema {
-		t.Errorf("schema = %q, want %q", stats.Schema, metricsSchema)
+	if stats.Schema != obsv.MetricsSchema {
+		t.Errorf("schema = %q, want %q", stats.Schema, obsv.MetricsSchema)
 	}
 	if stats.PlanCache.Hits < 2 {
 		t.Errorf("plan cache hits = %d, want >= 2", stats.PlanCache.Hits)

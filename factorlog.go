@@ -88,8 +88,7 @@ type CandidateInfo = pipeline.CandidateInfo
 
 // ErrBudgetExceeded is returned (wrapped) by Run when an evaluation exceeds
 // the WithBudget limits; test with errors.Is to distinguish budget stops
-// from real failures. (The engine's deprecated ErrBudget alias for this
-// error is not re-exported here and is scheduled for removal.)
+// from real failures.
 var ErrBudgetExceeded = engine.ErrBudgetExceeded
 
 // ErrCanceled is returned (wrapped) by Run when the context installed with

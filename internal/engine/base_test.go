@@ -30,6 +30,14 @@ func atoms(t *testing.T, srcs ...string) []ast.Atom {
 	return out
 }
 
+func atomSet(atoms []ast.Atom) map[string]bool {
+	out := map[string]bool{}
+	for _, a := range atoms {
+		out[a.String()] = true
+	}
+	return out
+}
+
 // TestBaseVersionsShareUntouchedRelations pins copy-on-write: a batch
 // clones the relations it changes and nothing else, a reader holding the
 // old version keeps seeing the old state, and batches that change nothing

@@ -44,13 +44,6 @@ func (s Strategy) String() string {
 // Callers distinguish budget stops from real failures with errors.Is.
 var ErrBudgetExceeded = errors.New("evaluation budget exceeded")
 
-// ErrBudget is the former name of ErrBudgetExceeded. No internal code
-// references it anymore; it is kept one release for external callers and
-// will then be removed.
-//
-// Deprecated: use ErrBudgetExceeded.
-var ErrBudget = ErrBudgetExceeded
-
 // ErrCanceled is returned (wrapped) when Options.Context is canceled before
 // the fixpoint completes. The sequential evaluator notices cancellation at
 // round boundaries and every few thousand inferences inside a round; the

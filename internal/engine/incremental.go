@@ -51,7 +51,10 @@ import (
 // errors.Is.
 var ErrMutation = errors.New("invalid mutation")
 
-// MaterializeOptions bounds a materialization's maintenance work.
+// MaterializeOptions bounds a materialization's maintenance work. Nothing
+// here makes a batch durable: the write-ahead append belongs to the layer
+// that owns the base image (pipeline.Materializer.Apply, between Base.Begin
+// and Commit).
 type MaterializeOptions struct {
 	// StartEpoch is the epoch Materialize tags the initial build with
 	// (MaterializeVersion starts at its version's epoch); each successful
@@ -66,14 +69,6 @@ type MaterializeOptions struct {
 	// MaxBytes bounds the materialized DB's storage footprint, checked at
 	// wave boundaries like Options.MaxBytes; 0 = unlimited.
 	MaxBytes int64
-	// CommitHook, when non-nil, runs after a batch's maintenance succeeds
-	// and before the epoch advances, with the epoch the batch will commit
-	// as and the effective asserts/retracts (noop entries removed). A hook
-	// error aborts the commit like any mid-batch failure: the base EDB
-	// rolls back and the epoch stays unchanged. The durability layer hangs
-	// its write-ahead log here — a batch that cannot be made durable is
-	// never acknowledged.
-	CommitHook func(epoch int64, assert, retract []ast.Atom) error
 }
 
 const defaultMaxWaves = 1 << 20
@@ -341,7 +336,6 @@ func (m *Materialization) Apply(ctx context.Context, assert, retract []ast.Atom)
 	}
 
 	mutating = true
-	m.db.setEpoch(int32(m.epoch + 1))
 	mt := &maintainer{m: m, ctx: ctx, st: &st}
 
 	// Phase 1: retractions. Remove EDB support; facts whose derivation
@@ -418,7 +412,6 @@ func (m *Materialization) Apply(ctx context.Context, assert, retract []ast.Atom)
 			return st, fmt.Errorf("%w: %v", ErrMutation, rerr)
 		}
 		rel.EnableCounts()
-		rel.setEpoch(int32(m.epoch + 1))
 		if row, ok := rel.findRow(assertTuples[i]); ok {
 			// Already derivable: the fact gains EDB support but its
 			// presence is unchanged — a count bump, not a delta.
@@ -435,33 +428,10 @@ func (m *Materialization) Apply(ctx context.Context, assert, retract []ast.Atom)
 		}
 	}
 
-	if m.opts.CommitHook != nil && st.Changed()+st.Asserted+st.Retracted > 0 {
-		if err := m.opts.CommitHook(m.epoch+1, m.refAtoms(undoAssert), m.refAtoms(undoRetract)); err != nil {
-			return st, err
-		}
-	}
-
 	m.epoch++
 	m.dirty = false
 	st.Total = m.db.TotalFacts()
 	return st, nil
-}
-
-// refAtoms renders effective-change fact refs back to ground atoms for the
-// commit hook.
-func (m *Materialization) refAtoms(refs []factRef) []ast.Atom {
-	if len(refs) == 0 {
-		return nil
-	}
-	out := make([]ast.Atom, len(refs))
-	for i, f := range refs {
-		args := make([]ast.Term, len(f.tuple))
-		for j, v := range f.tuple {
-			args[j] = m.store.ToAST(v)
-		}
-		out[i] = ast.Atom{Pred: f.pred, Args: args}
-	}
-	return out
 }
 
 type factRef struct {
@@ -514,7 +484,6 @@ func (m *Materialization) rebuild(ctx context.Context) error {
 	for _, rel := range db.relations {
 		rel.EnableCounts()
 	}
-	db.setEpoch(int32(m.epoch))
 	var st ApplyStats
 	mt := &maintainer{m: m, ctx: ctx, st: &st}
 	old := m.db

@@ -414,8 +414,8 @@ func TestMaterializeBudget(t *testing.T) {
 	t.Fatalf("no batch exceeded MaxFacts=30")
 }
 
-// TestEpochStamps checks rows carry the epoch of the batch that inserted
-// them.
+// TestEpochStamps checks a build starts at StartEpoch and each batch
+// advances the epoch by one.
 func TestEpochStamps(t *testing.T) {
 	u := mustUnit(t, "t(X,Y) :- e(X,Y). e(1,2). ?- t(X,Y).")
 	m, err := Materialize(u.Program(), u.Facts, MaterializeOptions{StartEpoch: 5})
@@ -424,21 +424,6 @@ func TestEpochStamps(t *testing.T) {
 	}
 	if _, err := m.Apply(context.Background(), []ast.Atom{atom(t, "e(3,4)")}, nil); err != nil {
 		t.Fatalf("apply: %v", err)
-	}
-	rel := m.DB().Lookup("t")
-	tup := func(a, b int) []Val {
-		return []Val{m.DB().Store.Int(a), m.DB().Store.Int(b)}
-	}
-	row12, ok12 := rel.findRow(tup(1, 2))
-	row34, ok34 := rel.findRow(tup(3, 4))
-	if !ok12 || !ok34 {
-		t.Fatalf("missing t rows")
-	}
-	if e := rel.RowEpoch(row12); e != 5 {
-		t.Errorf("t(1,2) epoch = %d, want 5 (build epoch)", e)
-	}
-	if e := rel.RowEpoch(row34); e != 6 {
-		t.Errorf("t(3,4) epoch = %d, want 6 (first batch)", e)
 	}
 	if m.Epoch() != 6 {
 		t.Errorf("epoch = %d, want 6", m.Epoch())

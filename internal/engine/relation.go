@@ -67,11 +67,9 @@ type Relation struct {
 	// resetRounds only has to visit [stampedFrom, Len).
 	stampedFrom int32
 
-	dead     int     // rows with rounds[row] < 0
-	counted  bool    // counts/epochs columns maintained
-	counts   []int32 // per-row derivation count (counted mode only)
-	epochs   []int32 // per-row insertion epoch (counted mode only)
-	curEpoch int32   // epoch stamped on subsequent inserts (counted mode)
+	dead    int     // rows with rounds[row] < 0
+	counted bool    // counts column maintained
+	counts  []int32 // per-row derivation count (counted mode only)
 }
 
 // tupleSet is the open-addressed membership table: hash of the full tuple
@@ -369,7 +367,6 @@ func (r *Relation) InsertRound(tuple []Val, round int32) bool {
 	r.rounds = append(r.rounds, round)
 	if r.counted {
 		r.counts = append(r.counts, 1)
-		r.epochs = append(r.epochs, r.curEpoch)
 	}
 	r.present.add(h, row)
 	for _, ix := range r.indexSet() {
@@ -379,8 +376,8 @@ func (r *Relation) InsertRound(tuple []Val, round int32) bool {
 }
 
 // EnableCounts switches the relation into counted mode: every row carries
-// a derivation count (existing rows start at 1) and an insertion epoch.
-// Used by Materialization; idempotent.
+// a derivation count (existing rows start at 1). Used by Materialization;
+// idempotent.
 func (r *Relation) EnableCounts() {
 	if r.counted {
 		return
@@ -388,7 +385,6 @@ func (r *Relation) EnableCounts() {
 	r.checkWritable()
 	r.counted = true
 	r.counts = make([]int32, len(r.rounds))
-	r.epochs = make([]int32, len(r.rounds))
 	for i := range r.counts {
 		r.counts[i] = 1
 	}
@@ -405,12 +401,6 @@ func (r *Relation) addCount(pos, delta int32) int32 {
 	r.counts[pos] += delta
 	return r.counts[pos]
 }
-
-// RowEpoch returns the epoch the row was inserted in (counted mode only).
-func (r *Relation) RowEpoch(pos int32) int32 { return r.epochs[pos] }
-
-// setEpoch sets the epoch stamped on subsequent inserts (counted mode).
-func (r *Relation) setEpoch(e int32) { r.curEpoch = e }
 
 // findRow returns the arena row holding tuple, if present (dead rows are
 // not present — Delete removes them from the membership table).
@@ -692,7 +682,7 @@ func (r *Relation) probeFrozen(cols []int, key []Val) []int32 {
 func (r *Relation) StorageFootprint() (arenaBytes, indexBytes int64, presentLoad, indexLoad float64, nIndexes int) {
 	const valSize, roundSize, hashSize, slotSize = 4, 4, 8, 4
 	arenaBytes = int64(cap(r.arena))*valSize + int64(cap(r.rounds))*roundSize
-	arenaBytes += int64(cap(r.counts))*roundSize + int64(cap(r.epochs))*roundSize
+	arenaBytes += int64(cap(r.counts)) * roundSize
 	indexBytes = int64(cap(r.present.hashes))*hashSize + int64(cap(r.present.rows))*slotSize
 	if len(r.present.rows) > 0 {
 		presentLoad = float64(r.present.n) / float64(len(r.present.rows))
@@ -821,14 +811,6 @@ func (db *DB) TotalFacts() int {
 		n += r.Live()
 	}
 	return n
-}
-
-// setEpoch sets the epoch stamped on subsequent inserts in every relation
-// (counted mode); Materialization advances it per mutation batch.
-func (db *DB) setEpoch(e int32) {
-	for _, r := range db.relations {
-		r.setEpoch(e)
-	}
 }
 
 // StorageStats aggregates the StorageFootprint of the relations this DB

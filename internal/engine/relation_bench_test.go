@@ -7,8 +7,9 @@ import (
 
 // Benchmarks for the relation storage layer: the semi-naive hot path is
 // dominated by Insert (dedup + index maintenance) and Probe (index lookup),
-// so these two are tracked with -benchmem. BENCH_3.json quotes their
-// allocs/op before and after the columnar-arena rewrite.
+// so these two are tracked with -benchmem. EXPERIMENTS.md quotes their
+// allocs/op before and after the columnar-arena rewrite
+// (docs/history/BENCH_3.json is the snapshot taken then).
 
 // benchTuples returns n distinct 2-tuples with clustered first columns, so
 // column-0 index postings have realistic multi-entry buckets.

@@ -11,9 +11,9 @@
 // handlers) either keep per-worker records that a coordinator folds at a
 // barrier or guard shared records with their own lock.
 //
-// The JSON tags define the schemas of the machine-readable metrics
-// documents: `factorbench -json` emits the evaluation records (schema
-// factorlog/metrics/v4, committed as BENCH_*.json), and factorlogd's
-// /metrics endpoint emits ServerStats (also factorlog/metrics/v4; v4
-// added StorageStats and the Span allocation counters).
+// The JSON tags define the one machine-readable metrics document:
+// factorlogd's /metrics?format=json endpoint emits ServerStats under the
+// schema string MetricsSchema. The evaluation records (spans, stream
+// counters, storage stats) appear inside query and EXPLAIN responses, not
+// as a document of their own.
 package obsv

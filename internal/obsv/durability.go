@@ -3,9 +3,9 @@ package obsv
 import "fmt"
 
 // DurabilityStats reports the write-ahead log and snapshot counters of a
-// server running with -wal-dir (new in schema v10). When durability is
-// disabled the block is present with Enabled false and zero counters, so
-// dashboards can key off one schema shape.
+// server running with -wal-dir. When durability is disabled the block is
+// present with Enabled false and zero counters, so dashboards can key off
+// one schema shape.
 type DurabilityStats struct {
 	// Enabled reports whether a write-ahead log is attached.
 	Enabled bool `json:"enabled"`

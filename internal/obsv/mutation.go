@@ -6,8 +6,8 @@ import (
 )
 
 // MutationStats is the mutation + materialization block of the server
-// metrics (schema v8): the epoch counter, EDB mutation counters, and the
-// materialization registry's refresh behavior. ChangeRatio observes
+// metrics: the epoch counter, EDB mutation counters, and the materialization
+// registry's refresh behavior. ChangeRatio observes
 // changed-facts / total-facts per refresh — the O(change) vs O(db) measure
 // incremental maintenance exists to keep small (delta refreshes sit near
 // zero; DRed-style rebuilds approach one).
@@ -37,9 +37,8 @@ type MutationStats struct {
 	Rebuilds int64 `json:"rebuilds"`
 	Builds   int64 `json:"builds"`
 	// WalDeltas counts the Deltas whose batches came from the durable
-	// write-ahead log after the in-memory log had already trimmed them
-	// (new in schema v10) — refreshes that would have been rebuilds
-	// without the WAL.
+	// write-ahead log after the in-memory log had already trimmed them —
+	// refreshes that would have been rebuilds without the WAL.
 	WalDeltas int64 `json:"wal_deltas,omitempty"`
 	// RefreshWall observes the wall time of non-hit refreshes.
 	RefreshWall *Histogram `json:"refresh_wall,omitempty"`

@@ -19,7 +19,7 @@ func sampleStats() ServerStats {
 	arena := NewValueHistogram(ArenaBucketBounds)
 	arena.Observe(65536)
 	return ServerStats{
-		Schema:        "factorlog/metrics/v5",
+		Schema:        MetricsSchema,
 		UptimeSeconds: 12.5,
 		Queries:       42,
 		Errors:        3,

@@ -5,10 +5,10 @@ import (
 	"strings"
 )
 
-// This file holds the resilience-layer records surfaced by /metrics
-// (schema v5): admission-control counters from internal/resilience and the
-// server's panic/shed/budget tallies. Like every obsv record they are plain
-// data — producers maintain them under their own locks.
+// This file holds the resilience-layer records surfaced by /metrics:
+// admission-control counters from internal/resilience and the server's
+// panic/shed/budget tallies. Like every obsv record they are plain data —
+// producers maintain them under their own locks.
 
 // AdmissionStats is a snapshot of a resilience.Limiter.
 type AdmissionStats struct {

@@ -11,8 +11,8 @@ import (
 // histograms filled by long-lived query processes (cmd/factorlogd). Like
 // the rest of the package they are plain data — producers guard them with
 // their own locks and obsv only formats them. The JSON tags define the
-// /metrics schema (factorlog/metrics/v5; the resilience block lives in
-// resilience.go).
+// /metrics document (MetricsSchema; its resilience, mutation, plan_search
+// and durability blocks live in the files of those names).
 
 // CacheStats describes a memoizing cache (the pipeline plan cache).
 type CacheStats struct {
@@ -221,6 +221,13 @@ func (h *ValueHistogram) Observe(v float64) {
 	h.BucketCounts[len(h.BucketCounts)-1]++
 }
 
+// MetricsSchema names the layout of ServerStats, the only metrics document
+// this module emits: request and plan-cache counters, per-strategy latency
+// histograms, the storage high-water mark, and the resilience, mutation,
+// plan_search and durability blocks. Earlier numbers belong to retired
+// documents (docs/history/README.md).
+const MetricsSchema = "factorlog/metrics/v10"
+
 // ServerStats is the /metrics document of a query server.
 type ServerStats struct {
 	// Schema names the document layout.
@@ -238,8 +245,7 @@ type ServerStats struct {
 	// Latency holds one request-latency histogram per strategy name.
 	Latency map[string]*Histogram `json:"latency_by_strategy"`
 	// Rounds histograms per-query fixpoint rounds across all strata
-	// (optional: servers that do not record it omit the field, keeping the
-	// schema at v5).
+	// (optional: servers that do not record it omit the field).
 	Rounds *ValueHistogram `json:"rounds,omitempty"`
 	// ArenaBytes histograms per-query storage footprint (arena + index
 	// bytes), the distribution behind StorageHighWater's single maximum.
@@ -253,17 +259,15 @@ type ServerStats struct {
 	// since startup (selected by arena + index bytes): what the heaviest
 	// query's database cost in tuple arenas and hash tables.
 	StorageHighWater StorageStats `json:"storage_high_water"`
-	// Resilience reports admission control and failure-governance counters
-	// (new in schema v5).
+	// Resilience reports admission control and failure-governance counters.
 	Resilience ResilienceStats `json:"resilience"`
 	// Mutation reports the mutation epoch, /facts counters, and the
-	// materialization registry's refresh behavior (new in schema v8).
+	// materialization registry's refresh behavior.
 	Mutation MutationStats `json:"mutation"`
-	// PlanSearch reports the adaptive optimizer's pick/re-cost counters
-	// (new in schema v9).
+	// PlanSearch reports the adaptive optimizer's pick/re-cost counters.
 	PlanSearch PlanSearchStats `json:"plan_search"`
-	// Durability reports the write-ahead log and snapshot counters (new in
-	// schema v10; Enabled false when the server runs without -wal-dir).
+	// Durability reports the write-ahead log and snapshot counters
+	// (Enabled false when the server runs without -wal-dir).
 	Durability DurabilityStats `json:"durability"`
 }
 

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -189,6 +190,7 @@ type StatsSource func() *cost.Snapshot
 // autoEntry is one remembered decision with the snapshot coordinates it was
 // made at, plus observed row counts from traced runs of its query.
 type autoEntry struct {
+	canon     string // the decisions key, so evicting the list tail can delete it
 	dec       *AutoDecision
 	epoch     int64
 	mutations int64
@@ -204,6 +206,11 @@ type autoEntry struct {
 // Concurrent Choose calls for the same stale shape may race and both
 // re-cost; the work is bounded (plan compiles dedupe in the cache) and the
 // last writer's decision sticks.
+//
+// Decisions are keyed like plans — the canonical query carries its bound
+// constants — so they are bounded like plans: past the plan cache's entry
+// limit the least recently chosen decision is dropped, and its shape simply
+// re-picks if it is asked again.
 type AutoPlanner struct {
 	prog        *ast.Program
 	progHash    string
@@ -213,7 +220,8 @@ type AutoPlanner struct {
 	policy      AutoPolicy
 
 	mu                            sync.Mutex
-	decisions                     map[string]*autoEntry
+	order                         *list.List // *autoEntry, most recently chosen first
+	decisions                     map[string]*list.Element
 	picks, recosts, repicks, wins int64
 	picksBy                       map[string]int64
 	recostWall                    *obsv.Histogram
@@ -233,7 +241,8 @@ func NewAutoPlanner(prog *ast.Program, constraints []ast.Rule, cache *PlanCache,
 		cache:       cache,
 		stats:       stats,
 		policy:      policy.withDefaults(),
-		decisions:   map[string]*autoEntry{},
+		order:       list.New(),
+		decisions:   map[string]*list.Element{},
 		picksBy:     map[string]int64{},
 		recostWall:  obsv.NewHistogram(),
 	}
@@ -265,7 +274,7 @@ func (ap *AutoPlanner) Choose(ctx context.Context, query ast.Atom) (*AutoServe, 
 	canon := query.CanonicalKey()
 
 	ap.mu.Lock()
-	e := ap.decisions[canon]
+	e := ap.touchLocked(canon)
 	if e != nil && !ap.staleLocked(e, snap) {
 		dec := e.dec
 		ap.mu.Unlock()
@@ -336,18 +345,46 @@ func (ap *AutoPlanner) Choose(ctx context.Context, query ast.Atom) (*AutoServe, 
 		ap.picks++
 		ap.picksBy[dec.Strategy.String()]++
 	}
-	ap.decisions[canon] = &autoEntry{
+	ap.rememberLocked(&autoEntry{
+		canon:     canon,
 		dec:       dec,
 		epoch:     snap.Epoch,
 		mutations: snap.Mutations,
 		rows:      snap.TotalRows,
 		observed:  observed,
-	}
+	})
 	ap.mu.Unlock()
 
 	serve.Plan, serve.Strategy, serve.Reorder = plan, dec.Strategy, dec.Reorder
 	serve.Candidates, serve.PlanHit, serve.Repicked = dec.Candidates, hit, repicked
 	return serve, nil
+}
+
+// touchLocked returns the remembered decision for canon, marking it most
+// recently chosen; nil when the shape is new or was evicted.
+func (ap *AutoPlanner) touchLocked(canon string) *autoEntry {
+	el, ok := ap.decisions[canon]
+	if !ok {
+		return nil
+	}
+	ap.order.MoveToFront(el)
+	return el.Value.(*autoEntry)
+}
+
+// rememberLocked stores e as the decision for its shape and evicts the
+// least recently chosen decision past the plan cache's entry limit.
+func (ap *AutoPlanner) rememberLocked(e *autoEntry) {
+	if el, ok := ap.decisions[e.canon]; ok {
+		el.Value = e
+		ap.order.MoveToFront(el)
+		return
+	}
+	ap.decisions[e.canon] = ap.order.PushFront(e)
+	if ap.cache.limit > 0 && len(ap.decisions) > ap.cache.limit {
+		tail := ap.order.Back()
+		ap.order.Remove(tail)
+		delete(ap.decisions, tail.Value.(*autoEntry).canon)
+	}
 }
 
 // staleLocked reports whether e's statistics are out of date under the
@@ -413,10 +450,11 @@ func (ap *AutoPlanner) Observe(query ast.Atom, prog *ast.Program, rules []obsv.R
 	}
 	ap.mu.Lock()
 	defer ap.mu.Unlock()
-	e := ap.decisions[query.CanonicalKey()]
-	if e == nil {
+	el, ok := ap.decisions[query.CanonicalKey()]
+	if !ok {
 		return
 	}
+	e := el.Value.(*autoEntry)
 	e.observed = cost.ObserveRuleStats(e.observed, prog, rules)
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"factorlog/internal/ast"
@@ -342,6 +343,92 @@ func TestAutoPlannerWinWithoutRepick(t *testing.T) {
 	st := planner.Stats()
 	if st.Wins != 1 || st.Repicks != 0 {
 		t.Errorf("wins=%d repicks=%d, want 1/0", st.Wins, st.Repicks)
+	}
+}
+
+// The decision map is keyed by the canonical query, constants included, so
+// a constant sweep must not grow it past the plan cache's limit; an evicted
+// shape re-picks from nothing and lands on the same strategy.
+func TestAutoPlannerDecisionsBounded(t *testing.T) {
+	const limit = 8
+	p, err := parser.ParseProgram(chainTCSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base []ast.Atom
+	for i := 1; i <= 60; i++ {
+		base = append(base, mustAtom(t, fmt.Sprintf("e(%d, %d)", i, i+1)))
+	}
+	cache := NewPlanCacheLimit(limit)
+	mat, err := NewMaterializer(p, nil, base, cache, MaterializerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	planner := NewAutoPlanner(p, nil, cache, SnapshotSource(mat), AutoPolicy{})
+
+	queries := make([]ast.Atom, 3*limit)
+	for i := range queries {
+		queries[i] = mustAtom(t, fmt.Sprintf("tc(%d, Y)", i+1))
+	}
+	first := make([]Strategy, len(queries))
+	const sweepers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < sweepers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(queries); i += sweepers {
+				serve, cerr := planner.Choose(context.Background(), queries[i])
+				if cerr != nil {
+					t.Errorf("choose %s: %v", queries[i], cerr)
+					return
+				}
+				first[i] = serve.Strategy
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	planner.mu.Lock()
+	remembered, listed := len(planner.decisions), planner.order.Len()
+	evicted := -1
+	for i, q := range queries {
+		if _, ok := planner.decisions[q.CanonicalKey()]; !ok {
+			evicted = i
+			break
+		}
+	}
+	planner.mu.Unlock()
+	if remembered > limit || listed != remembered {
+		t.Fatalf("%d decisions remembered (%d listed) after %d distinct constants, want at most %d",
+			remembered, listed, len(queries), limit)
+	}
+	if got := planner.Stats().Picks; got != int64(len(queries)) {
+		t.Errorf("picks = %d, want %d", got, len(queries))
+	}
+	if evicted < 0 {
+		t.Fatal("no decision was evicted")
+	}
+
+	again, err := planner.Choose(context.Background(), queries[evicted])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Recosted || again.Strategy != first[evicted] {
+		t.Errorf("evicted %s: recosted=%v strategy=%s, want a fresh pick of %s",
+			queries[evicted], again.Recosted, again.Strategy, first[evicted])
+	}
+	if got := planner.Stats().Picks; got != int64(len(queries))+1 {
+		t.Errorf("picks after revisit = %d, want %d", got, len(queries)+1)
+	}
+	planner.mu.Lock()
+	remembered = len(planner.decisions)
+	planner.mu.Unlock()
+	if remembered > limit {
+		t.Errorf("%d decisions remembered after the revisit, want at most %d", remembered, limit)
 	}
 }
 

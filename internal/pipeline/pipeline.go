@@ -79,7 +79,7 @@ func (s Strategy) String() string {
 
 // AllStrategies lists every fixed strategy in presentation order. Auto is
 // deliberately absent: it resolves to one of these per run, so sweeping it
-// alongside them (Compare, factorbench) would double-count its winner.
+// alongside them (Compare, the E1 table) would double-count its winner.
 func AllStrategies() []Strategy {
 	return []Strategy{Naive, SemiNaive, TopDown, Tabled, Magic, SupplementaryMagic,
 		Factored, FactoredOptimized, Counting}
@@ -434,25 +434,13 @@ var stageNames = map[Strategy][]string{
 // and memoized for the rest: the first call does the work, every later
 // call (from any goroutine) returns the cached outcome.
 func (pl *Pipeline) Compile(s Strategy) error {
-	var err error
 	switch s {
-	case Naive, SemiNaive, TopDown, Tabled:
+	case TopDown, Tabled:
 		return nil
 	case Auto:
 		return fmt.Errorf("auto strategy resolves at run time; compile the picked strategy")
-	case Magic:
-		_, err = pl.MagicProgram()
-	case SupplementaryMagic:
-		_, err = pl.SupplementaryMagicProgram()
-	case Factored:
-		_, err = pl.FactoredProgram()
-	case FactoredOptimized:
-		_, err = pl.OptimizedProgram()
-	case Counting:
-		_, err = pl.CountingProgram()
-	default:
-		err = fmt.Errorf("unknown strategy %v", s)
 	}
+	_, _, _, err := pl.MaterializedProgram(s)
 	return err
 }
 
@@ -596,42 +584,6 @@ func (pl *Pipeline) Run(s Strategy, db *engine.DB, evalOpts engine.Options) (*Ru
 			Stream:      streamStats,
 		}, nil
 
-	case Magic:
-		m, err := pl.MagicProgram()
-		if err != nil {
-			return nil, err
-		}
-		return pl.runTransformed(s, m.Program, m.Query, db, evalOpts)
-
-	case Factored:
-		fr, err := pl.FactoredProgram()
-		if err != nil {
-			return nil, err
-		}
-		return pl.runTransformed(s, fr.Program, fr.Query, db, evalOpts)
-
-	case FactoredOptimized:
-		opt, err := pl.OptimizedProgram()
-		if err != nil {
-			return nil, err
-		}
-		fr, _ := pl.FactoredProgram()
-		return pl.runTransformed(s, opt.Program, fr.Query, db, evalOpts)
-
-	case SupplementaryMagic:
-		sm, err := pl.SupplementaryMagicProgram()
-		if err != nil {
-			return nil, err
-		}
-		return pl.runTransformed(s, sm.Program, sm.Query, db, evalOpts)
-
-	case Counting:
-		c, err := pl.CountingProgram()
-		if err != nil {
-			return nil, err
-		}
-		return pl.runTransformed(s, c.Program, c.Query, db, evalOpts)
-
 	case Tabled:
 		start := evalStart(false)
 		res, err := topdown.SolveTabled(pl.Program, db, pl.Query, topdown.Options{})
@@ -691,7 +643,13 @@ func (pl *Pipeline) Run(s Strategy, db *engine.DB, evalOpts engine.Options) (*Ru
 		}, nil
 
 	default:
-		return nil, fmt.Errorf("unknown strategy %v", s)
+		// Every other strategy evaluates a rewritten program and reads its
+		// answers off the rewritten query predicate.
+		prog, query, _, err := pl.MaterializedProgram(s)
+		if err != nil {
+			return nil, err
+		}
+		return pl.runTransformed(s, prog, query, db, evalOpts)
 	}
 }
 

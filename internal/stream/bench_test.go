@@ -38,7 +38,9 @@ func layeredJoinDB(stages, n int) *engine.DB {
 
 // BenchmarkLayeredJoins compares the two executors on the layered
 // non-recursive workload; the engine-vs-stream delta here is the package's
-// reason to exist (see BENCH_5.json for the factorbench-level comparison).
+// reason to exist (bench/ tracks the same pair as stream.eval_ms.join_magic
+// vs engine.eval_ms.join_magic; docs/history/BENCH_5.json is the snapshot
+// from when the executor landed).
 func BenchmarkLayeredJoins(b *testing.B) {
 	const stages, n = 6, 2000
 	prog := parser.MustParseProgram(layeredJoinProgram(stages))

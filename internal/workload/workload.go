@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"factorlog/internal/ast"
@@ -20,43 +19,6 @@ func Chain(db *engine.DB, pred string, n int) {
 func Cycle(db *engine.DB, pred string, n int) {
 	for i := 0; i < n; i++ {
 		db.MustInsert(pred, db.Store.Int(i), db.Store.Int((i+1)%n))
-	}
-}
-
-// RandomDigraph loads m random edges over n nodes (duplicates collapse).
-func RandomDigraph(db *engine.DB, pred string, n, m int, seed int64) {
-	r := rand.New(rand.NewSource(seed))
-	for i := 0; i < m; i++ {
-		db.MustInsert(pred, db.Store.Int(r.Intn(n)), db.Store.Int(r.Intn(n)))
-	}
-}
-
-// Grid loads the edges of a w x h grid (right and down), nodes named r_c.
-func Grid(db *engine.DB, pred string, w, h int) {
-	node := func(r, c int) engine.Val { return db.Store.Const(fmt.Sprintf("n%d_%d", r, c)) }
-	for r := 0; r < h; r++ {
-		for c := 0; c < w; c++ {
-			if c+1 < w {
-				db.MustInsert(pred, node(r, c), node(r, c+1))
-			}
-			if r+1 < h {
-				db.MustInsert(pred, node(r, c), node(r+1, c))
-			}
-		}
-	}
-}
-
-// Layered loads a layered DAG: layers of the given width, every node
-// connected to d random nodes of the next layer.
-func Layered(db *engine.DB, pred string, layers, width, d int, seed int64) {
-	r := rand.New(rand.NewSource(seed))
-	node := func(l, i int) engine.Val { return db.Store.Const(fmt.Sprintf("l%d_%d", l, i)) }
-	for l := 0; l+1 < layers; l++ {
-		for i := 0; i < width; i++ {
-			for k := 0; k < d; k++ {
-				db.MustInsert(pred, node(l, i), node(l+1, r.Intn(width)))
-			}
-		}
 	}
 }
 

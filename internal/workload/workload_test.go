@@ -23,40 +23,6 @@ func TestCycle(t *testing.T) {
 	}
 }
 
-func TestRandomDigraphDeterministic(t *testing.T) {
-	db1 := engine.NewDB()
-	RandomDigraph(db1, "e", 20, 40, 42)
-	db2 := engine.NewDB()
-	RandomDigraph(db2, "e", 20, 40, 42)
-	if db1.Count("e") != db2.Count("e") {
-		t.Error("same seed should give same EDB")
-	}
-	db3 := engine.NewDB()
-	RandomDigraph(db3, "e", 20, 40, 43)
-	// Not a strict requirement, but overwhelmingly likely:
-	if db1.Count("e") == 0 {
-		t.Error("empty graph")
-	}
-	_ = db3
-}
-
-func TestGrid(t *testing.T) {
-	db := engine.NewDB()
-	Grid(db, "e", 3, 4)
-	// right edges: 2*4, down edges: 3*3.
-	if db.Count("e") != 2*4+3*3 {
-		t.Errorf("|e| = %d", db.Count("e"))
-	}
-}
-
-func TestLayered(t *testing.T) {
-	db := engine.NewDB()
-	Layered(db, "e", 4, 5, 2, 1)
-	if db.Count("e") == 0 || db.Count("e") > 3*5*2 {
-		t.Errorf("|e| = %d", db.Count("e"))
-	}
-}
-
 func TestBalancedTree(t *testing.T) {
 	db := engine.NewDB()
 	BalancedTree(db, 3)
