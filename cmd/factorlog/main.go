@@ -15,8 +15,8 @@
 // :retract (each effective mutation advances a session epoch, mirroring
 // factorlogd's POST /facts — see docs/INCREMENTAL.md).
 //
-// Strategies: naive, semi-naive, top-down, tabled, magic, sup-magic,
-// factored, factored+opt, counting, auto. "auto" defers the choice to the
+// Strategies: `factorlog run -h` lists the names (the one table is
+// internal/pipeline/strategy.go). "auto" defers the choice to the
 // adaptive optimizer: the EDB's statistics are snapshotted, every eligible
 // fixed strategy is priced by the cost model, and the winner runs (see
 // docs/PLANNER.md); `run -explain -strategy auto` prints the candidate
@@ -61,7 +61,8 @@ func run(args []string) error {
 	}
 
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
-	strategyName := fs.String("strategy", "factored+opt", "evaluation strategy")
+	strategyName := fs.String("strategy", "factored+opt",
+		fmt.Sprintf("evaluation strategy, one of %v", append(factorlog.AllStrategies(), factorlog.Auto)))
 	constraintsFile := fs.String("constraints", "", "file of full-TGD EDB constraints")
 	edbFile := fs.String("edb", "", "file of additional ground facts")
 	budget := fs.Int("budget", 0, "max derived facts (0 = unlimited)")
@@ -109,7 +110,7 @@ func run(args []string) error {
 
 	switch cmd {
 	case "run":
-		s, err := strategyByName(*strategyName)
+		s, err := factorlog.ParseStrategy(*strategyName)
 		if err != nil {
 			return err
 		}
@@ -147,18 +148,21 @@ func run(args []string) error {
 		return nil
 
 	case "compare":
-		results, skipped, err := sys.Compare(factorlog.AllStrategies(), sys.NewDB)
+		strategies := factorlog.AllStrategies()
+		results, skipped, err := sys.Compare(strategies, sys.NewDB)
 		if err != nil {
 			return err
 		}
 		fmt.Print(factorlog.FormatTable(results))
-		for s, err := range skipped {
-			fmt.Printf("%s unavailable: %v\n", s, err)
+		for _, s := range strategies {
+			if err, ok := skipped[s]; ok {
+				fmt.Printf("%s unavailable: %v\n", s, err)
+			}
 		}
 		return nil
 
 	case "explain":
-		s, err := strategyByName(*strategyName)
+		s, err := factorlog.ParseStrategy(*strategyName)
 		if err != nil {
 			return err
 		}
@@ -238,23 +242,6 @@ func proveAnswers(sys *factorlog.System) (string, error) {
 		b.WriteByte('\n')
 	}
 	return b.String(), nil
-}
-
-func strategyByName(name string) (factorlog.Strategy, error) {
-	if name == factorlog.Auto.String() {
-		return factorlog.Auto, nil
-	}
-	for _, s := range factorlog.AllStrategies() {
-		if s.String() == name {
-			return s, nil
-		}
-	}
-	var names []string
-	for _, s := range factorlog.AllStrategies() {
-		names = append(names, s.String())
-	}
-	names = append(names, factorlog.Auto.String())
-	return 0, fmt.Errorf("unknown strategy %q (one of: %s)", name, strings.Join(names, ", "))
 }
 
 func usageError() error {

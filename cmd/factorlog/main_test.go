@@ -256,3 +256,24 @@ func TestCLIRunExplain(t *testing.T) {
 		}
 	}
 }
+
+// `factorlog compare` prints the skipped strategies after the table in the
+// order it compared them, so repeated runs are identical byte for byte.
+func TestCLICompareDeterministic(t *testing.T) {
+	var first string
+	for i := 0; i < 5; i++ {
+		out, err := capture(t, "compare", testdata("tc3.dl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = out
+			td, cnt := strings.Index(out, "top-down unavailable"), strings.Index(out, "counting unavailable")
+			if td < 0 || cnt < 0 || td > cnt {
+				t.Fatalf("unavailable lines missing or out of strategy order:\n%s", out)
+			}
+		} else if out != first {
+			t.Fatalf("run %d differs from the first:\n%s\n--- first ---\n%s", i+1, out, first)
+		}
+	}
+}

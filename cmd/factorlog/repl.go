@@ -167,7 +167,7 @@ func repl(in io.Reader, out io.Writer) error {
 
 		case strings.HasPrefix(line, ":strategy"):
 			name := strings.TrimSpace(strings.TrimPrefix(line, ":strategy"))
-			s, err := strategyByName(name)
+			s, err := factorlog.ParseStrategy(name)
 			if err != nil {
 				fmt.Fprintln(out, "error:", err)
 				continue

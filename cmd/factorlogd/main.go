@@ -86,6 +86,8 @@ import (
 	"os/signal"
 	"syscall"
 	"time"
+
+	"factorlog/internal/pipeline"
 )
 
 func main() {
@@ -101,7 +103,9 @@ func run(args []string) error {
 	programFile := fs.String("program", "", "Datalog program file (rules, optional facts and ?- queries)")
 	edbFile := fs.String("edb", "", "file of additional ground facts")
 	constraintsFile := fs.String("constraints", "", "file of full-TGD EDB constraints")
-	strategyName := fs.String("strategy", "magic", "default evaluation strategy ('auto' = cost-based pick per query)")
+	strategyName := fs.String("strategy", "magic",
+		fmt.Sprintf("default evaluation strategy, one of %v ('auto' = cost-based pick per query)",
+			append(pipeline.AllStrategies(), pipeline.Auto)))
 	workers := fs.Int("workers", 1, "default evaluation workers (>1 = parallel stratified semi-naive)")
 	budget := fs.Int("budget", 0, "max derived facts per query (0 = unlimited)")
 	maxBytes := fs.Int64("max-bytes", 0, "max arena+index bytes per query evaluation (0 = unlimited)")

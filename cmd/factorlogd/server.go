@@ -202,7 +202,7 @@ func newServer(src, constraints string, cfg config) (*server, error) {
 			tgds = append(tgds, r)
 		}
 	}
-	strategy, err := strategyByName(cfg.strategy)
+	strategy, err := pipeline.ParseStrategy(cfg.strategy)
 	if err != nil {
 		return nil, err
 	}
@@ -618,7 +618,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	strategy := s.defStrategy
 	if req.Strategy != "" {
-		if strategy, err = strategyByName(req.Strategy); err != nil {
+		if strategy, err = pipeline.ParseStrategy(req.Strategy); err != nil {
 			s.fail(w, qid, "", http.StatusBadRequest, err)
 			return
 		}
@@ -1376,21 +1376,4 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
-}
-
-func strategyByName(name string) (pipeline.Strategy, error) {
-	if name == pipeline.Auto.String() {
-		return pipeline.Auto, nil
-	}
-	for _, s := range pipeline.AllStrategies() {
-		if s.String() == name {
-			return s, nil
-		}
-	}
-	var names []string
-	for _, s := range pipeline.AllStrategies() {
-		names = append(names, s.String())
-	}
-	names = append(names, pipeline.Auto.String())
-	return 0, fmt.Errorf("unknown strategy %q (one of: %s)", name, strings.Join(names, ", "))
 }

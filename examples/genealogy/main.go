@@ -48,9 +48,8 @@ func main() {
 		return db
 	}
 
-	results, skipped, err := sys.Compare(
-		[]factorlog.Strategy{factorlog.SemiNaive, factorlog.Magic, factorlog.FactoredOptimized},
-		load)
+	strategies := []factorlog.Strategy{factorlog.SemiNaive, factorlog.Magic, factorlog.FactoredOptimized}
+	results, skipped, err := sys.Compare(strategies, load)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,8 +57,10 @@ func main() {
 	for _, r := range results {
 		fmt.Printf("%-14s %10d %12d %10d\n", r.Strategy, len(r.Answers), r.Inferences, r.Facts)
 	}
-	for s, why := range skipped {
-		fmt.Printf("%-14s unavailable: %v\n", s, why)
+	for _, s := range strategies {
+		if why, ok := skipped[s]; ok {
+			fmt.Printf("%-14s unavailable: %v\n", s, why)
+		}
 	}
 
 	res, err := sys.Run(factorlog.Magic, load())

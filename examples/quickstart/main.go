@@ -53,7 +53,8 @@ func main() {
 	}
 
 	fmt.Println("\nstrategy comparison (300 nodes, 600 random edges):")
-	results, skipped, err := sys.Compare(factorlog.AllStrategies(), load)
+	strategies := factorlog.AllStrategies()
+	results, skipped, err := sys.Compare(strategies, load)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,7 +63,9 @@ func main() {
 		fmt.Printf("%-14s %10d %12d %10d %8d\n",
 			r.Strategy, len(r.Answers), r.Inferences, r.Facts, r.MaxIDBArity)
 	}
-	for s, why := range skipped {
-		fmt.Printf("%-14s unavailable: %v\n", s, why)
+	for _, s := range strategies {
+		if why, ok := skipped[s]; ok {
+			fmt.Printf("%-14s unavailable: %v\n", s, why)
+		}
 	}
 }

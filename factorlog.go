@@ -71,6 +71,10 @@ const (
 // them would double-count its winner.
 func AllStrategies() []Strategy { return pipeline.AllStrategies() }
 
+// ParseStrategy resolves a strategy by the name its String method prints
+// ("factored+opt", "auto", ...); the error of an unknown name lists them all.
+func ParseStrategy(name string) (Strategy, error) { return pipeline.ParseStrategy(name) }
+
 // ErrNoQuery is returned by Load when the source contains no ?- query.
 var ErrNoQuery = errors.New("factorlog: source contains no query (?- ...)")
 
@@ -472,57 +476,51 @@ type Explanation struct {
 	Trace []string
 }
 
+// resolve turns Auto into the planner's pick over the Load source's facts,
+// with the candidate table it chose from; a fixed strategy is returned as is.
+func (s *System) resolve(strategy Strategy) (Strategy, []CandidateInfo, error) {
+	if strategy != Auto {
+		return strategy, nil, nil
+	}
+	dec, err := s.pl.AutoPick(cost.SnapshotFromVersion(s.base.Current()))
+	if err != nil {
+		return strategy, nil, err
+	}
+	return dec.Strategy, dec.Candidates, nil
+}
+
 // Explain returns the transformed program for a strategy without
 // evaluating anything.
 func (s *System) Explain(strategy Strategy) (*Explanation, error) {
-	switch strategy {
-	case Naive, SemiNaive, TopDown, Tabled:
-		return &Explanation{Strategy: strategy, Program: s.pl.Program.String()}, nil
-	case Magic:
-		m, err := s.pl.MagicProgram()
-		if err != nil {
-			return nil, err
-		}
-		return &Explanation{Strategy: strategy, Program: m.Program.String()}, nil
-	case SupplementaryMagic:
-		m, err := s.pl.SupplementaryMagicProgram()
-		if err != nil {
-			return nil, err
-		}
-		return &Explanation{Strategy: strategy, Program: m.Program.String()}, nil
-	case Factored:
-		fr, err := s.pl.FactoredProgram()
-		if err != nil {
-			return nil, err
-		}
-		return &Explanation{Strategy: strategy, Program: fr.Program.String(), Class: fr.Class.String()}, nil
-	case FactoredOptimized:
-		opt, err := s.pl.OptimizedProgram()
-		if err != nil {
-			return nil, err
-		}
-		fr, _ := s.pl.FactoredProgram()
-		return &Explanation{
-			Strategy: strategy,
-			Program:  opt.Program.String(),
-			Class:    fr.Class.String(),
-			Trace:    opt.Trace,
-		}, nil
-	case Counting:
-		c, err := s.pl.CountingProgram()
-		if err != nil {
-			return nil, err
-		}
-		return &Explanation{Strategy: strategy, Program: c.Program.String()}, nil
-	case Auto:
-		dec, err := s.pl.AutoPick(cost.SnapshotFromVersion(s.base.Current()))
-		if err != nil {
-			return nil, err
-		}
-		return s.Explain(dec.Strategy)
-	default:
-		return nil, fmt.Errorf("unknown strategy %v", strategy)
+	strategy, _, err := s.resolve(strategy)
+	if err != nil {
+		return nil, err
 	}
+	info, err := s.pl.Explain(strategy)
+	if err != nil {
+		return nil, err
+	}
+	ex := &Explanation{Strategy: strategy, Program: s.pl.Program.String()}
+	if pipeline.MaterializableStrategy(strategy) {
+		prog, _, _, err := s.pl.MaterializedProgram(strategy)
+		if err != nil {
+			return nil, err
+		}
+		ex.Program = prog.String()
+	}
+	// The certificate and the clean-up trace belong to the stages that
+	// produce them, whichever strategies chain through those stages.
+	for _, st := range info.Stages {
+		switch st.Name {
+		case "factor":
+			fr, _ := s.pl.FactoredProgram()
+			ex.Class = fr.Class.String()
+		case "optimize":
+			opt, _ := s.pl.OptimizedProgram()
+			ex.Trace = opt.Trace
+		}
+	}
+	return ex, nil
 }
 
 // PlanInfo re-exports the structured plan description EXPLAIN serves: the
@@ -536,19 +534,16 @@ type PlanInfo = pipeline.ExplainInfo
 // table (servers with live EDBs substitute their own statistics; see
 // cmd/factorlogd).
 func (s *System) Plan(strategy Strategy) (*PlanInfo, error) {
-	if strategy == Auto {
-		dec, err := s.pl.AutoPick(cost.SnapshotFromVersion(s.base.Current()))
-		if err != nil {
-			return nil, err
-		}
-		info, err := s.pl.Explain(dec.Strategy)
-		if err != nil {
-			return nil, err
-		}
-		info.Candidates = dec.Candidates
-		return info, nil
+	strategy, candidates, err := s.resolve(strategy)
+	if err != nil {
+		return nil, err
 	}
-	return s.pl.Explain(strategy)
+	info, err := s.pl.Explain(strategy)
+	if err != nil {
+		return nil, err
+	}
+	info.Candidates = candidates
+	return info, nil
 }
 
 // Classify reports which factorability theorem (if any) applies to the

@@ -74,15 +74,18 @@ func runE1() (*Table, error) {
 		workload.Chain(db, "e", 120)
 		return db
 	}
-	results, skipped, err := pl.Compare(pipeline.AllStrategies(), load, engine.Options{})
+	strategies := pipeline.AllStrategies()
+	results, skipped, err := pl.Compare(strategies, load, engine.Options{})
 	if err != nil {
 		return nil, err
 	}
 	for _, r := range results {
 		t.AddRow(r.Strategy, len(r.Answers), r.Inferences, r.Facts, r.Iterations, r.MaxIDBArity)
 	}
-	for s, e := range skipped {
-		t.AddNote("%s unavailable: %v", s, e)
+	for _, s := range strategies {
+		if e, ok := skipped[s]; ok {
+			t.AddNote("%s unavailable: %v", s, e)
+		}
 	}
 	return t, nil
 }

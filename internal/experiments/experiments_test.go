@@ -161,3 +161,32 @@ func TestTableRender(t *testing.T) {
 		}
 	}
 }
+
+// TestE1Deterministic renders E1 repeatedly: the paper-reproduction table
+// must be reproducible byte for byte, so the "unavailable" notes follow the
+// order of the strategy list E1 compared (pipeline.AllStrategies: top-down
+// before counting), never a map's iteration order.
+func TestE1Deterministic(t *testing.T) {
+	e, _ := ByID("E1")
+	renders := 5
+	if testing.Short() {
+		renders = 2 // CI repeats this under -race -count=10; E1 runs naive and SLD to their budgets
+	}
+	var first string
+	for i := 0; i < renders; i++ {
+		tbl, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := tbl.Render()
+		if i == 0 {
+			first = out
+			td, cnt := strings.Index(out, "top-down unavailable"), strings.Index(out, "counting unavailable")
+			if td < 0 || cnt < 0 || td > cnt {
+				t.Fatalf("unavailable notes missing or out of strategy order:\n%s", out)
+			}
+		} else if out != first {
+			t.Fatalf("render %d differs from the first:\n%s\n--- first ---\n%s", i+1, out, first)
+		}
+	}
+}

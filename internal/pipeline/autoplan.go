@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -17,8 +18,7 @@ import (
 // 4): the Auto strategy. A candidate enumerator walks the eligible fixed
 // strategies × body-literal orderings, pruning the candidates the §4 class
 // tests reject; the cost model in internal/cost ranks the survivors against
-// an EDB statistics snapshot; the winner is stored in the PlanCache under
-// the Auto strategy key. A long-lived server wraps the enumeration in an
+// an EDB statistics snapshot. A long-lived server wraps the enumeration in an
 // AutoPlanner, which remembers decisions per query shape and shadow
 // re-costs them as the EDB mutates (see docs/PLANNER.md).
 
@@ -26,14 +26,6 @@ import (
 // caller-fixed strategy (provenance evaluation). HTTP handlers map it to a
 // 400.
 var ErrAutoUnsupported = errors.New("auto strategy is not supported here")
-
-// AutoCandidateStrategies lists the strategies the Auto planner enumerates,
-// in tie-break order: the arity-reducing rewrites first, so an exact cost
-// tie resolves toward the paper's transformations.
-func AutoCandidateStrategies() []Strategy {
-	return []Strategy{FactoredOptimized, Factored, Magic, SupplementaryMagic,
-		Counting, SemiNaive}
-}
 
 // CandidateInfo is one row of the planner's candidate table, surfaced by
 // EXPLAIN and the /query response for Auto requests.
@@ -146,9 +138,6 @@ func autoEnumerate(query ast.Atom, snap *cost.Snapshot,
 // prices the survivors in both body orders, and returns the decision.
 func (pl *Pipeline) AutoPick(snap *cost.Snapshot) (*AutoDecision, error) {
 	return autoEnumerate(pl.Query, snap, func(s Strategy) (*ast.Program, error) {
-		if err := pl.Compile(s); err != nil {
-			return nil, err
-		}
 		prog, _, _, err := pl.MaterializedProgram(s)
 		return prog, err
 	})
@@ -199,8 +188,7 @@ type autoEntry struct {
 }
 
 // AutoPlanner serves Auto decisions for a long-lived process: one decision
-// per canonical query shape, compiled plans shared through the PlanCache
-// (the winner is additionally stored under the Auto strategy key), and
+// per canonical query shape, compiled plans shared through the PlanCache, and
 // shadow re-costing driven by the policy's epoch and change-ratio triggers.
 //
 // Concurrent Choose calls for the same stale shape may race and both
@@ -324,12 +312,6 @@ func (ap *AutoPlanner) Choose(ctx context.Context, query ast.Atom) (*AutoServe, 
 	if err != nil {
 		return nil, err
 	}
-	// Store the winner in the plan cache under the Auto strategy key (and
-	// invalidate a beaten incumbent's entry first).
-	if repicked {
-		ap.cache.Drop(ap.progHash, query, Auto)
-	}
-	ap.cache.Put(ap.progHash, query, Auto, plan)
 
 	ap.mu.Lock()
 	if incumbent != nil {
@@ -417,9 +399,9 @@ func candidateCost(cands []CandidateInfo, s Strategy, reorder bool) (float64, bo
 	return 0, false
 }
 
-func rejected(c CandidateInfo) bool {
-	return len(c.Reason) >= 8 && c.Reason[:8] == "rejected"
-}
+// rejected reports whether the class tests pruned the candidate (its Reason
+// is autoEnumerate's "rejected: ...").
+func rejected(c CandidateInfo) bool { return strings.HasPrefix(c.Reason, "rejected") }
 
 // keepIncumbent rewrites a fresh decision to keep the incumbent candidate:
 // the chosen flag moves to the incumbent's row and the reasons record that

@@ -289,15 +289,10 @@ func TestAutoPlannerRepicksAfterSkewFlip(t *testing.T) {
 	if st.PicksByStrategy[flipped.Strategy.String()] == 0 {
 		t.Errorf("picks_by_strategy missing %s: %v", flipped.Strategy, st.PicksByStrategy)
 	}
-
-	// The winner is aliased in the plan cache under the Auto key.
-	if !cache.Drop(HashProgram(p, nil), query, Auto) {
-		t.Error("no plan cached under the Auto strategy key")
-	}
 }
 
 // A re-cost whose rival does not clear the margin keeps the incumbent and
-// counts a win, leaving the cached Auto plan valid.
+// counts a win.
 func TestAutoPlannerWinWithoutRepick(t *testing.T) {
 	p, err := parser.ParseProgram(chainTCSrc)
 	if err != nil {
@@ -429,37 +424,5 @@ func TestAutoPlannerDecisionsBounded(t *testing.T) {
 	planner.mu.Unlock()
 	if remembered > limit {
 		t.Errorf("%d decisions remembered after the revisit, want at most %d", remembered, limit)
-	}
-}
-
-// PlanCache.Put/Drop round-trip, including LRU accounting.
-func TestPlanCachePutDrop(t *testing.T) {
-	p, err := parser.ParseProgram(tcSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hash := HashProgram(p, nil)
-	c := NewPlanCache()
-	q := mustAtom(t, "t(5, Y)")
-	plan, _, err := c.Lookup(context.Background(), p, hash, nil, q, SemiNaive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Drop(hash, q, Auto) {
-		t.Fatal("Drop found an entry that was never put")
-	}
-	c.Put(hash, q, Auto, plan)
-	if got := c.Stats().Entries; got != 2 {
-		t.Fatalf("entries = %d, want 2", got)
-	}
-	got, hit, err := c.Lookup(context.Background(), p, hash, nil, q, Auto)
-	if err != nil || !hit || got != plan {
-		t.Fatalf("lookup after Put: plan=%v hit=%v err=%v", got == plan, hit, err)
-	}
-	if !c.Drop(hash, q, Auto) {
-		t.Fatal("Drop missed the entry Put created")
-	}
-	if c.Drop(hash, q, Auto) {
-		t.Fatal("second Drop succeeded")
 	}
 }

@@ -81,34 +81,14 @@ func (pl *Pipeline) Explain(s Strategy) (*ExplainInfo, error) {
 		Stages:    pl.spansFor(s),
 	}
 
+	// Walk the chain (Compile succeeded, so every stage of it is memoized):
+	// the last stage's program is the one evaluated, and each stage
+	// contributes its reduction lines.
 	prog := pl.Program
-	switch s {
-	case Magic:
-		m, _ := pl.MagicProgram()
-		prog = m.Program
-		info.Reductions = append(info.Reductions, pl.magicReduction())
-	case SupplementaryMagic:
-		sm, _ := pl.SupplementaryMagicProgram()
-		prog = sm.Program
-		info.Reductions = append(info.Reductions,
-			pl.magicReduction()+" with supplementary predicates")
-	case Factored:
-		fr, _ := pl.FactoredProgram()
-		prog = fr.Program
-		info.Reductions = append(info.Reductions, pl.magicReduction())
-		info.Reductions = append(info.Reductions, factorReduction(fr))
-	case FactoredOptimized:
-		opt, _ := pl.OptimizedProgram()
-		fr, _ := pl.FactoredProgram()
-		prog = opt.Program
-		info.Reductions = append(info.Reductions, pl.magicReduction())
-		info.Reductions = append(info.Reductions, factorReduction(fr))
-		info.Reductions = append(info.Reductions, opt.Trace...)
-	case Counting:
-		c, _ := pl.CountingProgram()
-		prog = c.Program
-		info.Reductions = append(info.Reductions,
-			"counting transformation (§6.4): distance indexes replace carried arguments")
+	for _, id := range s.row().chain {
+		m := pl.stage(id)
+		prog = m.prog
+		info.Reductions = append(info.Reductions, m.reductions...)
 	}
 
 	for _, r := range prog.Rules {
@@ -183,7 +163,7 @@ func (e *ExplainInfo) Text() string {
 			if c.Reorder {
 				order = "reordered"
 			}
-			if strings.HasPrefix(c.Reason, "rejected") {
+			if rejected(c) {
 				fmt.Fprintf(&b, "  %s %-14s %s\n", mark, c.Strategy, c.Reason)
 				continue
 			}

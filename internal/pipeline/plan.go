@@ -273,62 +273,6 @@ func transientCompileErr(err error) bool {
 	return false
 }
 
-// Put stores an already-compiled plan under (progHash, query, strategy).
-// The Auto planner uses it to alias its winner under the Auto strategy key,
-// so plan-cache introspection shows what Auto currently serves. An existing
-// entry for the identity is replaced.
-func (c *PlanCache) Put(progHash string, query ast.Atom, strategy Strategy, plan *Plan) {
-	id := cacheID{
-		key: PlanKey{
-			ProgramHash: progHash,
-			QueryPred:   query.Pred,
-			Adornment:   ast.AdornmentOf(query, nil),
-			Strategy:    strategy,
-		},
-		canon: query.CanonicalKey(),
-	}
-	e := &cacheEntry{ready: make(chan struct{}), plan: plan}
-	close(e.ready)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[id]; ok {
-		el.Value.(*lruSlot).entry = e
-		c.order.MoveToFront(el)
-		return
-	}
-	c.entries[id] = c.order.PushFront(&lruSlot{id: id, entry: e})
-	if c.limit > 0 && len(c.entries) > c.limit {
-		tail := c.order.Back()
-		c.order.Remove(tail)
-		delete(c.entries, tail.Value.(*lruSlot).id)
-		c.evictions++
-	}
-}
-
-// Drop removes the entry for (progHash, query, strategy), reporting whether
-// one existed. The Auto planner calls it when shadow re-costing invalidates
-// a served plan.
-func (c *PlanCache) Drop(progHash string, query ast.Atom, strategy Strategy) bool {
-	id := cacheID{
-		key: PlanKey{
-			ProgramHash: progHash,
-			QueryPred:   query.Pred,
-			Adornment:   ast.AdornmentOf(query, nil),
-			Strategy:    strategy,
-		},
-		canon: query.CanonicalKey(),
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[id]
-	if !ok {
-		return false
-	}
-	c.order.Remove(el)
-	delete(c.entries, id)
-	return true
-}
-
 // forget removes id from the cache if it still maps to e (it may already
 // have been evicted, or replaced after an earlier forget).
 func (c *PlanCache) forget(id cacheID, e *cacheEntry) {

@@ -1,0 +1,403 @@
+package pipeline
+
+import (
+	"fmt"
+	"sort"
+	"strings"
+
+	"factorlog/internal/adorn"
+	"factorlog/internal/ast"
+	"factorlog/internal/core"
+	"factorlog/internal/counting"
+	"factorlog/internal/engine"
+	"factorlog/internal/magic"
+	"factorlog/internal/obsv"
+	"factorlog/internal/optimize"
+)
+
+// This file is the one place a strategy or a rewrite stage is declared. A
+// strategy is a chain of compile-time rewrites plus an evaluator (the
+// paper's adorn §4.1 → Magic Fig. 1 → factor Thms 4.1-4.3 → §5 clean-up,
+// with Counting §6 and supplementary magic branching off the adorned
+// program); everything else — names, parsing, listings, Compile, Run's
+// dispatch, MaterializedProgram, EXPLAIN — reads the two tables below.
+// Adding a strategy is one row in strategies; adding a rewrite is one row
+// in stages plus a typed accessor if callers need its result.
+
+// Strategy names an evaluation strategy over the original or a transformed
+// program.
+type Strategy int
+
+const (
+	// Naive: naive bottom-up fixpoint of the original program.
+	Naive Strategy = iota
+	// SemiNaive: semi-naive bottom-up fixpoint of the original program.
+	SemiNaive
+	// Magic: adorn + Magic Sets, then semi-naive.
+	Magic
+	// Factored: Magic followed by factoring (Theorems 4.1-4.3), then
+	// semi-naive.
+	Factored
+	// FactoredOptimized: Factored followed by the Section 5 clean-up.
+	FactoredOptimized
+	// Counting: the Counting transformation, then semi-naive.
+	Counting
+	// TopDown: SLD resolution on the original program (the Prolog
+	// baseline).
+	TopDown
+	// Tabled: QSQR-style memoizing top-down evaluation — the strategy
+	// Magic Sets simulates bottom-up.
+	Tabled
+	// SupplementaryMagic: Magic Sets with supplementary predicates
+	// (Beeri-Ramakrishnan, the paper's [3]), then semi-naive.
+	SupplementaryMagic
+	// Auto: adaptive strategy — the cost-based planner snapshots EDB
+	// statistics, enumerates the eligible fixed strategies × body-literal
+	// orderings, and runs the cheapest candidate (see internal/cost and
+	// docs/PLANNER.md). Resolved per run; it is not itself compilable.
+	Auto
+)
+
+// evaluator says how a strategy's program is run.
+type evaluator int
+
+const (
+	// bottomUp: fixpoint of the chain's last program, or of the source
+	// program when the chain is empty. These are the materializable
+	// strategies.
+	bottomUp evaluator = iota + 1
+	// sld: memo-less SLD resolution of the query on the source program.
+	sld
+	// tabled: memoizing (QSQR) top-down evaluation on the source program.
+	tabled
+	// perRun: resolved to one of the other strategies per run; not
+	// compilable.
+	perRun
+)
+
+// strategyRow declares one strategy.
+type strategyRow struct {
+	name string
+	// chain is the rewrite stages that produce the evaluated program, in
+	// execution order; empty means the source program is evaluated as is.
+	chain []stageID
+	eval  evaluator
+	// mode is the fixpoint mode forced on the source program (bottomUp with
+	// an empty chain); a rewritten program keeps the caller's.
+	mode engine.Strategy
+	// rank is the presentation order: AllStrategies, Compare and the E1
+	// rows, the names ParseStrategy's error lists.
+	rank int
+	// auto is the Auto planner's tie-break order among its candidates — the
+	// arity-reducing rewrites first, so an exact cost tie resolves toward
+	// the paper's transformations. 0 means not a candidate.
+	auto int
+}
+
+var strategies = [...]strategyRow{
+	Naive:              {name: "naive", eval: bottomUp, mode: engine.Naive, rank: 1},
+	SemiNaive:          {name: "semi-naive", eval: bottomUp, mode: engine.SemiNaive, rank: 2, auto: 6},
+	TopDown:            {name: "top-down", eval: sld, rank: 3},
+	Tabled:             {name: "tabled", eval: tabled, rank: 4},
+	Magic:              {name: "magic", chain: []stageID{adornStage, magicStage}, eval: bottomUp, rank: 5, auto: 3},
+	SupplementaryMagic: {name: "sup-magic", chain: []stageID{adornStage, supMagicStage}, eval: bottomUp, rank: 6, auto: 4},
+	Factored:           {name: "factored", chain: []stageID{adornStage, magicStage, factorStage}, eval: bottomUp, rank: 7, auto: 2},
+	FactoredOptimized:  {name: "factored+opt", chain: []stageID{adornStage, magicStage, factorStage, optimizeStage}, eval: bottomUp, rank: 8, auto: 1},
+	Counting:           {name: "counting", chain: []stageID{adornStage, countingStage}, eval: bottomUp, rank: 9, auto: 5},
+	Auto:               {name: "auto", eval: perRun, rank: 10},
+}
+
+// row returns s's declaration; a value outside the table gets the zero row
+// (no name, no chain, no evaluator).
+func (s Strategy) row() *strategyRow {
+	if s < 0 || int(s) >= len(strategies) {
+		return &strategyRow{}
+	}
+	return &strategies[s]
+}
+
+func (s Strategy) String() string {
+	if n := s.row().name; n != "" {
+		return n
+	}
+	return fmt.Sprintf("Strategy(%d)", int(s))
+}
+
+// ranked lists the strategies whose rank(row) is positive, in increasing
+// rank order.
+func ranked(rank func(*strategyRow) int) []Strategy {
+	var out []Strategy
+	for i := range strategies {
+		if rank(&strategies[i]) > 0 {
+			out = append(out, Strategy(i))
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return rank(out[i].row()) < rank(out[j].row()) })
+	return out
+}
+
+// ParseStrategy resolves a strategy name as the CLI, the REPL and the
+// server's strategy parameter spell it ("factored+opt", "auto", ...).
+func ParseStrategy(name string) (Strategy, error) {
+	for i := range strategies {
+		if strategies[i].name == name {
+			return Strategy(i), nil
+		}
+	}
+	var names []string
+	for _, s := range ranked(func(r *strategyRow) int { return r.rank }) {
+		names = append(names, s.String())
+	}
+	return 0, fmt.Errorf("unknown strategy %q (one of: %s)", name, strings.Join(names, ", "))
+}
+
+// AllStrategies lists every fixed strategy in presentation order. Auto is
+// deliberately absent: it resolves to one of these per run, so sweeping it
+// alongside them (Compare, the E1 table) would double-count its winner.
+func AllStrategies() []Strategy {
+	return ranked(func(r *strategyRow) int {
+		if r.eval == perRun {
+			return 0
+		}
+		return r.rank
+	})
+}
+
+// AutoCandidateStrategies lists the strategies the Auto planner enumerates,
+// in tie-break order.
+func AutoCandidateStrategies() []Strategy {
+	return ranked(func(r *strategyRow) int { return r.auto })
+}
+
+// MaterializableStrategy reports whether s can serve from a materialized
+// database. Every bottom-up strategy qualifies — each evaluates a fixed
+// program whose fixpoint the materializer maintains across mutations. The
+// top-down strategies (TopDown, Tabled) prove goals on demand and have no
+// materialized view to maintain.
+func MaterializableStrategy(s Strategy) bool { return s.row().eval == bottomUp }
+
+// stageID indexes the rewrite stages.
+type stageID int
+
+const (
+	adornStage stageID = iota
+	magicStage
+	supMagicStage
+	factorStage
+	optimizeStage
+	countingStage
+	numStages
+
+	// sourceProgram is the input of a stage that rewrites the program as
+	// written rather than another stage's output.
+	sourceProgram stageID = -1
+)
+
+// stageDef declares one rewrite stage.
+type stageDef struct {
+	// name labels the stage's span (Spans, EXPLAIN's stages, the trace).
+	name  string
+	input stageID
+	// rewrite runs under the pipeline lock once input — and so everything
+	// upstream of it — has succeeded; upstream reads the earlier results.
+	rewrite func(pl *Pipeline) (rewritten, error)
+}
+
+// rewritten is what a stage produces.
+type rewritten struct {
+	// res is the rewrite package's typed result, served by the accessors.
+	res any
+	// prog is the rewritten program, query the atom whose tuples answer the
+	// query in it.
+	prog  *ast.Program
+	query ast.Atom
+	// reductions are the lines the stage contributes to EXPLAIN's
+	// "reductions applied".
+	reductions []string
+}
+
+var stages = [numStages]stageDef{
+	adornStage: {name: "adorn", input: sourceProgram, rewrite: func(pl *Pipeline) (rewritten, error) {
+		ad, err := adorn.Adorn(pl.Program, pl.Query)
+		if err != nil {
+			return rewritten{}, err
+		}
+		return rewritten{ad, ad.Program, ad.Query, nil}, nil
+	}},
+	magicStage: {name: "magic", input: adornStage, rewrite: func(pl *Pipeline) (rewritten, error) {
+		m, err := magic.Transform(upstream[*adorn.Result](pl, adornStage))
+		if err != nil {
+			return rewritten{}, err
+		}
+		return rewritten{m, m.Program, m.Query, []string{pl.magicReduction()}}, nil
+	}},
+	supMagicStage: {name: "sup-magic", input: adornStage, rewrite: func(pl *Pipeline) (rewritten, error) {
+		sm, err := magic.TransformSupplementary(upstream[*adorn.Result](pl, adornStage))
+		if err != nil {
+			return rewritten{}, err
+		}
+		return rewritten{sm, sm.Program, sm.Query,
+			[]string{pl.magicReduction() + " with supplementary predicates"}}, nil
+	}},
+	factorStage: {name: "factor", input: magicStage, rewrite: func(pl *Pipeline) (rewritten, error) {
+		fr, err := core.FactorMagic(upstream[*magic.Result](pl, magicStage), pl.Constraints)
+		if err != nil {
+			return rewritten{}, err
+		}
+		return rewritten{fr, fr.Program, fr.Query, []string{factorReduction(fr)}}, nil
+	}},
+	optimizeStage: {name: "optimize", input: factorStage, rewrite: func(pl *Pipeline) (rewritten, error) {
+		fr := upstream[*core.FactorResult](pl, factorStage)
+		seed := upstream[*magic.Result](pl, magicStage).Seed.Head.Args
+		opt, err := optimize.Optimize(fr.Program, optimize.ForFactored(fr, magic.QueryPred, seed))
+		if err != nil {
+			return rewritten{}, err
+		}
+		return rewritten{opt, opt.Program, fr.Query, opt.Trace}, nil
+	}},
+	countingStage: {name: "counting", input: adornStage, rewrite: func(pl *Pipeline) (rewritten, error) {
+		c, err := counting.Transform(upstream[*adorn.Result](pl, adornStage))
+		if err != nil {
+			return rewritten{}, err
+		}
+		return rewritten{c, c.Program, c.Query,
+			[]string{"counting transformation (§6.4): distance indexes replace carried arguments"}}, nil
+	}},
+}
+
+// stageMemo is one stage's memoized outcome on one Pipeline.
+type stageMemo struct {
+	rewritten
+	done bool
+	err  error
+	// span indexes the stage's entry in Pipeline.spans; -1 when the stage
+	// never ran because something upstream of it failed.
+	span int
+}
+
+// upstream reads the typed result of a stage that is known to have
+// succeeded; rewrite funcs call it, under the pipeline lock.
+func upstream[T any](pl *Pipeline, id stageID) T { return pl.memo[id].res.(T) }
+
+// stage returns stage id's outcome on this pipeline, running it — and
+// whatever it consumes — on first use. It is the only place a rewrite runs:
+// it owns the lock, the span, and the memoization rule.
+func (pl *Pipeline) stage(id stageID) stageMemo {
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	return *pl.stageLocked(id)
+}
+
+func (pl *Pipeline) stageLocked(id stageID) *stageMemo {
+	m := &pl.memo[id]
+	if m.done {
+		return m
+	}
+	def := &stages[id]
+	in := pl.Program
+	if def.input != sourceProgram {
+		up := pl.stageLocked(def.input)
+		if up.err != nil {
+			*m = stageMemo{done: true, err: up.err, span: -1}
+			return m
+		}
+		in = up.prog
+	}
+	start := startStage(true)
+	out, err := def.rewrite(pl)
+	// Nothing is memoized before the rewrite has returned: a panic in it
+	// unwinds through here (to buildPlan's recover barrier) and leaves the
+	// stage to run again on the next call.
+	*m = stageMemo{rewritten: out, done: true, err: err, span: len(pl.spans)}
+	pl.spans = append(pl.spans, spanFrom(def.name, start, in, out.prog, err))
+	return m
+}
+
+// stageResult is the typed view the exported accessors share.
+func stageResult[T any](pl *Pipeline, id stageID) (T, error) {
+	m := pl.stage(id)
+	res, _ := m.res.(T)
+	return res, m.err
+}
+
+// Adorned returns the adorned program, computing it on first use.
+func (pl *Pipeline) Adorned() (*adorn.Result, error) {
+	return stageResult[*adorn.Result](pl, adornStage)
+}
+
+// MagicProgram returns the Magic Sets result.
+func (pl *Pipeline) MagicProgram() (*magic.Result, error) {
+	return stageResult[*magic.Result](pl, magicStage)
+}
+
+// SupplementaryMagicProgram returns the supplementary-magic result.
+func (pl *Pipeline) SupplementaryMagicProgram() (*magic.Result, error) {
+	return stageResult[*magic.Result](pl, supMagicStage)
+}
+
+// FactoredProgram returns the factored Magic program (Theorems 4.1-4.3).
+func (pl *Pipeline) FactoredProgram() (*core.FactorResult, error) {
+	return stageResult[*core.FactorResult](pl, factorStage)
+}
+
+// OptimizedProgram returns the factored program after Section 5 clean-up.
+func (pl *Pipeline) OptimizedProgram() (*optimize.Result, error) {
+	return stageResult[*optimize.Result](pl, optimizeStage)
+}
+
+// CountingProgram returns the Counting transformation result.
+func (pl *Pipeline) CountingProgram() (*counting.Result, error) {
+	return stageResult[*counting.Result](pl, countingStage)
+}
+
+// Compile forces the transformation chain a strategy evaluates, so later
+// Runs pay only evaluation cost. It is a no-op for the strategies that
+// evaluate the source program directly (Naive, SemiNaive, TopDown, Tabled)
+// and memoized for the rest: the first call does the work, every later
+// call (from any goroutine) returns the cached outcome.
+func (pl *Pipeline) Compile(s Strategy) error {
+	row := s.row()
+	if row.eval == perRun {
+		return fmt.Errorf("auto strategy resolves at run time; compile the picked strategy")
+	}
+	if len(row.chain) == 0 {
+		return nil
+	}
+	return pl.stage(row.chain[len(row.chain)-1]).err
+}
+
+// MaterializedProgram returns the program strategy s evaluates bottom-up
+// and the atom whose tuples are its answers. transformed reports whether
+// that atom is a rewritten query predicate — read with engine.AnswerSet —
+// or the original query, whose matching tuples must be projected onto the
+// free positions (ProjectAnswers). Top-down strategies return an error;
+// gate with MaterializableStrategy.
+func (pl *Pipeline) MaterializedProgram(s Strategy) (prog *ast.Program, query ast.Atom, transformed bool, err error) {
+	row := s.row()
+	if row.eval != bottomUp {
+		return nil, ast.Atom{}, false, fmt.Errorf("strategy %v has no materialized program", s)
+	}
+	if len(row.chain) == 0 {
+		return pl.Program, pl.Query, false, nil
+	}
+	m := pl.stage(row.chain[len(row.chain)-1])
+	if m.err != nil {
+		return nil, ast.Atom{}, false, m.err
+	}
+	return m.prog, m.query, true, nil
+}
+
+// spansFor returns the recorded spans of one strategy's stage chain, in
+// chain order (the pipeline accumulates spans across strategies as its
+// memo fills).
+func (pl *Pipeline) spansFor(s Strategy) []obsv.Span {
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	var out []obsv.Span
+	for _, id := range s.row().chain {
+		if m := pl.memo[id]; m.done && m.span >= 0 {
+			out = append(out, pl.spans[m.span])
+		}
+	}
+	return out
+}
