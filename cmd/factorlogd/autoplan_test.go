@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"factorlog/internal/obsv"
+	"factorlog/internal/serve"
 )
 
 // chainProgram is linear transitive closure over a tiny seed chain — the
@@ -28,7 +29,7 @@ e(3, 4).
 `
 
 func TestQueryStrategyAuto(t *testing.T) {
-	_, ts := testServer(t, chainProgram, config{strategy: "magic", timeout: 5 * time.Second})
+	_, ts := testServer(t, chainProgram, serve.Config{Strategy: "magic", Timeout: 5 * time.Second})
 
 	status, qr, body := getQuery(t, ts, url.Values{"q": {"tc(1,Y)"}, "strategy": {"auto"}})
 	if status != http.StatusOK {
@@ -58,8 +59,8 @@ func TestQueryStrategyAuto(t *testing.T) {
 }
 
 func TestQueryAutoMaterialized(t *testing.T) {
-	_, ts := testServer(t, chainProgram, config{
-		strategy: "magic", timeout: 5 * time.Second, materialize: true,
+	_, ts := testServer(t, chainProgram, serve.Config{
+		Strategy: "magic", Timeout: 5 * time.Second, Materialize: true,
 	})
 	status, qr, body := getQuery(t, ts, url.Values{"q": {"tc(1,Y)"}, "strategy": {"auto"}})
 	if status != http.StatusOK {
@@ -74,7 +75,7 @@ func TestQueryAutoMaterialized(t *testing.T) {
 }
 
 func TestQueryAutoExplainPlanCandidates(t *testing.T) {
-	_, ts := testServer(t, chainProgram, config{strategy: "magic", timeout: 5 * time.Second})
+	_, ts := testServer(t, chainProgram, serve.Config{Strategy: "magic", Timeout: 5 * time.Second})
 	resp, err := http.Get(ts.URL + "/query?" + url.Values{
 		"q": {"tc(1,Y)"}, "strategy": {"auto"}, "explain": {"plan"},
 	}.Encode())
@@ -86,7 +87,7 @@ func TestQueryAutoExplainPlanCandidates(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var er explainResponse
+	var er serve.ExplainResponse
 	if err := json.Unmarshal(body, &er); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, body)
 	}
@@ -111,7 +112,7 @@ func TestQueryAutoExplainPlanCandidates(t *testing.T) {
 // re-cost the remembered decision and re-pick an arity-reduced plan, and the
 // v9 metrics must report the episode.
 func TestAutoRepickAfterFactsSkewFlip(t *testing.T) {
-	_, ts := testServer(t, chainProgram, config{strategy: "magic", timeout: 10 * time.Second})
+	_, ts := testServer(t, chainProgram, serve.Config{Strategy: "magic", Timeout: 10 * time.Second})
 
 	status, first, body := getQuery(t, ts, url.Values{"q": {"tc(1,Y)"}, "strategy": {"auto"}})
 	if status != http.StatusOK {
@@ -119,7 +120,7 @@ func TestAutoRepickAfterFactsSkewFlip(t *testing.T) {
 	}
 
 	// Assert a 2000-edge chain: mutations/base >> the re-cost ratio.
-	var batch factsRequest
+	var batch serve.FactsRequest
 	for i := 4; i <= 2000; i++ {
 		batch.Assert = append(batch.Assert, fmtEdge(i, i+1))
 	}

@@ -15,20 +15,21 @@ import (
 
 	"factorlog/internal/faultinject"
 	"factorlog/internal/obsv"
+	"factorlog/internal/serve"
 	"factorlog/internal/wal"
 )
 
 // durableCfg is the baseline config of every durability test: magic
 // strategy, materialized serving, per-batch fsync.
-func durableCfg(walDir string) config {
-	return config{
-		strategy: "magic", timeout: 5 * time.Second, materialize: true,
-		walDir: walDir,
+func durableCfg(walDir string) serve.Config {
+	return serve.Config{
+		Strategy: "magic", Timeout: 5 * time.Second, Materialize: true,
+		WALDir: walDir,
 	}
 }
 
 // getTail reads GET /facts?since=E.
-func getTail(t *testing.T, ts *httptest.Server, since int64) (int, factsTailResponse, string) {
+func getTail(t *testing.T, ts *httptest.Server, since int64) (int, serve.FactsTailResponse, string) {
 	t.Helper()
 	resp, err := http.Get(fmt.Sprintf("%s/facts?since=%d", ts.URL, since))
 	if err != nil {
@@ -39,7 +40,7 @@ func getTail(t *testing.T, ts *httptest.Server, since int64) (int, factsTailResp
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tr factsTailResponse
+	var tr serve.FactsTailResponse
 	if resp.StatusCode == http.StatusOK {
 		if err := json.Unmarshal(raw, &tr); err != nil {
 			t.Fatalf("bad tail JSON: %v\n%s", err, raw)
@@ -66,7 +67,7 @@ func getStatusJSON(t *testing.T, ts *httptest.Server, path string) (int, map[str
 // randomBatch builds a random mutation batch over a small edge universe;
 // the same rng sequence always produces the same batches.
 func randomBatch(rng *rand.Rand) string {
-	var req factsRequest
+	var req serve.FactsRequest
 	for i, n := 0, 1+rng.Intn(3); i < n; i++ {
 		req.Assert = append(req.Assert, fmt.Sprintf("e(%d,%d)", 1+rng.Intn(10), 1+rng.Intn(10)))
 	}
@@ -95,8 +96,8 @@ func TestKillRecoverProperty(t *testing.T) {
 			_, ts := testServer(t, tcProgram, durableCfg(dir))
 			// The control never crashes and never sees a fault; it receives
 			// exactly the batches the durable server acknowledged.
-			_, controlTS := testServer(t, tcProgram, config{
-				strategy: "magic", timeout: 5 * time.Second, materialize: true,
+			_, controlTS := testServer(t, tcProgram, serve.Config{
+				Strategy: "magic", Timeout: 5 * time.Second, Materialize: true,
 			})
 
 			var acked, effective int64
@@ -154,7 +155,7 @@ func TestKillRecoverProperty(t *testing.T) {
 			if status, m := getStatusJSON(t, ts2, "/readyz"); status != http.StatusServiceUnavailable || m["status"] != "replaying" {
 				t.Errorf("pre-warmup readyz after recovery = %d %v, want 503 replaying", status, m)
 			}
-			if warns := srv2.warmup(); len(warns) != 0 {
+			if warns := srv2.Warmup(); len(warns) != 0 {
 				t.Fatal(warns)
 			}
 			if status, m := getStatusJSON(t, ts2, "/readyz"); status != http.StatusOK || m["ready"] != true {
@@ -162,7 +163,7 @@ func TestKillRecoverProperty(t *testing.T) {
 			}
 
 			// The recovered epoch is exactly the last acknowledged one.
-			if got := srv2.mat.Epoch(); got != acked {
+			if got := srv2.Mat.Epoch(); got != acked {
 				t.Fatalf("recovered epoch %d, want %d (last acknowledged)", got, acked)
 			}
 			_, hm := getStatusJSON(t, ts2, "/healthz")
@@ -213,8 +214,8 @@ func TestKillRecoverProperty(t *testing.T) {
 func TestKillRecoverWithSnapshots(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableCfg(dir)
-	cfg.snapshotEvery = 1
-	cfg.walSegmentBytes = 64 // rotate on every batch so retention can prune
+	cfg.SnapshotEvery = 1
+	cfg.WALSegmentBytes = 64 // rotate on every batch so retention can prune
 	srv, ts := testServer(t, tcProgram, cfg)
 
 	var acked int64
@@ -226,14 +227,14 @@ func TestKillRecoverWithSnapshots(t *testing.T) {
 		}
 		acked = fr.Epoch
 	}
-	if got := srv.wl.SnapshotEpoch(); got != acked {
+	if got := srv.WAL.SnapshotEpoch(); got != acked {
 		t.Fatalf("snapshot epoch %d after %d batches with snapshot-every 1, want %d", got, acked, acked)
 	}
 	control, _ := answersOf(t, ts, "t(20,Y)", "magic")
 	ts.Close() // kill
 
 	srv2, ts2 := testServer(t, tcProgram, cfg)
-	if got := srv2.mat.Epoch(); got != acked {
+	if got := srv2.Mat.Epoch(); got != acked {
 		t.Fatalf("recovered epoch %d, want %d", got, acked)
 	}
 	if got, _ := answersOf(t, ts2, "t(20,Y)", "magic"); !reflect.DeepEqual(got, control) {
@@ -298,18 +299,18 @@ func TestRecoverRefusesProgramMismatch(t *testing.T) {
 	srv.Close()
 
 	other := tcProgram + "\nq(X) :- e(X, X).\n"
-	_, err := newServer(other, "", durableCfg(dir))
+	_, err := serve.New(other, "", durableCfg(dir))
 	if !errors.Is(err, wal.ErrProgramMismatch) {
 		t.Fatalf("startup over a foreign WAL: %v, want ErrProgramMismatch", err)
 	}
 
 	// The original program still recovers.
-	srv2, err := newServer(tcProgram, "", durableCfg(dir))
+	srv2, err := serve.New(tcProgram, "", durableCfg(dir))
 	if err != nil {
 		t.Fatalf("original program refused its own WAL: %v", err)
 	}
 	defer srv2.Close()
-	if got := srv2.mat.Epoch(); got != 1 {
+	if got := srv2.Mat.Epoch(); got != 1 {
 		t.Errorf("recovered epoch %d, want 1", got)
 	}
 }
@@ -329,19 +330,19 @@ func TestRecoverReplayFault(t *testing.T) {
 	disable := faultinject.Enable(faultinject.Config{
 		Seed: 1, MaxPeriod: 1, Points: []faultinject.Point{faultinject.Replay},
 	})
-	_, err := newServer(tcProgram, "", durableCfg(dir))
+	_, err := serve.New(tcProgram, "", durableCfg(dir))
 	disable()
 	var f *faultinject.Fault
 	if !errors.As(err, &f) || f.Point != faultinject.Replay {
 		t.Fatalf("startup under replay fault: %v, want the injected fault", err)
 	}
 
-	srv2, err := newServer(tcProgram, "", durableCfg(dir))
+	srv2, err := serve.New(tcProgram, "", durableCfg(dir))
 	if err != nil {
 		t.Fatalf("recovery after aborted replay: %v", err)
 	}
 	defer srv2.Close()
-	if got := srv2.mat.Epoch(); got != 1 {
+	if got := srv2.Mat.Epoch(); got != 1 {
 		t.Errorf("recovered epoch %d, want 1", got)
 	}
 }
@@ -402,7 +403,7 @@ func TestDurabilityMetrics(t *testing.T) {
 	}
 
 	// Durability off: the block stays in the schema, zeroed.
-	_, plainTS := testServer(t, tcProgram, config{strategy: "magic", timeout: 5 * time.Second})
+	_, plainTS := testServer(t, tcProgram, serve.Config{Strategy: "magic", Timeout: 5 * time.Second})
 	plainResp, err := http.Get(plainTS.URL + "/metrics?format=json")
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"factorlog/internal/obsv"
+	"factorlog/internal/serve"
 )
 
 // example44Program is Example 4.4 of the paper (a symmetric program) with a
@@ -35,17 +36,17 @@ r1(Y) :- e(X, Y).
 r2(Y) :- e(X, Y).
 `
 
-func example44Server(t *testing.T, cfg config) (*server, *httptest.Server) {
+func example44Server(t *testing.T, cfg serve.Config) (*serve.Server, *httptest.Server) {
 	t.Helper()
-	if cfg.maxConcurrency == 0 {
-		cfg.maxConcurrency = 1024
-		cfg.maxQueue = 256
+	if cfg.MaxConcurrency == 0 {
+		cfg.MaxConcurrency = 1024
+		cfg.MaxQueue = 256
 	}
-	s, err := newServer(example44Program, example44Constraints, cfg)
+	s, err := serve.New(example44Program, example44Constraints, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.routes())
+	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
 }
@@ -68,8 +69,8 @@ func getBody(t *testing.T, url string) (*http.Response, []byte) {
 // applied reductions, the transformed rules, the stratum schedule, and the
 // plan-cache disposition — without evaluating the query.
 func TestExplainPlan(t *testing.T) {
-	srv, ts := example44Server(t, config{strategy: "factored", timeout: 5 * time.Second})
-	srv.warmup()
+	srv, ts := example44Server(t, serve.Config{Strategy: "factored", Timeout: 5 * time.Second})
+	srv.Warmup()
 
 	resp, body := getBody(t, ts.URL+"/query?"+url.Values{
 		"q": {"p(5, Y)"}, "explain": {"plan"},
@@ -77,7 +78,7 @@ func TestExplainPlan(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var er explainResponse
+	var er serve.ExplainResponse
 	if err := json.Unmarshal(body, &er); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, body)
 	}
@@ -119,8 +120,8 @@ func TestExplainPlan(t *testing.T) {
 	if er.PlanCache.CompileWallNS <= 0 {
 		t.Errorf("compile_wall_ns = %d, want > 0", er.PlanCache.CompileWallNS)
 	}
-	if er.QueryID == "" || resp.Header.Get(queryIDHeader) != er.QueryID {
-		t.Errorf("query_id %q / header %q mismatch", er.QueryID, resp.Header.Get(queryIDHeader))
+	if er.QueryID == "" || resp.Header.Get(serve.QueryIDHeader) != er.QueryID {
+		t.Errorf("query_id %q / header %q mismatch", er.QueryID, resp.Header.Get(serve.QueryIDHeader))
 	}
 }
 
@@ -128,8 +129,8 @@ func TestExplainPlan(t *testing.T) {
 // Example 4.4 returns a span tree naming each pipeline stage and at least
 // one applied reduction, with per-stratum timings under parallel eval.
 func TestExplainAnalyzeExample44(t *testing.T) {
-	srv, ts := example44Server(t, config{strategy: "factored", timeout: 5 * time.Second})
-	srv.warmup()
+	srv, ts := example44Server(t, serve.Config{Strategy: "factored", Timeout: 5 * time.Second})
+	srv.Warmup()
 
 	resp, body := getBody(t, ts.URL+"/query?"+url.Values{
 		"q": {"p(5, Y)"}, "explain": {"analyze"}, "workers": {"2"},
@@ -137,7 +138,7 @@ func TestExplainAnalyzeExample44(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var er explainResponse
+	var er serve.ExplainResponse
 	if err := json.Unmarshal(body, &er); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, body)
 	}
@@ -193,7 +194,7 @@ func TestExplainAnalyzeExample44(t *testing.T) {
 // TestQueryIDOnErrors checks the satellite: typed error responses carry the
 // query ID in both the header and the body.
 func TestQueryIDOnErrors(t *testing.T) {
-	_, ts := testServer(t, divergentProgram, config{strategy: "semi-naive", timeout: 5 * time.Second})
+	_, ts := testServer(t, divergentProgram, serve.Config{Strategy: "semi-naive", Timeout: 5 * time.Second})
 
 	// 422: fact budget exceeded.
 	resp, body := getBody(t, ts.URL+"/query?"+url.Values{
@@ -202,12 +203,12 @@ func TestQueryIDOnErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("status %d, want 422: %s", resp.StatusCode, body)
 	}
-	var er errorResponse
+	var er serve.ErrorResponse
 	if err := json.Unmarshal(body, &er); err != nil {
 		t.Fatal(err)
 	}
-	if er.QueryID == "" || resp.Header.Get(queryIDHeader) != er.QueryID {
-		t.Errorf("422 query_id %q / header %q", er.QueryID, resp.Header.Get(queryIDHeader))
+	if er.QueryID == "" || resp.Header.Get(serve.QueryIDHeader) != er.QueryID {
+		t.Errorf("422 query_id %q / header %q", er.QueryID, resp.Header.Get(serve.QueryIDHeader))
 	}
 
 	// 400: parse failure still mints and returns an ID.
@@ -218,15 +219,15 @@ func TestQueryIDOnErrors(t *testing.T) {
 	if err := json.Unmarshal(body, &er); err != nil {
 		t.Fatal(err)
 	}
-	if er.QueryID == "" || resp.Header.Get(queryIDHeader) != er.QueryID {
-		t.Errorf("400 query_id %q / header %q", er.QueryID, resp.Header.Get(queryIDHeader))
+	if er.QueryID == "" || resp.Header.Get(serve.QueryIDHeader) != er.QueryID {
+		t.Errorf("400 query_id %q / header %q", er.QueryID, resp.Header.Get(serve.QueryIDHeader))
 	}
 }
 
 // TestMetricsPrometheusDefault checks /metrics serves valid Prometheus text
 // exposition by default while ?format=json keeps the v5 document.
 func TestMetricsPrometheusDefault(t *testing.T) {
-	_, ts := testServer(t, tcProgram, config{strategy: "magic", timeout: 5 * time.Second})
+	_, ts := testServer(t, tcProgram, serve.Config{Strategy: "magic", Timeout: 5 * time.Second})
 	if code, _, body := getQuery(t, ts, url.Values{"q": {"t(5, Y)"}}); code != http.StatusOK {
 		t.Fatalf("query failed: %d %s", code, body)
 	}
@@ -278,16 +279,16 @@ func TestMetricsPrometheusDefault(t *testing.T) {
 // TestSlowlogAndTraceLookup drives a query past a tiny slow threshold and
 // fetches it back through /debug/slowlog and /debug/trace/{id}.
 func TestSlowlogAndTraceLookup(t *testing.T) {
-	_, ts := testServer(t, tcProgram, config{
-		strategy: "magic", timeout: 5 * time.Second,
-		traceSample: 1, slowQuery: time.Nanosecond,
+	_, ts := testServer(t, tcProgram, serve.Config{
+		Strategy: "magic", Timeout: 5 * time.Second,
+		TraceSample: 1, SlowQuery: time.Nanosecond,
 	})
 
 	resp, body := getBody(t, ts.URL+"/query?"+url.Values{"q": {"t(5, Y)"}}.Encode())
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("query status %d: %s", resp.StatusCode, body)
 	}
-	qid := resp.Header.Get(queryIDHeader)
+	qid := resp.Header.Get(serve.QueryIDHeader)
 	if qid == "" {
 		t.Fatal("no query ID header")
 	}
@@ -329,6 +330,32 @@ func TestSlowlogAndTraceLookup(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stats.TracedQueries != 1 || stats.SlowQueries != 1 {
+		t.Errorf("traced=%d slow=%d, want 1/1", stats.TracedQueries, stats.SlowQueries)
+	}
+}
+
+// TestSlowlogSeesMaterializedQueries: a query served from a
+// materialization reaches the slowlog and the sampled-trace store like a
+// from-scratch one, its root span naming the strategy and the refresh.
+func TestSlowlogSeesMaterializedQueries(t *testing.T) {
+	_, ts := testServer(t, tcProgram, serve.Config{
+		Strategy: "magic", Timeout: 5 * time.Second, Materialize: true,
+		TraceSample: 1, SlowQuery: time.Nanosecond,
+	})
+	resp, body := getBody(t, ts.URL+"/query?"+url.Values{"q": {"t(5, Y)"}}.Encode())
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"materialized": "build"`) {
+		t.Fatalf("query: status %d, want a materialization build: %s", resp.StatusCode, body)
+	}
+	qid := resp.Header.Get(serve.QueryIDHeader)
+
+	_, body = getBody(t, ts.URL+"/debug/slowlog")
+	if !strings.Contains(string(body), qid) || !strings.Contains(string(body), "strategy=magic materialized=build") {
+		t.Errorf("slowlog misses the materialized query %s:\n%s", qid, body)
+	}
+	if resp, body := getBody(t, ts.URL+"/debug/trace/"+qid); resp.StatusCode != http.StatusOK {
+		t.Errorf("trace lookup for %s: status %d: %s", qid, resp.StatusCode, body)
+	}
+	if stats := serverMetrics(t, ts.URL); stats.TracedQueries != 1 || stats.SlowQueries != 1 {
 		t.Errorf("traced=%d slow=%d, want 1/1", stats.TracedQueries, stats.SlowQueries)
 	}
 }

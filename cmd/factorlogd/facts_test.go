@@ -14,9 +14,10 @@ import (
 	"time"
 
 	"factorlog/internal/obsv"
+	"factorlog/internal/serve"
 )
 
-func postFacts(t *testing.T, ts *httptest.Server, body string) (int, factsResponse, string) {
+func postFacts(t *testing.T, ts *httptest.Server, body string) (int, serve.FactsResponse, string) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/facts", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -27,7 +28,7 @@ func postFacts(t *testing.T, ts *httptest.Server, body string) (int, factsRespon
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fr factsResponse
+	var fr serve.FactsResponse
 	if resp.StatusCode == http.StatusOK {
 		if err := json.Unmarshal(raw, &fr); err != nil {
 			t.Fatalf("bad facts JSON: %v\n%s", err, raw)
@@ -36,7 +37,7 @@ func postFacts(t *testing.T, ts *httptest.Server, body string) (int, factsRespon
 	return resp.StatusCode, fr, string(raw)
 }
 
-func answersOf(t *testing.T, ts *httptest.Server, query, strategy string) ([]string, queryResponse) {
+func answersOf(t *testing.T, ts *httptest.Server, query, strategy string) ([]string, serve.Response) {
 	t.Helper()
 	status, qr, body := getQuery(t, ts, url.Values{"q": {query}, "strategy": {strategy}})
 	if status != http.StatusOK {
@@ -46,7 +47,7 @@ func answersOf(t *testing.T, ts *httptest.Server, query, strategy string) ([]str
 }
 
 func TestFactsAssertRetractLifecycle(t *testing.T) {
-	_, ts := testServer(t, tcProgram, config{strategy: "magic", timeout: 5 * time.Second, materialize: true})
+	_, ts := testServer(t, tcProgram, serve.Config{Strategy: "magic", Timeout: 5 * time.Second, Materialize: true})
 
 	answers, qr := answersOf(t, ts, "t(5,Y)", "magic")
 	if len(answers) != 3 || qr.Epoch != 0 {
@@ -108,8 +109,8 @@ func TestFactsMaterializedMatchesScratch(t *testing.T) {
 		`{"assert":["e(6,7)","e(2,5)"],"retract":["e(1,2)"]}`,
 	}
 	for _, strategy := range []string{"semi-naive", "magic", "factored", "sup-magic"} {
-		_, matTS := testServer(t, tcProgram, config{strategy: strategy, timeout: 5 * time.Second, materialize: true})
-		_, scratchTS := testServer(t, tcProgram, config{strategy: strategy, timeout: 5 * time.Second})
+		_, matTS := testServer(t, tcProgram, serve.Config{Strategy: strategy, Timeout: 5 * time.Second, Materialize: true})
+		_, scratchTS := testServer(t, tcProgram, serve.Config{Strategy: strategy, Timeout: 5 * time.Second})
 		for i, b := range batches {
 			for _, ts := range []*httptest.Server{matTS, scratchTS} {
 				if status, _, body := postFacts(t, ts, b); status != http.StatusOK {
@@ -135,7 +136,7 @@ func TestFactsMaterializedMatchesScratch(t *testing.T) {
 // those of a fresh server started with the mutated base as its program —
 // the consistency guarantee docs/INCREMENTAL.md states.
 func TestFactsColdRestartEquivalence(t *testing.T) {
-	srv, ts := testServer(t, tcProgram, config{strategy: "magic", timeout: 5 * time.Second, materialize: true})
+	srv, ts := testServer(t, tcProgram, serve.Config{Strategy: "magic", Timeout: 5 * time.Second, Materialize: true})
 	for _, b := range []string{
 		`{"assert":["e(8,9)","e(2,3)"]}`,
 		`{"retract":["e(7,8)","e(1,2)"]}`,
@@ -154,10 +155,10 @@ t(X, Y) :- e(X, W), t(W, Y).
 t(X, Y) :- t(X, W), e(W, Y).
 t(X, Y) :- e(X, Y).
 `)
-	for _, f := range srv.mat.BaseFacts() {
+	for _, f := range srv.Mat.BaseFacts() {
 		fmt.Fprintf(&cold, "%s.\n", f)
 	}
-	_, coldTS := testServer(t, cold.String(), config{strategy: "magic", timeout: 5 * time.Second, materialize: true})
+	_, coldTS := testServer(t, cold.String(), serve.Config{Strategy: "magic", Timeout: 5 * time.Second, Materialize: true})
 	coldAnswers, _ := answersOf(t, coldTS, "t(5,Y)", "magic")
 	if !reflect.DeepEqual(liveAnswers, coldAnswers) {
 		t.Errorf("mutated server %v != cold restart %v", liveAnswers, coldAnswers)
@@ -165,7 +166,7 @@ t(X, Y) :- e(X, Y).
 }
 
 func TestFactsRejections(t *testing.T) {
-	srv, ts := testServer(t, tcProgram, config{strategy: "magic", timeout: 5 * time.Second, materialize: true})
+	srv, ts := testServer(t, tcProgram, serve.Config{Strategy: "magic", Timeout: 5 * time.Second, Materialize: true})
 
 	// Wrong method. GET is the log-tailing read, so only other verbs 405.
 	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/facts", nil)
@@ -208,19 +209,19 @@ func TestFactsRejections(t *testing.T) {
 			t.Errorf("POST %s = %d, want %d (%s)", tc.body, status, tc.want, body)
 		}
 	}
-	if srv.mat.Epoch() != 0 {
-		t.Errorf("rejected batches advanced the epoch to %d", srv.mat.Epoch())
+	if srv.Mat.Epoch() != 0 {
+		t.Errorf("rejected batches advanced the epoch to %d", srv.Mat.Epoch())
 	}
 
 	// Oversized body: 413.
-	big := bytes.Repeat([]byte("x"), maxFactsBody+1)
+	big := bytes.Repeat([]byte("x"), serve.MaxFactsBody+1)
 	status, _, _ := postFacts(t, ts, fmt.Sprintf(`{"assert":["%s"]}`, big))
 	if status != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized body = %d, want 413", status)
 	}
 
 	// Draining: typed 503.
-	srv.beginDrain()
+	srv.BeginDrain()
 	status, _, body := postFacts(t, ts, `{"assert":["e(8,9)"]}`)
 	if status != http.StatusServiceUnavailable || !strings.Contains(body, `"draining": true`) {
 		t.Errorf("draining POST = %d: %s", status, body)
@@ -228,7 +229,7 @@ func TestFactsRejections(t *testing.T) {
 }
 
 func TestFactsMetricsAndHealth(t *testing.T) {
-	_, ts := testServer(t, tcProgram, config{strategy: "magic", timeout: 5 * time.Second, materialize: true})
+	_, ts := testServer(t, tcProgram, serve.Config{Strategy: "magic", Timeout: 5 * time.Second, Materialize: true})
 	answersOf(t, ts, "t(5,Y)", "magic")
 	if status, _, body := postFacts(t, ts, `{"assert":["e(8,9)"],"retract":["e(1,2)","e(9,9)"]}`); status != http.StatusOK {
 		t.Fatalf("mutation: %d %s", status, body)
@@ -297,5 +298,18 @@ func TestFactsMetricsAndHealth(t *testing.T) {
 	resp.Body.Close()
 	if health["base_facts"].(float64) != 4 || health["epoch"].(float64) != 1 {
 		t.Errorf("healthz base_facts/epoch = %v/%v, want 4/1", health["base_facts"], health["epoch"])
+	}
+}
+
+// TestFailedFactsLeaveQueryCounters: /facts batches are not queries — a
+// rejected one moves neither factorlog_queries_total nor
+// factorlog_query_errors_total.
+func TestFailedFactsLeaveQueryCounters(t *testing.T) {
+	_, ts := testServer(t, tcProgram, serve.Config{Strategy: "magic", Timeout: 5 * time.Second, Materialize: true})
+	if status, _, body := postFacts(t, ts, `{"assert":["e(X,1)"]}`); status != http.StatusUnprocessableEntity {
+		t.Fatalf("non-ground assert: status %d, want 422: %s", status, body)
+	}
+	if stats := serverMetrics(t, ts.URL); stats.Queries != 0 || stats.Errors != 0 {
+		t.Errorf("queries/errors = %d/%d after a rejected batch, want 0/0", stats.Queries, stats.Errors)
 	}
 }

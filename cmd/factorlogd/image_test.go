@@ -1,6 +1,7 @@
 package main
 
 import (
+	"factorlog/internal/serve"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -28,7 +29,7 @@ func longChainProgram(n int) string {
 // the metrics count.
 func TestMaterializedBuildHonorsDeadline(t *testing.T) {
 	const n = 600
-	_, ts := testServer(t, longChainProgram(n), config{strategy: "magic", timeout: time.Minute, materialize: true})
+	_, ts := testServer(t, longChainProgram(n), serve.Config{Strategy: "magic", Timeout: time.Minute, Materialize: true})
 	params := url.Values{"q": {"t(0,Y)"}}
 
 	// Compile the plan first, so the deadline below lands in the build.
@@ -66,7 +67,7 @@ func TestMaterializedBuildHonorsDeadline(t *testing.T) {
 // another entry, a hit on it, and a /facts batch all complete.
 func TestSlowBuildBlocksNobodyElse(t *testing.T) {
 	const n = 4000
-	_, ts := testServer(t, longChainProgram(n), config{strategy: "magic", timeout: time.Minute, materialize: true})
+	_, ts := testServer(t, longChainProgram(n), serve.Config{Strategy: "magic", Timeout: time.Minute, Materialize: true})
 
 	slowDone := make(chan int, 1)
 	go func() {
@@ -107,14 +108,14 @@ func TestSlowBuildBlocksNobodyElse(t *testing.T) {
 // the column index its evaluation builds on a shared relation is there for
 // the next request.
 func TestScratchQueriesPinOneEpoch(t *testing.T) {
-	s, ts := testServer(t, tcProgram, config{strategy: "magic", timeout: time.Minute, materialize: false})
-	if s.mat.Version().Relation("e").HasIndex([]int{0}) {
+	s, ts := testServer(t, tcProgram, serve.Config{Strategy: "magic", Timeout: time.Minute, Materialize: false})
+	if s.Mat.Version().Relation("e").HasIndex([]int{0}) {
 		t.Fatal("the base relation is indexed before any query ran")
 	}
 	if answers, _ := answersOf(t, ts, "t(5,Y)", "magic"); len(answers) != 3 {
 		t.Fatalf("t(5,Y) = %v", answers)
 	}
-	if !s.mat.Version().Relation("e").HasIndex([]int{0}) {
+	if !s.Mat.Version().Relation("e").HasIndex([]int{0}) {
 		t.Error("the index the first request built on e was not kept with the image")
 	}
 

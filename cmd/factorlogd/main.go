@@ -88,6 +88,7 @@ import (
 	"time"
 
 	"factorlog/internal/pipeline"
+	"factorlog/internal/serve"
 )
 
 func main() {
@@ -147,28 +148,28 @@ func run(args []string) error {
 		constraints = string(csrc)
 	}
 
-	srv, err := newServer(string(src), constraints, config{
-		strategy:       *strategyName,
-		workers:        *workers,
-		budget:         *budget,
-		maxBytes:       *maxBytes,
-		timeout:        *timeout,
-		maxConcurrency: *maxConcurrency,
-		maxQueue:       *maxQueue,
-		traceSample:    *traceSample,
-		slowQuery:      time.Duration(*slowQueryMS) * time.Millisecond,
-		materialize:    *materialize,
-		matEntries:     *matEntries,
-		walDir:         *walDir,
-		fsyncInterval:  *fsyncInterval,
-		snapshotEvery:  *snapshotEvery,
+	srv, err := serve.New(string(src), constraints, serve.Config{
+		Strategy:       *strategyName,
+		Workers:        *workers,
+		Budget:         *budget,
+		MaxBytes:       *maxBytes,
+		Timeout:        *timeout,
+		MaxConcurrency: *maxConcurrency,
+		MaxQueue:       *maxQueue,
+		TraceSample:    *traceSample,
+		SlowQuery:      time.Duration(*slowQueryMS) * time.Millisecond,
+		Materialize:    *materialize,
+		MatEntries:     *matEntries,
+		WALDir:         *walDir,
+		FsyncInterval:  *fsyncInterval,
+		SnapshotEvery:  *snapshotEvery,
 	})
 	if err != nil {
 		return err
 	}
 	// Close flushes the WAL's final group commit on every exit path.
 	defer srv.Close()
-	for _, warn := range srv.warmup() {
+	for _, warn := range srv.Warmup() {
 		fmt.Fprintln(os.Stderr, "factorlogd: warmup:", warn)
 	}
 
@@ -181,11 +182,11 @@ func run(args []string) error {
 		}()
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.routes()}
+	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 	errc := make(chan error, 1)
 	go func() {
 		fmt.Fprintf(os.Stderr, "factorlogd: serving %s (%d rules, %d base facts) on %s\n",
-			*programFile, len(srv.prog.Rules), srv.mat.BaseCount(), *addr)
+			*programFile, len(srv.Program.Rules), srv.Mat.BaseCount(), *addr)
 		errc <- httpSrv.ListenAndServe()
 	}()
 
@@ -200,7 +201,7 @@ func run(args []string) error {
 		// well inside the shutdown timeout instead of evaluating to the bitter
 		// end and tripping the 5s axe.
 		fmt.Fprintln(os.Stderr, "factorlogd: draining and shutting down")
-		srv.beginDrain()
+		srv.BeginDrain()
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		return httpSrv.Shutdown(shutdownCtx)

@@ -12,6 +12,7 @@ import (
 
 	"factorlog/internal/faultinject"
 	"factorlog/internal/obsv"
+	"factorlog/internal/serve"
 )
 
 func serverMetrics(t *testing.T, url string) obsv.ServerStats {
@@ -31,11 +32,11 @@ func serverMetrics(t *testing.T, url string) obsv.ServerStats {
 // TestAdmissionShed saturates a capacity-1, queue-0 limiter and checks the
 // second request is shed with 429 + Retry-After instead of waiting.
 func TestAdmissionShed(t *testing.T) {
-	s, ts := testServer(t, tcProgram, config{
-		strategy: "magic", timeout: 5 * time.Second, maxConcurrency: 1, maxQueue: 0,
+	s, ts := testServer(t, tcProgram, serve.Config{
+		Strategy: "magic", Timeout: 5 * time.Second, MaxConcurrency: 1, MaxQueue: 0,
 	})
 	// Hold the only admission slot directly; no timing games.
-	release, err := s.limiter.Acquire(context.Background(), 1)
+	release, err := s.Limiter.Acquire(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,9 +54,9 @@ func TestAdmissionShed(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 response missing Retry-After header")
 	}
-	var er errorResponse
+	var er serve.ErrorResponse
 	if err := json.Unmarshal(body, &er); err != nil || er.RetryAfterSeconds < 1 {
-		t.Errorf("429 body %s: want typed errorResponse with retry_after_seconds", body)
+		t.Errorf("429 body %s: want typed serve.ErrorResponse with retry_after_seconds", body)
 	}
 
 	stats := serverMetrics(t, ts.URL)
@@ -67,10 +68,10 @@ func TestAdmissionShed(t *testing.T) {
 // TestAdmissionQueueTimeout parks a request in the wait queue until its
 // deadline expires; the failure is typed, 429, and counted.
 func TestAdmissionQueueTimeout(t *testing.T) {
-	s, ts := testServer(t, tcProgram, config{
-		strategy: "magic", timeout: 5 * time.Second, maxConcurrency: 1, maxQueue: 4,
+	s, ts := testServer(t, tcProgram, serve.Config{
+		Strategy: "magic", Timeout: 5 * time.Second, MaxConcurrency: 1, MaxQueue: 4,
 	})
-	release, err := s.limiter.Acquire(context.Background(), 1)
+	release, err := s.Limiter.Acquire(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestAdmissionQueueTimeout(t *testing.T) {
 // TestReadyzLifecycle walks readiness through its three states — warming
 // up, ready, draining — and checks liveness stays 200 throughout.
 func TestReadyzLifecycle(t *testing.T) {
-	s, ts := testServer(t, tcProgram, config{strategy: "magic", timeout: 5 * time.Second})
+	s, ts := testServer(t, tcProgram, serve.Config{Strategy: "magic", Timeout: 5 * time.Second})
 
 	get := func(path string) (int, map[string]any) {
 		resp, err := http.Get(ts.URL + path)
@@ -109,14 +110,14 @@ func TestReadyzLifecycle(t *testing.T) {
 	if status, m := get("/readyz"); status != http.StatusServiceUnavailable || m["status"] != "warming up" {
 		t.Errorf("pre-warmup readyz: %d %v, want 503 warming up", status, m)
 	}
-	if warns := s.warmup(); len(warns) != 0 {
+	if warns := s.Warmup(); len(warns) != 0 {
 		t.Fatal(warns)
 	}
 	if status, m := get("/readyz"); status != http.StatusOK || m["ready"] != true {
 		t.Errorf("post-warmup readyz: %d %v, want 200 ready", status, m)
 	}
 
-	s.beginDrain()
+	s.BeginDrain()
 	if status, m := get("/readyz"); status != http.StatusServiceUnavailable || m["status"] != "draining" {
 		t.Errorf("draining readyz: %d %v, want 503 draining", status, m)
 	}
@@ -132,7 +133,7 @@ func TestReadyzLifecycle(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(resp.Body)
-	var er errorResponse
+	var er serve.ErrorResponse
 	if resp.StatusCode != http.StatusServiceUnavailable || json.Unmarshal(body, &er) != nil || !er.Draining {
 		t.Errorf("query during drain: %d %s, want typed 503 draining body", resp.StatusCode, body)
 	}
@@ -145,7 +146,7 @@ func TestReadyzLifecycle(t *testing.T) {
 // in-flight request must come back promptly with the typed 503, not run to
 // its 10s deadline or hold shutdown hostage.
 func TestDrainCancelsInFlight(t *testing.T) {
-	s, ts := testServer(t, divergentProgram, config{strategy: "semi-naive", timeout: 10 * time.Second})
+	s, ts := testServer(t, divergentProgram, serve.Config{Strategy: "semi-naive", Timeout: 10 * time.Second})
 
 	type result struct {
 		status int
@@ -165,21 +166,21 @@ func TestDrainCancelsInFlight(t *testing.T) {
 
 	// Wait for the evaluation to be in flight before draining.
 	deadline := time.Now().Add(5 * time.Second)
-	for s.inflight.Load() == 0 {
+	for s.InFlight.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("query never became in-flight")
 		}
 		time.Sleep(time.Millisecond)
 	}
 	start := time.Now()
-	s.beginDrain()
+	s.BeginDrain()
 
 	select {
 	case r := <-done:
 		if r.status != http.StatusServiceUnavailable {
 			t.Fatalf("drained in-flight query: status %d: %s", r.status, r.body)
 		}
-		var er errorResponse
+		var er serve.ErrorResponse
 		if json.Unmarshal([]byte(r.body), &er) != nil || !er.Draining {
 			t.Errorf("body %s: want typed draining 503", r.body)
 		}
@@ -194,7 +195,7 @@ func TestDrainCancelsInFlight(t *testing.T) {
 // TestQueryMemoryBudget drives the per-request max_bytes override to a
 // value no evaluation fits in and checks the typed 422 + counter.
 func TestQueryMemoryBudget(t *testing.T) {
-	_, ts := testServer(t, tcProgram, config{strategy: "magic", timeout: 5 * time.Second})
+	_, ts := testServer(t, tcProgram, serve.Config{Strategy: "magic", Timeout: 5 * time.Second})
 
 	status, _, body := getQuery(t, ts, url.Values{"q": {"t(5,Y)"}, "max_bytes": {"16"}})
 	if status != http.StatusUnprocessableEntity {
@@ -217,7 +218,7 @@ func TestQueryMemoryBudget(t *testing.T) {
 // the query still answers 200 (via the sequential retry) and is flagged
 // degraded in both the response and /metrics.
 func TestWorkerPanicDegradedQuery(t *testing.T) {
-	_, ts := testServer(t, tcProgram, config{strategy: "magic", timeout: 5 * time.Second})
+	_, ts := testServer(t, tcProgram, serve.Config{Strategy: "magic", Timeout: 5 * time.Second})
 	disable := faultinject.Enable(faultinject.Config{
 		Seed: 1, MaxPeriod: 1, Points: []faultinject.Point{faultinject.WorkerStart},
 	})
@@ -242,7 +243,7 @@ func TestWorkerPanicDegradedQuery(t *testing.T) {
 // both the parallel run and the retry die: the response must be a typed
 // 500, never a crashed connection, and the panic is counted.
 func TestPanicIsReported500(t *testing.T) {
-	_, ts := testServer(t, tcProgram, config{strategy: "magic", timeout: 5 * time.Second})
+	_, ts := testServer(t, tcProgram, serve.Config{Strategy: "magic", Timeout: 5 * time.Second})
 	disable := faultinject.Enable(faultinject.Config{
 		Seed: 1, MaxPeriod: 1, Points: []faultinject.Point{faultinject.ArenaGrow},
 	})

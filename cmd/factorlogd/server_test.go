@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"factorlog/internal/obsv"
+	"factorlog/internal/serve"
 )
 
 const tcProgram = `
@@ -36,26 +37,26 @@ n(z).
 n(f(X)) :- n(X).
 `
 
-func testServer(t *testing.T, src string, cfg config) (*server, *httptest.Server) {
+func testServer(t *testing.T, src string, cfg serve.Config) (*serve.Server, *httptest.Server) {
 	t.Helper()
 	// Tests that don't configure admission get a limiter wide enough to
 	// never interfere; admission-specific tests set maxConcurrency
 	// explicitly to exercise queueing and shedding.
-	if cfg.maxConcurrency == 0 {
-		cfg.maxConcurrency = 1024
-		cfg.maxQueue = 256
+	if cfg.MaxConcurrency == 0 {
+		cfg.MaxConcurrency = 1024
+		cfg.MaxQueue = 256
 	}
-	s, err := newServer(src, "", cfg)
+	s, err := serve.New(src, "", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.routes())
+	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	t.Cleanup(func() { s.Close() })
 	return s, ts
 }
 
-func getQuery(t *testing.T, ts *httptest.Server, params url.Values) (int, queryResponse, string) {
+func getQuery(t *testing.T, ts *httptest.Server, params url.Values) (int, serve.Response, string) {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/query?" + params.Encode())
 	if err != nil {
@@ -66,7 +67,7 @@ func getQuery(t *testing.T, ts *httptest.Server, params url.Values) (int, queryR
 	if err != nil {
 		t.Fatal(err)
 	}
-	var qr queryResponse
+	var qr serve.Response
 	if resp.StatusCode == http.StatusOK {
 		if err := json.Unmarshal(body, &qr); err != nil {
 			t.Fatalf("bad response JSON: %v\n%s", err, body)
@@ -76,7 +77,7 @@ func getQuery(t *testing.T, ts *httptest.Server, params url.Values) (int, queryR
 }
 
 func TestQueryCacheMissThenHit(t *testing.T) {
-	_, ts := testServer(t, tcProgram, config{strategy: "magic", timeout: 5 * time.Second})
+	_, ts := testServer(t, tcProgram, serve.Config{Strategy: "magic", Timeout: 5 * time.Second})
 
 	// First query for this (predicate, adornment, strategy, constants)
 	// shape compiles the plan; the identical repeat reuses it.
@@ -119,7 +120,7 @@ func TestQueryCacheMissThenHit(t *testing.T) {
 // the iterator row flow), identical answers to the default materializing
 // run, and a malformed stream value is rejected up front.
 func TestQueryStreamingExecutor(t *testing.T) {
-	_, ts := testServer(t, tcProgram, config{strategy: "magic", timeout: 5 * time.Second})
+	_, ts := testServer(t, tcProgram, serve.Config{Strategy: "magic", Timeout: 5 * time.Second})
 
 	status, plain, body := getQuery(t, ts, url.Values{"q": {"t(5,Y)"}})
 	if status != http.StatusOK {
@@ -150,7 +151,7 @@ func TestQueryStreamingExecutor(t *testing.T) {
 }
 
 func TestMetricsReportCacheHits(t *testing.T) {
-	_, ts := testServer(t, tcProgram, config{strategy: "magic", timeout: 5 * time.Second})
+	_, ts := testServer(t, tcProgram, serve.Config{Strategy: "magic", Timeout: 5 * time.Second})
 	for i := 0; i < 3; i++ {
 		if status, _, body := getQuery(t, ts, url.Values{"q": {"t(5,Y)"}}); status != http.StatusOK {
 			t.Fatalf("status %d: %s", status, body)
@@ -196,7 +197,7 @@ func TestMetricsReportCacheHits(t *testing.T) {
 // server and checks every response; under -race this also exercises the
 // shared plan cache and pipeline memoization for data races.
 func TestConcurrentQueries(t *testing.T) {
-	_, ts := testServer(t, tcProgram, config{strategy: "magic", timeout: 10 * time.Second})
+	_, ts := testServer(t, tcProgram, serve.Config{Strategy: "magic", Timeout: 10 * time.Second})
 
 	type shape struct {
 		q        string
@@ -236,7 +237,7 @@ func TestConcurrentQueries(t *testing.T) {
 				errs <- fmt.Errorf("%s/%s: status %d: %s", sh.q, sh.strategy, resp.StatusCode, body)
 				return
 			}
-			var qr queryResponse
+			var qr serve.Response
 			if err := json.Unmarshal(body, &qr); err != nil {
 				errs <- fmt.Errorf("%s/%s: %v", sh.q, sh.strategy, err)
 				return
@@ -275,7 +276,7 @@ func TestConcurrentQueries(t *testing.T) {
 
 func TestQueryDeadline(t *testing.T) {
 	for _, workers := range []string{"1", "4"} {
-		_, ts := testServer(t, divergentProgram, config{strategy: "semi-naive", timeout: 10 * time.Second})
+		_, ts := testServer(t, divergentProgram, serve.Config{Strategy: "semi-naive", Timeout: 10 * time.Second})
 		start := time.Now()
 		status, _, body := getQuery(t, ts, url.Values{
 			"q": {"n(X)"}, "timeout_ms": {"100"}, "workers": {workers},
@@ -293,7 +294,7 @@ func TestQueryDeadline(t *testing.T) {
 }
 
 func TestQueryErrors(t *testing.T) {
-	_, ts := testServer(t, tcProgram, config{strategy: "magic", timeout: time.Second})
+	_, ts := testServer(t, tcProgram, serve.Config{Strategy: "magic", Timeout: time.Second})
 
 	status, _, body := getQuery(t, ts, url.Values{})
 	if status != http.StatusBadRequest {
@@ -313,7 +314,7 @@ func TestQueryErrors(t *testing.T) {
 // a plan cached for t(X,Y) must not serve t(X,X), whose answers are only
 // the diagonal (empty here — the edge graph is acyclic).
 func TestQueryRepeatedVariables(t *testing.T) {
-	_, ts := testServer(t, tcProgram, config{strategy: "magic", timeout: 5 * time.Second})
+	_, ts := testServer(t, tcProgram, serve.Config{Strategy: "magic", Timeout: 5 * time.Second})
 
 	status, qr, body := getQuery(t, ts, url.Values{"q": {"t(X,Y)"}})
 	if status != http.StatusOK {
@@ -336,7 +337,7 @@ func TestQueryRepeatedVariables(t *testing.T) {
 }
 
 func TestQueryMethodNotAllowed(t *testing.T) {
-	_, ts := testServer(t, tcProgram, config{strategy: "magic", timeout: time.Second})
+	_, ts := testServer(t, tcProgram, serve.Config{Strategy: "magic", Timeout: time.Second})
 	req, err := http.NewRequest(http.MethodPut, ts.URL+"/query", strings.NewReader(`{"query":"t(5,Y)"}`))
 	if err != nil {
 		t.Fatal(err)
@@ -355,9 +356,9 @@ func TestQueryMethodNotAllowed(t *testing.T) {
 }
 
 func TestQueryBodyTooLarge(t *testing.T) {
-	_, ts := testServer(t, tcProgram, config{strategy: "magic", timeout: time.Second})
+	_, ts := testServer(t, tcProgram, serve.Config{Strategy: "magic", Timeout: time.Second})
 	// A syntactically valid JSON document just over the 1 MiB cap.
-	huge := fmt.Sprintf(`{"query": "t(5,Y)", "strategy": %q}`, strings.Repeat("x", maxQueryBody))
+	huge := fmt.Sprintf(`{"query": "t(5,Y)", "strategy": %q}`, strings.Repeat("x", serve.MaxQueryBody))
 	resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(huge))
 	if err != nil {
 		t.Fatal(err)
@@ -370,14 +371,14 @@ func TestQueryBodyTooLarge(t *testing.T) {
 }
 
 func TestQueryPost(t *testing.T) {
-	_, ts := testServer(t, tcProgram, config{strategy: "magic", timeout: 5 * time.Second})
+	_, ts := testServer(t, tcProgram, serve.Config{Strategy: "magic", Timeout: 5 * time.Second})
 	resp, err := http.Post(ts.URL+"/query", "application/json",
 		strings.NewReader(`{"query": "t(5,Y)", "strategy": "sup-magic"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var qr queryResponse
+	var qr serve.Response
 	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +391,7 @@ func TestQueryPost(t *testing.T) {
 }
 
 func TestHealthz(t *testing.T) {
-	_, ts := testServer(t, tcProgram, config{strategy: "magic"})
+	_, ts := testServer(t, tcProgram, serve.Config{Strategy: "magic"})
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -409,8 +410,8 @@ func TestHealthz(t *testing.T) {
 }
 
 func TestWarmupPrimesDeclaredQueries(t *testing.T) {
-	s, ts := testServer(t, tcProgram, config{strategy: "magic", timeout: 5 * time.Second})
-	if warns := s.warmup(); len(warns) != 0 {
+	s, ts := testServer(t, tcProgram, serve.Config{Strategy: "magic", Timeout: 5 * time.Second})
+	if warns := s.Warmup(); len(warns) != 0 {
 		t.Fatalf("warmup warnings: %v", warns)
 	}
 	// The program declares ?- t(5, Y); after warmup its first request hits.

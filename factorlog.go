@@ -29,7 +29,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -41,6 +40,7 @@ import (
 	"factorlog/internal/obsv"
 	"factorlog/internal/parser"
 	"factorlog/internal/pipeline"
+	"factorlog/internal/serve"
 	"factorlog/internal/trace"
 )
 
@@ -390,14 +390,9 @@ func (s *System) Run(strategy Strategy, db *DB) (*Result, error) {
 
 // newResult converts a pipeline run into the facade shape.
 func newResult(r *pipeline.RunResult) *Result {
-	answers := make([]string, 0, len(r.Answers))
-	for a := range r.Answers {
-		answers = append(answers, a)
-	}
-	sort.Strings(answers)
 	return &Result{
 		Strategy:    r.Strategy,
-		Answers:     answers,
+		Answers:     pipeline.SortedAnswers(r),
 		Facts:       r.Facts,
 		Inferences:  r.Inferences,
 		Iterations:  r.Iterations,
@@ -641,13 +636,13 @@ func (m *Materialized) Retract(facts ...string) (int64, error) {
 // an invalid atom rejects it whole with ErrMutation, and a mid-batch
 // failure rolls the base back to the previous epoch.
 func (m *Materialized) Apply(assert, retract []string) (int64, error) {
-	assertAtoms, err := parseGroundAtoms(assert)
+	assertAtoms, err := serve.ParseFacts(assert)
 	if err != nil {
-		return m.mat.Epoch(), err
+		return m.mat.Epoch(), fmt.Errorf("%w: %v", ErrMutation, err)
 	}
-	retractAtoms, err := parseGroundAtoms(retract)
+	retractAtoms, err := serve.ParseFacts(retract)
 	if err != nil {
-		return m.mat.Epoch(), err
+		return m.mat.Epoch(), fmt.Errorf("%w: %v", ErrMutation, err)
 	}
 	ctx := m.sys.evalOpts.Context
 	if ctx == nil {
@@ -669,34 +664,9 @@ func (m *Materialized) BaseCount() int { return m.mat.BaseCount() }
 // Answers returns the query's current answers, sorted, in the same
 // projected "(v1,...,vk)" rendering Run produces.
 func (m *Materialized) Answers() ([]string, error) {
-	var set map[string]bool
-	var err error
-	if m.transformed {
-		set, err = engine.AnswerSet(m.mat.DB(), m.query)
-	} else {
-		set, err = m.sys.pl.ProjectAnswers(m.mat.DB())
-	}
+	set, err := m.sys.pl.ProjectAnswers(m.mat.DB(), m.query, m.transformed)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]string, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// parseGroundAtoms parses mutation atoms, tolerating the trailing dot of
-// .dl fact syntax (`e(1,2).`).
-func parseGroundAtoms(in []string) ([]ast.Atom, error) {
-	out := make([]ast.Atom, 0, len(in))
-	for _, f := range in {
-		a, err := parser.ParseAtom(strings.TrimSuffix(strings.TrimSpace(f), "."))
-		if err != nil {
-			return nil, fmt.Errorf("%w: %q: %v", ErrMutation, f, err)
-		}
-		out = append(out, a)
-	}
-	return out, nil
+	return pipeline.SortedAnswers(&pipeline.RunResult{Answers: set}), nil
 }

@@ -43,12 +43,14 @@ type MutationBatch struct {
 // BatchResult reports what one Apply changed.
 type BatchResult struct {
 	// Epoch is the epoch after the batch (unchanged for a noop batch).
-	Epoch int64
+	Epoch int64 `json:"epoch"`
 	// Asserted and Retracted count effective base-EDB changes; Noop*
 	// count entries that changed nothing (assert of a present fact,
 	// retract of an absent one).
-	Asserted, Retracted       int
-	NoopAsserts, NoopRetracts int
+	Asserted     int `json:"asserted"`
+	Retracted    int `json:"retracted"`
+	NoopAsserts  int `json:"noop_asserts,omitempty"`
+	NoopRetracts int `json:"noop_retracts,omitempty"`
 }
 
 // Changed reports whether the batch changed the base EDB.
@@ -115,8 +117,8 @@ type matEntry struct {
 	key         string
 	prog        *ast.Program // the program the strategy evaluates
 	query       ast.Atom     // the answer atom of that program
-	transformed bool         // read via AnswerSet vs. projection
-	pl          *Pipeline    // for ProjectAnswers on untransformed entries
+	transformed bool         // query is a rewritten predicate (see ProjectAnswers)
+	pl          *Pipeline    // reads the answers (ProjectAnswers)
 	elem        *list.Element
 
 	mu  sync.Mutex
@@ -355,12 +357,7 @@ func (m *Materializer) Serve(ctx context.Context, query ast.Atom, strategy Strat
 	if err != nil {
 		return nil, err
 	}
-	var answers map[string]bool
-	if e.transformed {
-		answers, err = engine.AnswerSet(e.mat.DB(), e.query)
-	} else {
-		answers, err = e.pl.ProjectAnswers(e.mat.DB())
-	}
+	answers, err := e.pl.ProjectAnswers(e.mat.DB(), e.query, e.transformed)
 	if err != nil {
 		return nil, err
 	}

@@ -275,14 +275,7 @@ func (pl *Pipeline) Run(s Strategy, db *engine.DB, evalOpts engine.Options) (*Ru
 		return nil, err
 	}
 	evalOpts.Span.AddTuplesOut(int64(stats.Derived))
-	// A rewritten program answers on its own query predicate; the source
-	// program's matching tuples are projected onto the free positions.
-	var answers map[string]bool
-	if transformed {
-		answers, err = engine.AnswerSet(db, query)
-	} else {
-		answers, err = pl.ProjectAnswers(db)
-	}
+	answers, err := pl.ProjectAnswers(db, query, transformed)
 	if err != nil {
 		return nil, err
 	}
@@ -355,9 +348,15 @@ func (pl *Pipeline) runTopDown(s Strategy, eval evaluator, db *engine.DB) (*RunR
 	}, nil
 }
 
-// ProjectAnswers projects db's tuples matching the original query onto its
-// free positions — the answer shape every strategy shares.
-func (pl *Pipeline) ProjectAnswers(db *engine.DB) (map[string]bool, error) {
+// ProjectAnswers reads a bottom-up evaluation's answers from db, given the
+// answer atom and transformed flag MaterializedProgram returned. A rewritten
+// program answers on its own query predicate; the source program's tuples
+// matching the original query are projected onto its free positions — the
+// answer shape every strategy shares.
+func (pl *Pipeline) ProjectAnswers(db *engine.DB, query ast.Atom, transformed bool) (map[string]bool, error) {
+	if transformed {
+		return engine.AnswerSet(db, query)
+	}
 	tuples, err := engine.Answers(db, pl.Query)
 	if err != nil {
 		return nil, err

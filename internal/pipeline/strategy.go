@@ -320,19 +320,9 @@ func stageResult[T any](pl *Pipeline, id stageID) (T, error) {
 	return res, m.err
 }
 
-// Adorned returns the adorned program, computing it on first use.
-func (pl *Pipeline) Adorned() (*adorn.Result, error) {
-	return stageResult[*adorn.Result](pl, adornStage)
-}
-
 // MagicProgram returns the Magic Sets result.
 func (pl *Pipeline) MagicProgram() (*magic.Result, error) {
 	return stageResult[*magic.Result](pl, magicStage)
-}
-
-// SupplementaryMagicProgram returns the supplementary-magic result.
-func (pl *Pipeline) SupplementaryMagicProgram() (*magic.Result, error) {
-	return stageResult[*magic.Result](pl, supMagicStage)
 }
 
 // FactoredProgram returns the factored Magic program (Theorems 4.1-4.3).
@@ -368,9 +358,9 @@ func (pl *Pipeline) Compile(s Strategy) error {
 
 // MaterializedProgram returns the program strategy s evaluates bottom-up
 // and the atom whose tuples are its answers. transformed reports whether
-// that atom is a rewritten query predicate — read with engine.AnswerSet —
-// or the original query, whose matching tuples must be projected onto the
-// free positions (ProjectAnswers). Top-down strategies return an error;
+// that atom is a rewritten query predicate or the original query, whose
+// matching tuples must be projected onto the free positions; ProjectAnswers
+// reads either. Top-down strategies return an error;
 // gate with MaterializableStrategy.
 func (pl *Pipeline) MaterializedProgram(s Strategy) (prog *ast.Program, query ast.Atom, transformed bool, err error) {
 	row := s.row()
