@@ -79,8 +79,8 @@ func getQuery(t *testing.T, ts *httptest.Server, params url.Values) (int, serve.
 func TestQueryCacheMissThenHit(t *testing.T) {
 	_, ts := testServer(t, tcProgram, serve.Config{Strategy: "magic", Timeout: 5 * time.Second})
 
-	// First query for this (predicate, adornment, strategy, constants)
-	// shape compiles the plan; the identical repeat reuses it.
+	// First query for this (predicate, adornment, strategy) shape compiles
+	// the plan; the identical repeat reuses it.
 	status, qr, body := getQuery(t, ts, url.Values{"q": {"t(5,Y)"}})
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, body)
@@ -104,11 +104,11 @@ func TestQueryCacheMissThenHit(t *testing.T) {
 		t.Errorf("repeat answers = %v, want %v", qr.Answers, want)
 	}
 
-	// Same adornment, different constant: plans specialize on the bound
-	// constants, so this must compile its own plan and find its own answers.
+	// Same shape, different constant: no rewrite runs (the plan binds 6
+	// into the template t(5,Y) compiled), and it finds its own answers.
 	status, qr, _ = getQuery(t, ts, url.Values{"q": {"t(6,Y)"}})
-	if status != http.StatusOK || qr.PlanCache != "miss" {
-		t.Errorf("t(6,Y): status %d plan_cache %q, want 200 miss", status, qr.PlanCache)
+	if status != http.StatusOK || qr.PlanCache != "hit" {
+		t.Errorf("t(6,Y): status %d plan_cache %q, want 200 hit", status, qr.PlanCache)
 	}
 	if fmt.Sprint(qr.Answers) != fmt.Sprint([]string{"(7)", "(8)"}) {
 		t.Errorf("t(6,Y) answers = %v", qr.Answers)
@@ -265,12 +265,15 @@ func TestConcurrentQueries(t *testing.T) {
 	if stats.Queries != n {
 		t.Errorf("queries = %d, want %d", stats.Queries, n)
 	}
-	// 4 distinct plan shapes; everything beyond the builds must have hit.
+	// 4 distinct (query, strategy) plans over one query shape. Only the
+	// rewrites miss: factored+opt's first compile always runs factor and
+	// optimize, and magic's first compile runs adorn and magic unless
+	// factored+opt's got there first. Semi-naive rewrites nothing.
 	if stats.PlanCache.Entries != len(shapes) {
 		t.Errorf("cache entries = %d, want %d", stats.PlanCache.Entries, len(shapes))
 	}
-	if stats.PlanCache.Hits != n-int64(len(shapes)) {
-		t.Errorf("cache hits = %d, want %d", stats.PlanCache.Hits, n-len(shapes))
+	if m := stats.PlanCache.Misses; m < 1 || m > 2 || stats.PlanCache.Hits != n-m {
+		t.Errorf("cache hits/misses = %d/%d, want 1 or 2 misses and the rest hits", stats.PlanCache.Hits, m)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"factorlog/internal/ast"
 	"factorlog/internal/cost"
+	"factorlog/internal/engine"
 	"factorlog/internal/obsv"
 )
 
@@ -61,32 +62,30 @@ type AutoDecision struct {
 	Candidates []CandidateInfo
 }
 
-// pickAbort wraps an error that must abort the whole plan search (caller
-// canceled, deadline passed) rather than count as a candidate rejection.
-type pickAbort struct{ err error }
+// AutoPick runs the plan search on this pipeline against snap: it compiles
+// each candidate strategy (memoized — rejected class tests stay rejected),
+// prices the survivors in both body orders, and returns the decision.
+func (pl *Pipeline) AutoPick(snap *cost.Snapshot) (*AutoDecision, error) {
+	dec, _, err := pl.autoPick(snap)
+	return dec, err
+}
 
-func (p pickAbort) Error() string { return p.err.Error() }
-func (p pickAbort) Unwrap() error { return p.err }
-
-// autoEnumerate runs the candidate search shared by Pipeline.AutoPick and
-// AutoPlanner: programFor compiles one strategy and returns the program it
-// would evaluate (an error prunes the candidate; wrap it in pickAbort to
-// abort the search instead).
-func autoEnumerate(query ast.Atom, snap *cost.Snapshot,
-	programFor func(Strategy) (*ast.Program, error)) (*AutoDecision, error) {
-	adornment := string(ast.AdornmentOf(query, nil))
+// autoPick is AutoPick that also reports whether a rewrite stage ran.
+func (pl *Pipeline) autoPick(snap *cost.Snapshot) (dec *AutoDecision, ran bool, err error) {
+	adornment := string(ast.AdornmentOf(pl.Query, nil))
 	var cands []CandidateInfo
 	best := -1
 	var bestStrategy Strategy
 	var bestReorder bool
 	var bestCost float64
 	for _, s := range AutoCandidateStrategies() {
-		prog, err := programFor(s)
+		compiled, err := pl.compile(s)
+		ran = ran || compiled
+		var prog *ast.Program
+		if err == nil {
+			prog, _, _, err = pl.MaterializedProgram(s)
+		}
 		if err != nil {
-			var abort pickAbort
-			if errors.As(err, &abort) {
-				return nil, abort.err
-			}
 			cands = append(cands, CandidateInfo{
 				Strategy:  s.String(),
 				Adornment: adornment,
@@ -111,7 +110,7 @@ func autoEnumerate(query ast.Atom, snap *cost.Snapshot,
 		}
 	}
 	if best < 0 {
-		return nil, fmt.Errorf("no eligible strategy for %s: every candidate was rejected", query)
+		return nil, ran, fmt.Errorf("no eligible strategy for %s: every candidate was rejected", pl.Query)
 	}
 	cands[best].Chosen = true
 	cands[best].Reason = "lowest estimated cost"
@@ -130,17 +129,7 @@ func autoEnumerate(query ast.Atom, snap *cost.Snapshot,
 		Reorder:    bestReorder,
 		Cost:       bestCost,
 		Candidates: cands,
-	}, nil
-}
-
-// AutoPick runs the plan search on this pipeline against snap: it compiles
-// each candidate strategy (memoized — rejected class tests stay rejected),
-// prices the survivors in both body orders, and returns the decision.
-func (pl *Pipeline) AutoPick(snap *cost.Snapshot) (*AutoDecision, error) {
-	return autoEnumerate(pl.Query, snap, func(s Strategy) (*ast.Program, error) {
-		prog, _, _, err := pl.MaterializedProgram(s)
-		return prog, err
-	})
+	}, ran, nil
 }
 
 // AutoPolicy governs when a served Auto decision is shadow re-costed and
@@ -179,7 +168,7 @@ type StatsSource func() *cost.Snapshot
 // autoEntry is one remembered decision with the snapshot coordinates it was
 // made at, plus observed row counts from traced runs of its query.
 type autoEntry struct {
-	canon     string // the decisions key, so evicting the list tail can delete it
+	shape     string // the decisions key, so evicting the list tail can delete it
 	dec       *AutoDecision
 	epoch     int64
 	mutations int64
@@ -188,16 +177,20 @@ type autoEntry struct {
 }
 
 // AutoPlanner serves Auto decisions for a long-lived process: one decision
-// per canonical query shape, compiled plans shared through the PlanCache, and
-// shadow re-costing driven by the policy's epoch and change-ratio triggers.
+// per query shape (shapeOf — the query with its bound constants as
+// parameters), found by one plan search on the shape's template pipeline,
+// compiled plans shared through the PlanCache, and shadow re-costing driven
+// by the policy's epoch and change-ratio triggers. The cost model never
+// reads a constant's value — a ground term counts as bound and the magic
+// seed costs one row — so the template's candidate table is every
+// constant's, and a new constant of a known shape runs no search.
 //
 // Concurrent Choose calls for the same stale shape may race and both
-// re-cost; the work is bounded (plan compiles dedupe in the cache) and the
-// last writer's decision sticks.
+// re-cost; the work is bounded (stages run once per template) and the last
+// writer's decision sticks.
 //
-// Decisions are keyed like plans — the canonical query carries its bound
-// constants — so they are bounded like plans: past the plan cache's entry
-// limit the least recently chosen decision is dropped, and its shape simply
+// Decisions are bounded like templates: past the plan cache's entry limit
+// the least recently chosen decision is dropped, and its shape simply
 // re-picks if it is asked again.
 type AutoPlanner struct {
 	prog        *ast.Program
@@ -259,10 +252,10 @@ type AutoServe struct {
 // trigger fires.
 func (ap *AutoPlanner) Choose(ctx context.Context, query ast.Atom) (*AutoServe, error) {
 	snap := ap.stats()
-	canon := query.CanonicalKey()
+	sh := shapeOf(query, ap.prog, ap.constraints)
 
 	ap.mu.Lock()
-	e := ap.touchLocked(canon)
+	e := ap.touchLocked(sh.canon)
 	if e != nil && !ap.staleLocked(e, snap) {
 		dec := e.dec
 		ap.mu.Unlock()
@@ -282,17 +275,7 @@ func (ap *AutoPlanner) Choose(ctx context.Context, query ast.Atom) (*AutoServe, 
 	ap.mu.Unlock()
 
 	start := time.Now()
-	dec, err := autoEnumerate(query, snap.WithObserved(observed), func(s Strategy) (*ast.Program, error) {
-		plan, _, lerr := ap.cache.Lookup(ctx, ap.prog, ap.progHash, ap.constraints, query, s)
-		if lerr != nil {
-			if ctx.Err() != nil || transientCompileErr(lerr) {
-				return nil, pickAbort{lerr}
-			}
-			return nil, lerr
-		}
-		prog, _, _, perr := plan.Pipeline().MaterializedProgram(s)
-		return prog, perr
-	})
+	dec, ran, err := ap.search(ctx, sh, snap.WithObserved(observed))
 	if err != nil {
 		return nil, err
 	}
@@ -328,7 +311,7 @@ func (ap *AutoPlanner) Choose(ctx context.Context, query ast.Atom) (*AutoServe, 
 		ap.picksBy[dec.Strategy.String()]++
 	}
 	ap.rememberLocked(&autoEntry{
-		canon:     canon,
+		shape:     sh.canon,
 		dec:       dec,
 		epoch:     snap.Epoch,
 		mutations: snap.Mutations,
@@ -338,14 +321,29 @@ func (ap *AutoPlanner) Choose(ctx context.Context, query ast.Atom) (*AutoServe, 
 	ap.mu.Unlock()
 
 	serve.Plan, serve.Strategy, serve.Reorder = plan, dec.Strategy, dec.Reorder
-	serve.Candidates, serve.PlanHit, serve.Repicked = dec.Candidates, hit, repicked
+	serve.Candidates, serve.PlanHit, serve.Repicked = dec.Candidates, hit && !ran, repicked
 	return serve, nil
 }
 
-// touchLocked returns the remembered decision for canon, marking it most
+// search runs the plan search for shape sh on its template pipeline, behind
+// the same recover barrier as a plan compile. ran reports whether a rewrite
+// stage ran.
+func (ap *AutoPlanner) search(ctx context.Context, sh shape, snap *cost.Snapshot) (dec *AutoDecision, ran bool, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%w: panic in plan search for %s: %v", engine.ErrInternal, sh.query, r)
+		}
+	}()
+	if ctx.Err() != nil {
+		return nil, false, fmt.Errorf("plan search for %s: %w", sh.query, typedCtxErr(ctx))
+	}
+	return ap.cache.template(ap.prog, ap.progHash, ap.constraints, sh).autoPick(snap)
+}
+
+// touchLocked returns the remembered decision for shape, marking it most
 // recently chosen; nil when the shape is new or was evicted.
-func (ap *AutoPlanner) touchLocked(canon string) *autoEntry {
-	el, ok := ap.decisions[canon]
+func (ap *AutoPlanner) touchLocked(shape string) *autoEntry {
+	el, ok := ap.decisions[shape]
 	if !ok {
 		return nil
 	}
@@ -356,16 +354,16 @@ func (ap *AutoPlanner) touchLocked(canon string) *autoEntry {
 // rememberLocked stores e as the decision for its shape and evicts the
 // least recently chosen decision past the plan cache's entry limit.
 func (ap *AutoPlanner) rememberLocked(e *autoEntry) {
-	if el, ok := ap.decisions[e.canon]; ok {
+	if el, ok := ap.decisions[e.shape]; ok {
 		el.Value = e
 		ap.order.MoveToFront(el)
 		return
 	}
-	ap.decisions[e.canon] = ap.order.PushFront(e)
+	ap.decisions[e.shape] = ap.order.PushFront(e)
 	if ap.cache.limit > 0 && len(ap.decisions) > ap.cache.limit {
 		tail := ap.order.Back()
 		ap.order.Remove(tail)
-		delete(ap.decisions, tail.Value.(*autoEntry).canon)
+		delete(ap.decisions, tail.Value.(*autoEntry).shape)
 	}
 }
 
@@ -424,15 +422,17 @@ func keepIncumbent(fresh *AutoDecision, incumbent *AutoDecision) *AutoDecision {
 }
 
 // Observe folds a traced run's per-rule statistics into the decision for
-// its query, so the next re-cost is calibrated by measured cardinalities.
-// prog must be the program the run evaluated (RunResult.Program).
+// its query's shape, so the next re-cost is calibrated by measured
+// cardinalities. prog must be the program the run evaluated
+// (RunResult.Program).
 func (ap *AutoPlanner) Observe(query ast.Atom, prog *ast.Program, rules []obsv.RuleStats) {
 	if len(rules) == 0 || prog == nil {
 		return
 	}
+	shape := shapeOf(query, ap.prog, ap.constraints).canon
 	ap.mu.Lock()
 	defer ap.mu.Unlock()
-	el, ok := ap.decisions[query.CanonicalKey()]
+	el, ok := ap.decisions[shape]
 	if !ok {
 		return
 	}

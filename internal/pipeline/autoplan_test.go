@@ -341,9 +341,11 @@ func TestAutoPlannerWinWithoutRepick(t *testing.T) {
 	}
 }
 
-// The decision map is keyed by the canonical query, constants included, so
-// a constant sweep must not grow it past the plan cache's limit; an evicted
-// shape re-picks from nothing and lands on the same strategy.
+// The decision map is keyed by query shape, so a constant sweep picks once
+// and remembers one decision. A sweep of distinct shapes (compound bound
+// arguments are never parameterised, so each is its own shape) must not grow
+// it past the plan cache's limit; an evicted shape re-picks from nothing and
+// lands on the same strategy.
 func TestAutoPlannerDecisionsBounded(t *testing.T) {
 	const limit = 8
 	p, err := parser.ParseProgram(chainTCSrc)
@@ -361,9 +363,21 @@ func TestAutoPlannerDecisionsBounded(t *testing.T) {
 	}
 	planner := NewAutoPlanner(p, nil, cache, SnapshotSource(mat), AutoPolicy{})
 
+	for i := 1; i <= 3*limit; i++ {
+		if _, err := planner.Choose(context.Background(), mustAtom(t, fmt.Sprintf("tc(%d, Y)", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	planner.mu.Lock()
+	remembered := len(planner.decisions)
+	planner.mu.Unlock()
+	if got := planner.Stats().Picks; got != 1 || remembered != 1 {
+		t.Fatalf("constant sweep: %d picks, %d decisions, want 1 and 1", got, remembered)
+	}
+
 	queries := make([]ast.Atom, 3*limit)
 	for i := range queries {
-		queries[i] = mustAtom(t, fmt.Sprintf("tc(%d, Y)", i+1))
+		queries[i] = mustAtom(t, fmt.Sprintf("tc(f(%d), Y)", i+1))
 	}
 	first := make([]Strategy, len(queries))
 	const sweepers = 4
@@ -391,18 +405,18 @@ func TestAutoPlannerDecisionsBounded(t *testing.T) {
 	remembered, listed := len(planner.decisions), planner.order.Len()
 	evicted := -1
 	for i, q := range queries {
-		if _, ok := planner.decisions[q.CanonicalKey()]; !ok {
+		if _, ok := planner.decisions[shapeOf(q, p, nil).canon]; !ok {
 			evicted = i
 			break
 		}
 	}
 	planner.mu.Unlock()
 	if remembered > limit || listed != remembered {
-		t.Fatalf("%d decisions remembered (%d listed) after %d distinct constants, want at most %d",
+		t.Fatalf("%d decisions remembered (%d listed) after %d distinct shapes, want at most %d",
 			remembered, listed, len(queries), limit)
 	}
-	if got := planner.Stats().Picks; got != int64(len(queries)) {
-		t.Errorf("picks = %d, want %d", got, len(queries))
+	if got := planner.Stats().Picks; got != int64(len(queries))+1 {
+		t.Errorf("picks = %d, want %d", got, len(queries)+1)
 	}
 	if evicted < 0 {
 		t.Fatal("no decision was evicted")
@@ -416,8 +430,8 @@ func TestAutoPlannerDecisionsBounded(t *testing.T) {
 		t.Errorf("evicted %s: recosted=%v strategy=%s, want a fresh pick of %s",
 			queries[evicted], again.Recosted, again.Strategy, first[evicted])
 	}
-	if got := planner.Stats().Picks; got != int64(len(queries))+1 {
-		t.Errorf("picks after revisit = %d, want %d", got, len(queries)+1)
+	if got := planner.Stats().Picks; got != int64(len(queries))+2 {
+		t.Errorf("picks after revisit = %d, want %d", got, len(queries)+2)
 	}
 	planner.mu.Lock()
 	remembered = len(planner.decisions)

@@ -39,6 +39,12 @@ type Pipeline struct {
 	// spans traces each transformation stage the first time it runs (the
 	// outcomes above are memoized, so each stage appears at most once).
 	spans []obsv.Span
+
+	// tmpl and bound make this pipeline a query's instantiation of a plan
+	// template (see template.go): its stages are tmpl's, rewritten through
+	// bound. Both are nil on a pipeline that compiles its own query.
+	tmpl  *Pipeline
+	bound *binding
 }
 
 // New constructs a pipeline.
@@ -107,6 +113,9 @@ func spanFrom(name string, start stageStart, in, out *ast.Program, err error) ob
 
 // Spans returns the stage spans recorded so far, in execution order.
 func (pl *Pipeline) Spans() []obsv.Span {
+	if pl.tmpl != nil {
+		return pl.tmpl.Spans()
+	}
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	return append([]obsv.Span(nil), pl.spans...)

@@ -20,7 +20,9 @@ import (
 // PlanKey identifies a family of compiled plans: one program, one query
 // predicate, one binding pattern, one strategy. Everything the rewrite
 // pipeline does — adornment, Magic rules, factoring, the Section 5
-// clean-up — is determined by this key plus the query's bound constants.
+// clean-up — is determined by this key plus the query's shape (shapeOf):
+// its variable-equality pattern and which bound arguments share a constant.
+// The constants themselves are bound in after compilation (template.go).
 type PlanKey struct {
 	// ProgramHash fingerprints the IDB rules and constraints (HashProgram).
 	ProgramHash string
@@ -38,16 +40,17 @@ type PlanKey struct {
 // and safe for concurrent Run calls, each over its own EDB.
 type Plan struct {
 	Key PlanKey
-	// Binding renders the query's bound constants, e.g. "(5)". Plans
-	// specialize on it: the magic seed fact carries the constants, and the
-	// Section 5 optimizer (Prop. 5.3) deletes literals mentioning exactly
-	// those constants — two queries with the same adornment but different
-	// constants compile to different programs.
+	// Binding renders the query's bound constants, e.g. "(5)": the
+	// constants this plan binds into its shape's compiled template. The
+	// magic seed fact and the literals Prop. 5.3 deletes carry them; every
+	// constant of one shape shares the template's compile.
 	Binding string
-	// Query is the exact query atom the plan was compiled for.
+	// Query is the exact query atom the plan serves.
 	Query ast.Atom
-	// CompileWall is the wall-clock time buildPlan spent compiling the
-	// transformation chain, reported by EXPLAIN's plan-cache disposition.
+	// CompileWall is the wall-clock time buildPlan spent producing the plan,
+	// reported by EXPLAIN's plan-cache disposition: the strategy's chain
+	// compiled on the shape's template the first time, a constant bound
+	// into the compiled template after that.
 	CompileWall time.Duration
 
 	pl *Pipeline
@@ -98,12 +101,20 @@ func BindingOf(query ast.Atom) string {
 
 // cacheID is the full identity of a cached plan: the family key plus the
 // query's canonical form (ast.Atom.CanonicalKey), which carries both the
-// bound constants (see Plan.Binding for why constants matter) and the
-// variable-equality pattern — t(X,X) canonicalizes to t(V0,V0) and t(X,Y)
-// to t(V0,V1), so they never share a plan even though both adorn as "ff".
+// bound constants the plan binds (Plan.Binding) and the variable-equality
+// pattern — t(X,X) canonicalizes to t(V0,V0) and t(X,Y) to t(V0,V1), so
+// they never share a plan even though both adorn as "ff". A plan hit
+// returns the bound plan as is; a miss binds it from the shape's template.
 type cacheID struct {
 	key   PlanKey
 	canon string
+}
+
+// shapeID identifies a template pipeline: one program, one query shape
+// (shape.canon). Every strategy of the shape compiles on the same template.
+type shapeID struct {
+	progHash string
+	canon    string
 }
 
 // cacheEntry is built by the lookup that creates it; concurrent lookups of
@@ -122,16 +133,19 @@ type cacheEntry struct {
 	err   error
 }
 
-// DefaultPlanCacheLimit is the entry bound NewPlanCache uses. Plans hold
-// only programs, not EDB data, so a thousand of them is small; the bound
-// exists because plan identity includes client-supplied bound constants,
-// and a serving process exposed to arbitrary clients must not let a
-// constant-sweeping workload (t(1,Y), t(2,Y), ...) grow memory forever.
+// DefaultPlanCacheLimit is the bound NewPlanCache puts on bound plans and,
+// separately, on templates. Both hold only programs, not EDB data, so a
+// thousand of each is small. Plans are bounded because their identity
+// includes client-supplied constants: a constant-sweeping workload (t(1,Y),
+// t(2,Y), ...) compiles once but binds a plan per constant, and must not
+// grow memory forever. Templates are bounded because a query whose
+// constants cannot be parameterised (shapeOf) is its own shape.
 const DefaultPlanCacheLimit = 1024
 
 // PlanCache memoizes compiled plans for a serving process. It is safe for
 // concurrent use and bounded: once the entry limit is reached, the least
-// recently used plan is evicted (and recompiled if queried again).
+// recently used plan is evicted (and bound again if queried again), and
+// likewise the least recently used template (and compiled again).
 type PlanCache struct {
 	mu        sync.Mutex
 	limit     int
@@ -140,6 +154,11 @@ type PlanCache struct {
 	hits      int64
 	misses    int64
 	evictions int64
+
+	// templates holds each shape's template pipeline (*shapeSlot), most
+	// recently used first; plans bound to an evicted template keep it.
+	templates *list.List
+	shapes    map[shapeID]*list.Element
 }
 
 // lruSlot is an order-list element: the entry plus the id that maps to it,
@@ -147,6 +166,12 @@ type PlanCache struct {
 type lruSlot struct {
 	id    cacheID
 	entry *cacheEntry
+}
+
+// shapeSlot is a templates element.
+type shapeSlot struct {
+	id shapeID
+	pl *Pipeline
 }
 
 // NewPlanCache returns an empty cache bounded at DefaultPlanCacheLimit.
@@ -158,17 +183,22 @@ func NewPlanCache() *PlanCache {
 // (limit <= 0 means unbounded).
 func NewPlanCacheLimit(limit int) *PlanCache {
 	return &PlanCache{
-		limit:   limit,
-		order:   list.New(),
-		entries: map[cacheID]*list.Element{},
+		limit:     limit,
+		order:     list.New(),
+		entries:   map[cacheID]*list.Element{},
+		templates: list.New(),
+		shapes:    map[shapeID]*list.Element{},
 	}
 }
 
-// Lookup returns the compiled plan for (prog, query, strategy), compiling
-// and caching it on first use. hit reports whether a cached entry was
-// reused (or waited on, if another lookup was mid-compile). progHash must
-// be HashProgram(prog, constraints), computed once by the caller; prog and
-// constraints must not change for a given hash.
+// Lookup returns the compiled plan for (prog, query, strategy), binding and
+// caching it on first use: the strategy's chain is compiled once per query
+// shape, on the shape's template, and each constant binds into it. hit
+// reports that no rewrite ran — a cached plan was reused (or waited on, if
+// another lookup was mid-compile), or the template had compiled the
+// strategy already. progHash must be HashProgram(prog, constraints),
+// computed once by the caller; prog and constraints must not change for a
+// given hash.
 //
 // ctx bounds this caller's wait only: a waiter whose context expires while
 // another lookup compiles gets a typed engine error without disturbing the
@@ -199,7 +229,6 @@ func (c *PlanCache) Lookup(ctx context.Context, prog *ast.Program, progHash stri
 			return nil, true, fmt.Errorf("awaiting plan compile: %w", typedCtxErr(ctx))
 		}
 	}
-	c.misses++
 	e := &cacheEntry{ready: make(chan struct{})}
 	c.entries[id] = c.order.PushFront(&lruSlot{id: id, entry: e})
 	if c.limit > 0 && len(c.entries) > c.limit {
@@ -210,19 +239,49 @@ func (c *PlanCache) Lookup(ctx context.Context, prog *ast.Program, progHash stri
 	}
 	c.mu.Unlock()
 
-	e.plan, e.err = buildPlan(ctx, prog, constraints, query, key, strategy)
+	sh := shapeOf(query, prog, constraints)
+	e.plan, hit, e.err = buildPlan(ctx, c.template(prog, progHash, constraints, sh), query, sh.params, key, strategy)
+	c.mu.Lock()
+	if hit {
+		c.hits++
+	} else {
+		c.misses++
+	}
+	c.mu.Unlock()
 	if e.err != nil && transientCompileErr(e.err) {
 		c.forget(id, e)
 	}
 	close(e.ready)
-	return e.plan, false, e.err
+	return e.plan, hit, e.err
 }
 
-// buildPlan compiles one plan behind a recover barrier. A panic anywhere in
+// template returns shape sh's template pipeline, creating it on first
+// sight; past the entry limit the least recently used template is dropped.
+func (c *PlanCache) template(prog *ast.Program, progHash string, constraints []ast.Rule, sh shape) *Pipeline {
+	id := shapeID{progHash: progHash, canon: sh.canon}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.shapes[id]; ok {
+		c.templates.MoveToFront(el)
+		return el.Value.(*shapeSlot).pl
+	}
+	pl := New(prog, sh.query).WithConstraints(constraints)
+	c.shapes[id] = c.templates.PushFront(&shapeSlot{id: id, pl: pl})
+	if c.limit > 0 && len(c.shapes) > c.limit {
+		tail := c.templates.Back()
+		c.templates.Remove(tail)
+		delete(c.shapes, tail.Value.(*shapeSlot).id)
+	}
+	return pl
+}
+
+// buildPlan compiles strategy on the query's template and binds the query's
+// constants (params) into it, behind a recover barrier: a panic anywhere in
 // the rewrite pipeline (adornment, Magic, factoring, the Section 5 clean-up)
-// becomes a typed engine.ErrInternal instead of killing the process.
-func buildPlan(ctx context.Context, prog *ast.Program, constraints []ast.Rule,
-	query ast.Atom, key PlanKey, strategy Strategy) (plan *Plan, err error) {
+// becomes a typed engine.ErrInternal instead of killing the process. hit
+// reports that no rewrite ran: the template had compiled the strategy.
+func buildPlan(ctx context.Context, tmpl *Pipeline, query ast.Atom, params []ast.Term,
+	key PlanKey, strategy Strategy) (plan *Plan, hit bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("%w: panic compiling %s plan for %s%s: %v",
@@ -230,19 +289,17 @@ func buildPlan(ctx context.Context, prog *ast.Program, constraints []ast.Rule,
 		}
 	}()
 	if ctx.Err() != nil {
-		return nil, fmt.Errorf("compile %s for %s%s: %w", strategy, query.Pred, key.Adornment, typedCtxErr(ctx))
+		return nil, false, fmt.Errorf("compile %s for %s%s: %w", strategy, query.Pred, key.Adornment, typedCtxErr(ctx))
 	}
 	faultinject.Hit(faultinject.PlanCompile)
 	start := time.Now()
-	pl := New(prog, query)
-	if len(constraints) > 0 {
-		pl.WithConstraints(constraints)
-	}
-	if cerr := pl.Compile(strategy); cerr != nil {
-		return nil, fmt.Errorf("compile %s for %s%s: %w", strategy, query.Pred, key.Adornment, cerr)
+	pl := tmpl.bind(query, params)
+	ran, cerr := pl.compile(strategy)
+	if cerr != nil {
+		return nil, false, fmt.Errorf("compile %s for %s%s: %w", strategy, query.Pred, key.Adornment, cerr)
 	}
 	return &Plan{Key: key, Binding: BindingOf(query), Query: query,
-		CompileWall: time.Since(start), pl: pl}, nil
+		CompileWall: time.Since(start), pl: pl}, !ran, nil
 }
 
 // typedCtxErr maps a done context to the engine's typed sentinels so HTTP

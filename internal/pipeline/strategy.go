@@ -293,6 +293,10 @@ func (pl *Pipeline) stageLocked(id stageID) *stageMemo {
 	if m.done {
 		return m
 	}
+	if pl.tmpl != nil {
+		*m = pl.bound.stage(pl.tmpl.stage(id))
+		return m
+	}
 	def := &stages[id]
 	in := pl.Program
 	if def.input != sourceProgram {
@@ -313,8 +317,14 @@ func (pl *Pipeline) stageLocked(id stageID) *stageMemo {
 	return m
 }
 
-// stageResult is the typed view the exported accessors share.
+// stageResult is the typed view the exported accessors share. A plan's
+// bound pipeline has none: its typed results would carry the template's
+// parameters, not the query's constants.
 func stageResult[T any](pl *Pipeline, id stageID) (T, error) {
+	if pl.tmpl != nil {
+		var none T
+		return none, fmt.Errorf("%s: typed stage results are the template's; compile %s with New", stages[id].name, pl.Query)
+	}
 	m := pl.stage(id)
 	res, _ := m.res.(T)
 	return res, m.err
@@ -346,14 +356,31 @@ func (pl *Pipeline) CountingProgram() (*counting.Result, error) {
 // and memoized for the rest: the first call does the work, every later
 // call (from any goroutine) returns the cached outcome.
 func (pl *Pipeline) Compile(s Strategy) error {
+	_, err := pl.compile(s)
+	return err
+}
+
+// compile is Compile that also reports whether a rewrite stage ran in this
+// call — on a bound pipeline, in its template — rather than being read
+// from the memo.
+func (pl *Pipeline) compile(s Strategy) (ran bool, err error) {
 	row := s.row()
 	if row.eval == perRun {
-		return fmt.Errorf("auto strategy resolves at run time; compile the picked strategy")
+		return false, fmt.Errorf("auto strategy resolves at run time; compile the picked strategy")
 	}
 	if len(row.chain) == 0 {
-		return nil
+		return false, nil
 	}
-	return pl.stage(row.chain[len(row.chain)-1]).err
+	last := row.chain[len(row.chain)-1]
+	if pl.tmpl != nil {
+		ran, _ = pl.tmpl.compile(s)
+		return ran, pl.stage(last).err
+	}
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	before := len(pl.spans)
+	err = pl.stageLocked(last).err
+	return len(pl.spans) > before, err
 }
 
 // MaterializedProgram returns the program strategy s evaluates bottom-up
@@ -381,6 +408,9 @@ func (pl *Pipeline) MaterializedProgram(s Strategy) (prog *ast.Program, query as
 // chain order (the pipeline accumulates spans across strategies as its
 // memo fills).
 func (pl *Pipeline) spansFor(s Strategy) []obsv.Span {
+	if pl.tmpl != nil {
+		return pl.tmpl.spansFor(s)
+	}
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	var out []obsv.Span
