@@ -672,6 +672,9 @@ func (rn *runner) join(r *compiledRule, li int, slots []Val, trail []int) error 
 		} else {
 			positions = rel.Probe(spec.boundCols, key)
 		}
+		if limit.lo > 0 {
+			positions = rel.fromWindow(positions, limit.lo)
+		}
 		if shardHere {
 			lo, hi := shardRange(len(positions), rn.shardRem, rn.shardMod)
 			positions = positions[lo:hi]
@@ -683,11 +686,12 @@ func (rn *runner) join(r *compiledRule, li int, slots []Val, trail []int) error 
 		}
 		return nil
 	}
+	start := rel.windowStart(limit.lo)
 	if shardHere {
 		// Parallel rounds freeze relations, so the length is fixed and the
-		// shard can slice it up front.
-		lo, hi := shardRange(rel.Len(), rn.shardRem, rn.shardMod)
-		for pos := lo; pos < hi; pos++ {
+		// shard can slice the window up front.
+		lo, hi := shardRange(rel.Len()-int(start), rn.shardRem, rn.shardMod)
+		for pos := start + lo; pos < start+hi; pos++ {
 			if err := tryPos(pos); err != nil {
 				return err
 			}
@@ -697,7 +701,7 @@ func (rn *runner) join(r *compiledRule, li int, slots []Val, trail []int) error 
 	// Re-read Len every iteration: sequential rounds insert while scanning,
 	// and seeing those tuples in the same pass (the round-0 cascade) is part
 	// of the sequential evaluator's convergence behavior.
-	for pos := int32(0); pos < int32(rel.Len()); pos++ {
+	for pos := start; pos < int32(rel.Len()); pos++ {
 		if err := tryPos(pos); err != nil {
 			return err
 		}

@@ -41,6 +41,7 @@ import (
 	"factorlog/internal/ast"
 	"factorlog/internal/depgraph"
 	"factorlog/internal/faultinject"
+	"factorlog/internal/obsv"
 )
 
 // ErrMutation is returned (wrapped) when a mutation batch is invalid: a
@@ -137,6 +138,10 @@ type Materialization struct {
 	epoch int64
 	dirty bool // a failed Apply poisoned db; rebuild before next use
 	opts  MaterializeOptions
+	// joins, when non-nil, accumulates the join counters of every
+	// insertion wave (probes, matches, new and re-derived heads), the way
+	// Options.Trace does for Eval; tests set it to check per-inference cost.
+	joins *obsv.RuleStats
 }
 
 // Materialize is MaterializeVersion over a private image of baseFacts,
@@ -510,18 +515,18 @@ func (mt *maintainer) rebuildPreds(closure map[string]bool) error {
 	if len(rebuildSet) == 0 {
 		return nil
 	}
+	// Each cleared relation is replaced by a fresh one rather than having
+	// every row tombstoned: nothing is leaked per rebuild, and later
+	// row-0 scans do not walk a stratum's worth of dead rows.
 	for pred := range rebuildSet {
 		rel := m.db.Lookup(pred)
 		if rel == nil {
 			continue
 		}
-		for pos := int32(0); pos < int32(rel.Len()); pos++ {
-			if rel.Round(pos) < 0 {
-				continue
-			}
-			rel.deleteRow(pos)
-			mt.st.DeletedFacts++
-		}
+		mt.st.DeletedFacts += rel.Live()
+		fresh := NewRelation(rel.arity)
+		fresh.EnableCounts()
+		m.db.relations[pred] = fresh
 	}
 	// Re-seed the EDB support of rebuilt predicates (a retractable
 	// predicate can also be derivable).
@@ -613,7 +618,13 @@ func (mt *maintainer) insertSink(r *compiledRule, tuple []Val) error {
 	rel := mt.m.db.Lookup(r.headPred)
 	if row, ok := rel.findRow(tuple); ok {
 		rel.addCount(row, 1)
+		if t := mt.rn.cur; t != nil {
+			t.Duplicates++
+		}
 		return nil
+	}
+	if t := mt.rn.cur; t != nil {
+		t.TuplesDerived++
 	}
 	rel.InsertRound(tuple, mt.wave+1)
 	mt.newCounts[r.headPred]++
@@ -630,6 +641,7 @@ func (mt *maintainer) insertSink(r *compiledRule, tuple []Val) error {
 func (mt *maintainer) runInsertWaves(active []*compiledRule) error {
 	m := mt.m
 	mt.rn.db = m.db
+	mt.rn.cur = m.joins
 	mt.rn.sink = func(r *compiledRule, tuple []Val, _ []FactID) error {
 		return mt.insertSink(r, tuple)
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -27,13 +28,28 @@ import (
 // mutations — the property the parallel evaluator's in-round probes rely
 // on.
 //
+// Every evaluator reads rows through a round window [lo, hi]. Semi-naive
+// rounds and insertion waves append rows in non-decreasing stamp order, so
+// the relation keeps a run table: for each stamp s ≥ 1, the first row
+// appended with a stamp ≥ s (one int32 per stamp). A window with lo ≥ 1
+// starts its scan at windowStart(lo) — and an index probe binary-searches
+// its ascending postings to that row — so a wave reads O(rows in its
+// window), not O(relation). An entry is only a lower bound: rows before it
+// carry stamps below s, while rows after it are still filtered stamp by
+// stamp, so an append of any stamp, in or out of order, keeps the table
+// correct. The writes that restamp a row in place or shorten the arena
+// (stampDying, and the dense remove) lower the entries to that row;
+// stampAll and resetRounds rebuild the table outright, and clone copies it.
+//
 // Deletion (incremental maintenance) never moves rows: Delete removes the
 // tuple from the membership table and stamps rounds[row] = -1, the dead
-// sentinel. Index postings keep the dead row id — every evaluator reads a
-// row only through a round window whose lower bound is ≥ 0, so dead rows
-// are filtered at the same branch that implements semi-naive deltas, and
-// postings buckets never need compaction. The arena slot itself is leaked
-// until the next full rebuild, which is the usual arena trade.
+// sentinel. Index postings keep the dead row id — every round window has
+// a lower bound ≥ 0, so dead rows are filtered at the same branch that
+// implements semi-naive deltas, and postings buckets never need
+// compaction. The arena slot itself stays until the relation is dropped:
+// a Materialization replaces the relations a DRed rebuild clears with
+// fresh ones rather than deleting their rows, so only individually
+// retracted facts leave dead rows behind.
 //
 // In counted mode (EnableCounts, used by Materialization) each row also
 // carries a derivation count — how many immediate derivations currently
@@ -66,6 +82,9 @@ type Relation struct {
 	// round 0 or the dead sentinel. Rows are appended in stamp order, so
 	// resetRounds only has to visit [stampedFrom, Len).
 	stampedFrom int32
+	// starts is the run table (see the type comment): no row before
+	// starts[s-1] carries a stamp ≥ s.
+	starts []int32
 
 	dead    int     // rows with rounds[row] < 0
 	counted bool    // counts column maintained
@@ -363,6 +382,7 @@ func (r *Relation) InsertRound(tuple []Val, round int32) bool {
 	if round <= 0 && r.stampedFrom == row {
 		r.stampedFrom = row + 1
 	}
+	r.coverStamps(round, row)
 	r.arena = append(r.arena, tuple...)
 	r.rounds = append(r.rounds, round)
 	if r.counted {
@@ -459,15 +479,60 @@ func (r *Relation) remove(tuple []Val) bool {
 		r.present.repoint(hashVals(moved), last, row)
 		copy(r.arena[int(row)*r.arity:], moved)
 		r.rounds[row] = r.rounds[last]
+		if r.rounds[row] > 0 {
+			r.stampedFrom = min(r.stampedFrom, row)
+			r.restamped(row, r.rounds[row])
+		}
 	}
 	r.arena = r.arena[:int(last)*r.arity]
 	r.rounds = r.rounds[:last]
 	r.stampedFrom = min(r.stampedFrom, last)
+	r.restamped(last, 0)
 	return true
 }
 
 // Round returns the insertion round of the tuple at pos.
 func (r *Relation) Round(pos int32) int32 { return r.rounds[pos] }
+
+// windowStart returns the row a scan of a round window with lower bound lo
+// may start at: no row before it carries a stamp ≥ lo. For lo ≤ 0 that is
+// row 0; when the table stops short of lo, no row carries lo or more and
+// the scan starts at Len, seeing only rows appended after the call.
+func (r *Relation) windowStart(lo int32) int32 {
+	if lo <= 0 {
+		return 0
+	}
+	if int(lo) > len(r.starts) {
+		return int32(len(r.rounds))
+	}
+	return r.starts[lo-1]
+}
+
+// fromWindow drops the leading rows of an ascending postings list that lie
+// before windowStart(lo), by binary search.
+func (r *Relation) fromWindow(positions []int32, lo int32) []int32 {
+	i, _ := slices.BinarySearch(positions, r.windowStart(lo))
+	return positions[i:]
+}
+
+// coverStamps extends the run table through stamp: the stamps it adds are
+// first reached at row.
+func (r *Relation) coverStamps(stamp, row int32) {
+	for int32(len(r.starts)) < stamp {
+		r.starts = append(r.starts, row)
+	}
+}
+
+// restamped keeps the run table correct when row took stamp in place or —
+// with stamp 0 — when the arena was cut back to end before row: every
+// entry is lowered to row, so no window skips the row, or the next one
+// appended there.
+func (r *Relation) restamped(row, stamp int32) {
+	r.coverStamps(stamp, row)
+	for i := range r.starts {
+		r.starts[i] = min(r.starts[i], row)
+	}
+}
 
 // stampAll stamps every live row with round: the initial build and the
 // DRed rederivation treat the whole database as one delta.
@@ -479,6 +544,8 @@ func (r *Relation) stampAll(round int32) {
 		}
 	}
 	r.stampedFrom = 0
+	r.starts = r.starts[:0]
+	r.coverStamps(round, 0)
 }
 
 // stampDying stamps a live row as a deletion wave's delta. The wave kills
@@ -487,6 +554,7 @@ func (r *Relation) stampAll(round int32) {
 func (r *Relation) stampDying(row int32) {
 	r.checkWritable()
 	r.rounds[row] = 1
+	r.restamped(row, 1)
 }
 
 // resetRounds zeroes the stamps of the rows at and above the low-water
@@ -504,14 +572,16 @@ func (r *Relation) resetRounds() int {
 		}
 	}
 	r.stampedFrom = int32(len(r.rounds))
+	r.starts = r.starts[:0]
 	return len(r.rounds) - from
 }
 
 // clone returns a private, writable copy of the rows of a dense, unstamped
 // relation — an image relation, or a materialization's own copy of one —
-// with room for extra more: the arena, the stamps and the membership table
-// are copied wholesale, nothing is re-interned or re-hashed, and column
-// indexes and counted-mode columns are left behind.
+// with room for extra more: the arena, the stamps with their low-water mark
+// and run table, and the membership table are copied wholesale, nothing is
+// re-interned or re-hashed, and column indexes and counted-mode columns are
+// left behind.
 func (r *Relation) clone(extra int) *Relation {
 	nr := NewRelation(r.arity)
 	nr.arena = append(make([]Val, 0, len(r.arena)+extra*r.arity), r.arena...)
@@ -522,7 +592,8 @@ func (r *Relation) clone(extra int) *Relation {
 		n:      r.present.n,
 		used:   r.present.used,
 	}
-	nr.stampedFrom = int32(len(nr.rounds))
+	nr.stampedFrom = r.stampedFrom
+	nr.starts = append([]int32(nil), r.starts...)
 	return nr
 }
 
@@ -677,12 +748,13 @@ func (r *Relation) probeFrozen(cols []int, key []Val) []int32 {
 }
 
 // StorageFootprint reports the relation's memory shape: arena bytes
-// (tuples + round stamps), index bytes (hash slots + postings), and the
-// load factors of the membership table and the indexes.
+// (tuples, round stamps, counts and the run table), index bytes (hash
+// slots + postings), and the load factors of the membership table and the
+// indexes.
 func (r *Relation) StorageFootprint() (arenaBytes, indexBytes int64, presentLoad, indexLoad float64, nIndexes int) {
 	const valSize, roundSize, hashSize, slotSize = 4, 4, 8, 4
 	arenaBytes = int64(cap(r.arena))*valSize + int64(cap(r.rounds))*roundSize
-	arenaBytes += int64(cap(r.counts)) * roundSize
+	arenaBytes += int64(cap(r.counts)+cap(r.starts)) * roundSize
 	indexBytes = int64(cap(r.present.hashes))*hashSize + int64(cap(r.present.rows))*slotSize
 	if len(r.present.rows) > 0 {
 		presentLoad = float64(r.present.n) / float64(len(r.present.rows))
