@@ -223,7 +223,7 @@ func TestFactsRejections(t *testing.T) {
 	// Draining: typed 503.
 	srv.BeginDrain()
 	status, _, body := postFacts(t, ts, `{"assert":["e(8,9)"]}`)
-	if status != http.StatusServiceUnavailable || !strings.Contains(body, `"draining": true`) {
+	if status != http.StatusServiceUnavailable || !strings.Contains(body, `"draining":true`) {
 		t.Errorf("draining POST = %d: %s", status, body)
 	}
 }

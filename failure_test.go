@@ -214,7 +214,7 @@ func TestUnicodeConstants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Answers) != 1 || res.Answers[0] != "(大阪)" {
+	if len(res.Answers) != 1 || res.Answers[0] != "('大阪')" {
 		t.Errorf("answers = %v", res.Answers)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unicode"
 )
 
 // TermKind discriminates the three shapes a term can take.
@@ -219,7 +220,7 @@ func (t Term) write(b *strings.Builder) {
 		}
 		b.WriteByte(']')
 	case t.Kind == Compound:
-		b.WriteString(t.Functor)
+		writeName(b, t.Functor)
 		b.WriteByte('(')
 		for i, a := range t.Args {
 			if i > 0 {
@@ -228,9 +229,77 @@ func (t Term) write(b *strings.Builder) {
 			a.write(b)
 		}
 		b.WriteByte(')')
+	case t.Kind == Const:
+		writeName(b, t.Functor)
 	default:
 		b.WriteString(t.Functor)
 	}
+}
+
+// writeName writes name through AppendName, without the copy when it
+// prints bare (the common case: canonical keys are built per request).
+func writeName(b *strings.Builder, name string) {
+	if bareName(name) {
+		b.WriteString(name)
+		return
+	}
+	var buf [64]byte
+	b.Write(AppendName(buf[:0], name))
+}
+
+// AppendName appends a constant or functor name to dst in surface syntax:
+// bare when the parser reads it back as that same name — a lower-case
+// identifier, an integer, or the empty list — and otherwise single-quoted,
+// each ' doubled (the lexer's quoted-atom escape). It is the one quoting
+// rule: Term.String and the engine's renderer both print names through it.
+func AppendName(dst []byte, name string) []byte {
+	if bareName(name) {
+		return append(dst, name...)
+	}
+	dst = append(dst, '\'')
+	for i := 0; i < len(name); i++ {
+		if name[i] == '\'' {
+			dst = append(dst, '\'')
+		}
+		dst = append(dst, name[i])
+	}
+	return append(dst, '\'')
+}
+
+// bareName reports whether the lexer reads name, unquoted, as one atom
+// token spelling name: a lower-case letter followed by identifier bytes, or
+// an optional '-' followed by digits. The parser also reads [] as NilName.
+func bareName(name string) bool {
+	if name == "" {
+		return false
+	}
+	if name == NilName {
+		return true
+	}
+	c, rest := name[0], name[1:]
+	switch {
+	case unicode.IsLower(rune(c)):
+		for i := 0; i < len(rest); i++ {
+			if !IsIdentByte(rest[i]) {
+				return false
+			}
+		}
+		return true
+	case c == '-' || unicode.IsDigit(rune(c)):
+		for i := 0; i < len(rest); i++ {
+			if !unicode.IsDigit(rune(rest[i])) {
+				return false
+			}
+		}
+		return c != '-' || rest != ""
+	}
+	return false
+}
+
+// IsIdentByte reports whether c may continue an identifier. The lexer reads
+// identifiers with it, so names print exactly as they lex.
+func IsIdentByte(c byte) bool {
+	return c == '_' || unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c))
 }
 
 // Compare orders terms: variables before constants before compounds, then by

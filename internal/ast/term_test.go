@@ -179,3 +179,18 @@ func TestTermKindString(t *testing.T) {
 		t.Error("unknown kind should still render")
 	}
 }
+
+func TestAppendName(t *testing.T) {
+	for _, tc := range []struct{ name, want string }{
+		{"a", "a"}, {"fooBar_9", "fooBar_9"}, {"42", "42"}, {"-7", "-7"}, {"007", "007"}, {"[]", "[]"},
+		{"", "''"}, {"-", "'-'"}, {"a b", "'a b'"}, {"x,y", "'x,y'"}, {"It's", "'It''s'"},
+		{"Up", "'Up'"}, {"_x", "'_x'"}, {"$0", "'$0'"}, {"4a", "'4a'"}, {"京都", "'京都'"},
+	} {
+		if got := string(AppendName(nil, tc.name)); got != tc.want {
+			t.Errorf("AppendName(%q) = %s, want %s", tc.name, got, tc.want)
+		}
+	}
+	if got := Fn("a b", C("It's"), List(C("x,y"))).String(); got != "'a b'('It''s',['x,y'])" {
+		t.Errorf("String = %s", got)
+	}
+}

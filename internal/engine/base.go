@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -321,21 +320,13 @@ func (v *Version) Atoms() []ast.Atom { return v.view().liveAtoms() }
 // ast.Atom.String would — the form WAL snapshots store.
 func (v *Version) FactStrings() []string {
 	out := make([]string, 0, v.facts)
-	var b strings.Builder
+	var buf []byte
 	v.view().eachLive(func(pred string, tuple []Val) {
-		b.Reset()
-		b.WriteString(pred)
+		buf = append(buf[:0], pred...)
 		if len(tuple) > 0 {
-			b.WriteByte('(')
-			for i, val := range tuple {
-				if i > 0 {
-					b.WriteByte(',')
-				}
-				v.store.write(&b, val)
-			}
-			b.WriteByte(')')
+			buf = v.store.appendTuple(buf, tuple)
 		}
-		out = append(out, b.String())
+		out = append(out, string(buf))
 	})
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"time"
 
 	"factorlog/internal/ast"
@@ -773,56 +774,124 @@ func (ev *evaluator) emit(r *compiledRule, tuple []Val, children []FactID) error
 // (constants and repeated variables filter; distinct variables project). The
 // result preserves relation insertion order.
 func Answers(db *DB, query ast.Atom) ([][]Val, error) {
-	rel := db.Lookup(query.Pred)
-	if rel == nil {
-		return nil, nil
-	}
-	if rel.Arity() != len(query.Args) {
-		return nil, fmt.Errorf("query %s has arity %d but relation has arity %d",
-			query.Pred, len(query.Args), rel.Arity())
-	}
-	c := &compiler{store: db.Store, idb: map[string]bool{}, slots: map[string]int{}}
-	pats := make([]pattern, len(query.Args))
-	for i, t := range query.Args {
-		pats[i] = c.compileTerm(t)
-	}
-	slots := make([]Val, c.n)
 	var out [][]Val
-	for pos := int32(0); pos < int32(rel.Len()); pos++ {
-		if rel.Round(pos) < 0 {
-			continue // dead row (deleted under incremental maintenance)
+	err := eachAnswer(db, query, func(tuple []Val) { out = append(out, tuple) })
+	return out, err
+}
+
+// AnswerStrings renders the tuples Answers returns, in the same order, each
+// projected on cols as (v1,...,vk). Every rendering is a substring of one
+// string, so an answer set costs one allocation for its text however many
+// answers it holds.
+func AnswerStrings(db *DB, query ast.Atom, cols []int) ([]string, error) {
+	var arena strings.Builder
+	var ends []int
+	var proj []Val
+	var buf []byte
+	err := eachAnswer(db, query, func(tuple []Val) {
+		proj = proj[:0]
+		for _, c := range cols {
+			proj = append(proj, tuple[c])
 		}
-		tuple := rel.Tuple(pos)
-		for i := range slots {
-			slots[i] = NoVal
-		}
-		var trail []int
-		ok := true
-		for i, p := range pats {
-			if !matchPattern(p, tuple[i], slots, &trail, db.Store) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, tuple)
-		}
+		buf = db.Store.appendTuple(buf[:0], proj)
+		arena.Write(buf)
+		ends = append(ends, arena.Len())
+	})
+	if err != nil {
+		return nil, err
+	}
+	text := arena.String()
+	out := make([]string, len(ends))
+	start := 0
+	for i, end := range ends {
+		out[i], start = text[start:end], end
 	}
 	return out, nil
 }
 
-// AnswerSet renders the answers to query as a sorted set of strings, one
-// per matching tuple; convenient for equivalence tests across strategies.
+// AnswerSet renders the answers to query as a set of strings, one per
+// matching tuple, each the whole tuple as (v1,...,vn); convenient for
+// equivalence tests across strategies.
 func AnswerSet(db *DB, query ast.Atom) (map[string]bool, error) {
-	tuples, err := Answers(db, query)
+	cols := make([]int, len(query.Args))
+	for i := range cols {
+		cols[i] = i
+	}
+	answers, err := AnswerStrings(db, query, cols)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]bool, len(tuples))
-	for _, t := range tuples {
-		out[db.Store.TupleString(t)] = true
+	out := make(map[string]bool, len(answers))
+	for _, a := range answers {
+		out[a] = true
 	}
 	return out, nil
+}
+
+// eachAnswer calls yield with every live tuple of query's predicate that
+// matches the query atom, in insertion order. The tuple aliases the
+// relation's arena.
+func eachAnswer(db *DB, query ast.Atom, yield func(tuple []Val)) error {
+	rel := db.Lookup(query.Pred)
+	if rel == nil {
+		return nil
+	}
+	if rel.Arity() != len(query.Args) {
+		return fmt.Errorf("query %s has arity %d but relation has arity %d",
+			query.Pred, len(query.Args), rel.Arity())
+	}
+	match := answerMatcher(db.Store, query.Args)
+	for pos := int32(0); pos < int32(rel.Len()); pos++ {
+		if rel.Round(pos) < 0 {
+			continue // dead row (deleted under incremental maintenance)
+		}
+		if tuple := rel.Tuple(pos); match == nil || match(tuple) {
+			yield(tuple)
+		}
+	}
+	return nil
+}
+
+// answerMatcher compiles a query's arguments into a row test. It returns nil
+// when every argument is a distinct variable — every rewritten plan's answer
+// atom — since every row then matches.
+func answerMatcher(store *Store, args []ast.Term) func(tuple []Val) bool {
+	if distinctVars(args) {
+		return nil
+	}
+	c := &compiler{store: store, idb: map[string]bool{}, slots: map[string]int{}}
+	pats := make([]pattern, len(args))
+	for i, t := range args {
+		pats[i] = c.compileTerm(t)
+	}
+	slots := make([]Val, c.n)
+	var trail []int
+	return func(tuple []Val) bool {
+		for i := range slots {
+			slots[i] = NoVal
+		}
+		trail = trail[:0]
+		for i, p := range pats {
+			if !matchPattern(p, tuple[i], slots, &trail, store) {
+				return false
+			}
+		}
+		return true
+	}
+}
+
+func distinctVars(args []ast.Term) bool {
+	for i, t := range args {
+		if !t.IsVar() {
+			return false
+		}
+		for _, u := range args[:i] {
+			if u.Functor == t.Functor {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // LoadFacts interns and inserts ground atoms into db — the loader for

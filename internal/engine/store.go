@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -297,58 +296,64 @@ func (s *Store) ToAST(v Val) ast.Term {
 
 // String renders v in surface syntax (lists re-sugared).
 func (s *Store) String(v Val) string {
-	var b strings.Builder
-	s.write(&b, v)
-	return b.String()
+	var buf [32]byte
+	return string(s.appendVal(buf[:0], v))
 }
 
-func (s *Store) write(b *strings.Builder, v Val) {
+// appendVal appends v to dst in surface syntax: lists re-sugared, names
+// quoted by ast.AppendName, so a rendering parses back to v's term. It is
+// the store's one term renderer; String, TupleString and AnswerStrings call
+// it.
+func (s *Store) appendVal(dst []byte, v Val) []byte {
 	e := s.entry(v)
 	switch {
 	case e.args == nil:
-		b.WriteString(e.functor)
+		return ast.AppendName(dst, e.functor)
 	case e.functor == ast.ConsFunctor && len(e.args) == 2:
-		b.WriteByte('[')
-		s.write(b, e.args[0])
+		dst = append(dst, '[')
+		dst = s.appendVal(dst, e.args[0])
 		rest := e.args[1]
 		for {
 			re := s.entry(rest)
-			if re.functor == ast.ConsFunctor && len(re.args) == 2 {
-				b.WriteByte(',')
-				s.write(b, re.args[0])
-				rest = re.args[1]
-				continue
+			if re.functor != ast.ConsFunctor || len(re.args) != 2 {
+				break
 			}
-			break
+			dst = append(dst, ',')
+			dst = s.appendVal(dst, re.args[0])
+			rest = re.args[1]
 		}
 		if re := s.entry(rest); re.functor != ast.NilName || re.args != nil {
-			b.WriteByte('|')
-			s.write(b, rest)
+			dst = append(dst, '|')
+			dst = s.appendVal(dst, rest)
 		}
-		b.WriteByte(']')
+		return append(dst, ']')
 	default:
-		b.WriteString(e.functor)
-		b.WriteByte('(')
+		dst = ast.AppendName(dst, e.functor)
+		dst = append(dst, '(')
 		for i, a := range e.args {
 			if i > 0 {
-				b.WriteByte(',')
+				dst = append(dst, ',')
 			}
-			s.write(b, a)
+			dst = s.appendVal(dst, a)
 		}
-		b.WriteByte(')')
+		return append(dst, ')')
 	}
+}
+
+// appendTuple appends tuple as (v1,...,vn).
+func (s *Store) appendTuple(dst []byte, tuple []Val) []byte {
+	dst = append(dst, '(')
+	for i, v := range tuple {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = s.appendVal(dst, v)
+	}
+	return append(dst, ')')
 }
 
 // TupleString renders a tuple as (v1,...,vn).
 func (s *Store) TupleString(tuple []Val) string {
-	var b strings.Builder
-	b.WriteByte('(')
-	for i, v := range tuple {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		s.write(&b, v)
-	}
-	b.WriteByte(')')
-	return b.String()
+	var buf [64]byte
+	return string(s.appendTuple(buf[:0], tuple))
 }

@@ -18,6 +18,8 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+
+	"factorlog/internal/ast"
 )
 
 type tokenKind int
@@ -164,10 +166,6 @@ func (l *lexer) skipSpaceAndComments() {
 	}
 }
 
-func isIdentByte(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c))
-}
-
 // next returns the next token.
 func (l *lexer) next() (token, error) {
 	l.skipSpaceAndComments()
@@ -252,7 +250,7 @@ func (l *lexer) next() (token, error) {
 		var b strings.Builder
 		for {
 			c, ok := l.peekByte()
-			if !ok || !isIdentByte(c) {
+			if !ok || !ast.IsIdentByte(c) {
 				break
 			}
 			b.WriteByte(l.advance())
@@ -262,7 +260,7 @@ func (l *lexer) next() (token, error) {
 		var b strings.Builder
 		for {
 			c, ok := l.peekByte()
-			if !ok || !isIdentByte(c) {
+			if !ok || !ast.IsIdentByte(c) {
 				break
 			}
 			b.WriteByte(l.advance())

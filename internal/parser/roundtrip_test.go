@@ -9,15 +9,20 @@ import (
 	"factorlog/internal/ast"
 )
 
+// names is the constant and functor vocabulary: bare names, and names the
+// printer must quote — blanks, commas, an embedded quote, a capital, the
+// empty name, a lone minus, a name spelled like a parameter.
+var names = []string{"a", "b", "c", "42", "-7", "a b", "x,y", "It's", "Up", "", "-", "$0"}
+
 // randRuleTerm builds a random term over a small vocabulary, including
-// lists and compounds, with parser-representable names.
+// lists and compounds.
 func randRuleTerm(r *rand.Rand, depth int) ast.Term {
 	switch {
 	case depth <= 0 || r.Intn(4) == 0:
 		if r.Intn(2) == 0 {
 			return ast.V(fmt.Sprintf("V%d", r.Intn(4)))
 		}
-		return ast.C([]string{"a", "b", "c", "42", "-7"}[r.Intn(5)])
+		return ast.C(names[r.Intn(len(names))])
 	case r.Intn(3) == 0: // proper list
 		n := r.Intn(3)
 		elems := make([]ast.Term, n)
@@ -33,7 +38,7 @@ func randRuleTerm(r *rand.Rand, depth int) ast.Term {
 		for i := range args {
 			args[i] = randRuleTerm(r, depth-1)
 		}
-		return ast.Fn([]string{"f", "g", "h"}[r.Intn(3)], args...)
+		return ast.Fn([]string{"f", "g", "h", "a b", "It's"}[r.Intn(5)], args...)
 	}
 }
 

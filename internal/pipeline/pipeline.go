@@ -340,8 +340,12 @@ func (pl *Pipeline) runTopDown(s Strategy, eval evaluator, db *engine.DB) (*RunR
 	span := spanFrom("eval", start, pl.Program, pl.Program, nil)
 	answers := map[string]bool{}
 	free := pl.freePositions()
+	parts := make([]string, len(free))
 	for _, a := range proved {
-		answers[renderProjection(a.Args, free, func(t ast.Term) string { return t.String() })] = true
+		for i, p := range free {
+			parts[i] = a.Args[p].String()
+		}
+		answers["("+strings.Join(parts, ",")+")"] = true
 	}
 	return &RunResult{
 		Strategy:    s,
@@ -366,14 +370,13 @@ func (pl *Pipeline) ProjectAnswers(db *engine.DB, query ast.Atom, transformed bo
 	if transformed {
 		return engine.AnswerSet(db, query)
 	}
-	tuples, err := engine.Answers(db, pl.Query)
+	answers, err := engine.AnswerStrings(db, pl.Query, pl.freePositions())
 	if err != nil {
 		return nil, err
 	}
-	free := pl.freePositions()
-	out := make(map[string]bool, len(tuples))
-	for _, tup := range tuples {
-		out[renderProjection(tup, free, func(v engine.Val) string { return db.Store.String(v) })] = true
+	out := make(map[string]bool, len(answers))
+	for _, a := range answers {
+		out[a] = true
 	}
 	return out, nil
 }
@@ -386,19 +389,6 @@ func (pl *Pipeline) freePositions() []int {
 		}
 	}
 	return out
-}
-
-func renderProjection[T any](args []T, pos []int, show func(T) string) string {
-	var b strings.Builder
-	b.WriteByte('(')
-	for i, p := range pos {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(show(args[p]))
-	}
-	b.WriteByte(')')
-	return b.String()
 }
 
 func maxIDBArity(p *ast.Program) int {

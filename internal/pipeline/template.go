@@ -162,12 +162,13 @@ func (pl *Pipeline) bind(query ast.Atom, params []ast.Term) *Pipeline {
 	if len(names) == 0 {
 		return pl
 	}
-	// Longest name first, so $10 is replaced before $1 can match inside it.
+	// Longest name first, so $V10 is replaced before $V1 can match inside
+	// it. A parameter is a constant, so rendered text spells it quoted.
 	sort.Slice(names, func(i, j int) bool { return len(names[i]) > len(names[j]) })
 	var pairs []string
 	for _, name := range names {
 		if c, ok := b.consts[name]; ok {
-			pairs = append(pairs, name, c.String())
+			pairs = append(pairs, ast.C(name).String(), c.String())
 		} else {
 			pairs = append(pairs, name, b.vars[name])
 		}

@@ -292,16 +292,16 @@ func TestTemplateShapes(t *testing.T) {
 		query, canon string
 		params       int
 	}{
-		{"t(5,Y)", "t($0,V0)", 1},
-		{"t(6,Z)", "t($0,V0)", 1},
-		{"t(5,5)", "t($0,$0)", 1},
-		{"t(5,6)", "t($0,$1)", 2},
-		{"t(X,5)", "t(V0,$0)", 1},
+		{"t(5,Y)", "t('$0',V0)", 1},
+		{"t(6,Z)", "t('$0',V0)", 1},
+		{"t(5,5)", "t('$0','$0')", 1},
+		{"t(5,6)", "t('$0','$1')", 2},
+		{"t(X,5)", "t(V0,'$0')", 1},
 		{"t(X,X)", "t(V0,V0)", 0},
 		{"t(9,Y)", "t(9,V0)", 0},           // the rule mentions 9
 		{"t(f(1),Y)", "t(f(1),V0)", 0},     // compound bound argument
 		{"t(5,f(5,Y))", "t(5,f(5,V0))", 0}, // 5 recurs in a free argument
-		{"t('$0',Y)", "t($0,V0)", 0},       // spelled like a parameter
+		{"t('$0',Y)", "t('$0',V0)", 0},     // spelled like a parameter
 	} {
 		sh := shapeOf(parser.MustParseAtom(tt.query), prog, nil)
 		if sh.canon != tt.canon || len(sh.params) != tt.params {

@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"strings"
 	"testing"
@@ -172,5 +174,98 @@ func TestMarkedErrorsKeepMessages(t *testing.T) {
 	}
 	if !errors.Is(compileFailed(inner), inner) {
 		t.Error("compileFailed hides its cause from errors.Is")
+	}
+}
+
+// TestRestartRecoversQuotedConstants: a constant that needs quotes in
+// surface syntax survives the log and a snapshot, so a restart on the WAL
+// directory recovers it instead of refusing to start.
+func TestRestartRecoversQuotedConstants(t *testing.T) {
+	ctx := context.Background()
+	cfg := Config{
+		Strategy: "magic", Timeout: 5 * time.Second, Materialize: true,
+		MaxConcurrency: 4, MaxQueue: 4, WALDir: t.TempDir(), SnapshotEvery: 1,
+	}
+	s, err := New(tcProgram, "", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Facts(ctx, FactsRequest{Assert: []string{"e(5,'a b')."}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.WAL.SnapshotEpoch(); got != 1 {
+		t.Fatalf("snapshot epoch %d, want 1", got)
+	}
+	before, err := s.Query(ctx, Request{Query: "t(5,Y)"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := New(tcProgram, "", cfg)
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	t.Cleanup(func() { s2.Close() })
+	after, err := s2.Query(ctx, Request{Query: "t(5,Y)"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"('a b')", "(6)", "(7)", "(8)"}
+	if !reflect.DeepEqual(before.Answers, want) || !reflect.DeepEqual(after.Answers, want) || after.Epoch != 1 {
+		t.Errorf("answers %v before the restart, %v at epoch %d after, want %v at epoch 1",
+			before.Answers, after.Answers, after.Epoch, want)
+	}
+}
+
+// TestCompactJSON: every endpoint answers in compact JSON — the body is its
+// own json.Compact form plus one trailing newline — and a /query body
+// decodes to the Response Query returns for the same request.
+func TestCompactJSON(t *testing.T) {
+	s, ts := newTestServer(t, true)
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body bytes.Buffer
+		if _, err := body.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		raw := body.Bytes()
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, raw); err != nil {
+			t.Fatalf("%s: %v: %s", path, err, raw)
+		}
+		if bytes.IndexByte(raw, '\n') != len(raw)-1 || compact.String()+"\n" != string(raw) {
+			t.Errorf("%s: body is not compact JSON with one trailing newline: %q", path, raw)
+		}
+		return raw
+	}
+	q := "/query?" + url.Values{"q": {"t(5,Y)"}}.Encode()
+	for _, path := range []string{
+		q, q + "&explain=analyze", q + "&explain=plan", "/query?q=t(", "/healthz", "/readyz",
+		"/metrics?format=json", "/facts?since=0", "/debug/slowlog",
+	} {
+		get(path)
+	}
+
+	want, err := s.Query(context.Background(), Request{Query: "t(5,Y)"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Response
+	if err := json.Unmarshal(get(q), &got); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*Response{&want, &got} {
+		r.QueryID, r.EvalWallNS, r.TotalWallNS = "", 0, 0
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("HTTP body decodes to %+v, Query returned %+v", got, want)
 	}
 }

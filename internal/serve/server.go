@@ -310,12 +310,11 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// writeJSON sends v as compact JSON: no whitespace but the trailing newline.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // Query and Facts fail with errors Status maps to one HTTP status each:
