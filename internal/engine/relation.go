@@ -459,7 +459,7 @@ func (r *Relation) Delete(tuple []Val) bool {
 // remove deletes tuple by moving the last row into its place, so the arena
 // stays dense and no dead row is left for readers to skip — the invariant
 // of base image relations, which executors that never met a deletion
-// (top-down, the streaming scans) read without a liveness check. Row ids
+// (the streaming scans) read without a liveness check. Row ids
 // change, so it is only for a relation with no column index and no counts
 // yet: an image relation's clone, between clone and freeze.
 func (r *Relation) remove(tuple []Val) bool {
@@ -641,6 +641,11 @@ func (r *Relation) Contains(tuple []Val) bool {
 	return ok
 }
 
+// IndexableColumns bounds the columns a column index may be keyed on:
+// index sets are keyed by a uint32 column mask, so columns from this one
+// on alias lower ones and must not be probed.
+const IndexableColumns = 32
+
 func colMask(cols []int) uint32 {
 	var m uint32
 	for _, c := range cols {
@@ -683,9 +688,11 @@ func (r *Relation) ensureIndex(cols []int) *index {
 
 // Probe returns the positions of tuples whose projection on cols equals
 // key (a slice of Vals aligned with cols). An index on cols is built on
-// first use; callers should not pass empty cols. Like the rest of the
-// mutating surface it is single-threaded; concurrent workers use
-// probeFrozen.
+// first use; callers should not pass empty cols. On a frozen relation it
+// is safe for concurrent use — ensureIndex publishes the index atomically —
+// which tabled top-down evaluation over a base image relies on; otherwise,
+// like the rest of the mutating surface, it is single-threaded and
+// concurrent workers use probeFrozen.
 func (r *Relation) Probe(cols []int, key []Val) []int32 {
 	faultinject.Hit(faultinject.IndexProbe)
 	ix := r.ensureIndex(cols)

@@ -2,6 +2,7 @@ package topdown
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"factorlog/internal/ast"
@@ -20,7 +21,10 @@ import (
 
 // TabledStats reports the work of a tabled evaluation.
 type TabledStats struct {
-	// Steps counts rule/fact trials, as in Stats.
+	// Steps counts rule trials, table-answer trials and EDB candidate
+	// rows: for an EDB goal, the live rows the column index returns for
+	// its ground arguments (every live row when it has none), not the
+	// tuples of the relation as in Stats.
 	Steps int
 	// Goals is the number of distinct tabled goals (the magic-fact count).
 	Goals int
@@ -66,7 +70,6 @@ type tabledSolver struct {
 	visiting map[string]bool
 	changed  bool
 	steps    int
-	edbAST   map[string][][]ast.Term
 }
 
 // SolveTabled evaluates query over p and db with tabling. MaxSteps bounds
@@ -84,7 +87,6 @@ func SolveTabled(p *ast.Program, db *engine.DB, query ast.Atom, opts Options) (*
 		gen:      ast.NewFreshGenProgram(p),
 		tables:   map[string]*answerTable{},
 		visiting: map[string]bool{},
-		edbAST:   map[string][][]ast.Term{},
 	}
 	for _, v := range query.Vars() {
 		s.gen.Reserve(v)
@@ -167,28 +169,9 @@ func (s *tabledSolver) solveBody(goals []ast.Atom, sub ast.Subst, yield yieldFn)
 	rest := goals[1:]
 
 	if !s.idb[goal.Pred] {
-		for _, args := range s.edbTuples(goal.Pred, len(goal.Args)) {
-			s.steps++
-			if s.steps > s.opts.MaxSteps {
-				return s.tabledBudget()
-			}
-			s2 := sub
-			ok := true
-			for i, t := range goal.Args {
-				var u bool
-				s2, u = ast.Unify(t, args[i], s2)
-				if !u {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				if err := s.solveBody(rest, s2, yield); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
+		return s.matchEDB(goal, sub, func(s2 ast.Subst) error {
+			return s.solveBody(rest, s2, yield)
+		})
 	}
 
 	tbl, err := s.evalGoal(goal)
@@ -217,22 +200,64 @@ func (s *tabledSolver) tabledBudget() error {
 	return fmt.Errorf("%w: steps %d", ErrBudget, s.steps)
 }
 
-// edbTuples mirrors solver.edbTuples.
-func (s *tabledSolver) edbTuples(pred string, arity int) [][]ast.Term {
-	if cached, ok := s.edbAST[pred]; ok {
-		return cached
+// matchEDB proves the EDB goal against its relation, calling yield once
+// per matching tuple. The goal's ground arguments select the candidate
+// rows through a column index — built on first use and kept by the
+// relation, so on a base image version every later request reuses it —
+// and only the other positions of a candidate are rendered to AST and
+// unified. A goal with no ground argument scans. One step is counted per
+// live candidate row.
+func (s *tabledSolver) matchEDB(goal ast.Atom, sub ast.Subst, yield yieldFn) error {
+	rel := s.db.Lookup(goal.Pred)
+	if rel == nil || rel.Arity() != len(goal.Args) {
+		return nil
 	}
-	var out [][]ast.Term
-	if rel := s.db.Lookup(pred); rel != nil && rel.Arity() == arity {
-		for pos := int32(0); pos < int32(rel.Len()); pos++ {
-			tuple := rel.Tuple(pos)
-			args := make([]ast.Term, len(tuple))
-			for i, v := range tuple {
-				args[i] = s.db.Store.ToAST(v)
+	var cols []int
+	var key []engine.Val
+	for i, t := range goal.Args {
+		if !t.Ground() || i >= engine.IndexableColumns {
+			continue
+		}
+		v, ok := s.db.Store.Find(t)
+		if !ok {
+			return nil // never interned, so in no tuple
+		}
+		cols = append(cols, i)
+		key = append(key, v)
+	}
+	try := func(pos int32) error {
+		if rel.Round(pos) < 0 {
+			return nil // deleted
+		}
+		s.steps++
+		if s.steps > s.opts.MaxSteps {
+			return s.tabledBudget()
+		}
+		s2 := sub
+		tuple := rel.Tuple(pos)
+		for i, t := range goal.Args {
+			if slices.Contains(cols, i) {
+				continue // matched by the probe
 			}
-			out = append(out, args)
+			var ok bool
+			if s2, ok = ast.Unify(t, s.db.Store.ToAST(tuple[i]), s2); !ok {
+				return nil
+			}
+		}
+		return yield(s2)
+	}
+	if len(cols) == 0 {
+		for pos := int32(0); pos < int32(rel.Len()); pos++ {
+			if err := try(pos); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, pos := range rel.Probe(cols, key) {
+		if err := try(pos); err != nil {
+			return err
 		}
 	}
-	s.edbAST[pred] = out
-	return out
+	return nil
 }

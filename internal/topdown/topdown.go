@@ -7,6 +7,13 @@
 // the paper attributes to Prolog on the pmem program. Left-recursive
 // programs diverge under this strategy, as they do in Prolog; use the
 // Options budgets to bound the search.
+//
+// The two resolvers read the EDB differently, on purpose. SLD (Solve)
+// scans: every fact of the goal's relation is tried, as Prolog tries every
+// clause, so its step counts stay the paper's baseline. Tabled evaluation
+// (SolveTabled) probes: the goal's ground arguments select candidate rows
+// through the relation's column index, the lookup a magic fact's join
+// performs bottom-up. Both skip deleted rows.
 package topdown
 
 import (
@@ -202,7 +209,9 @@ func (s *solver) solveGoal(goal ast.Atom, sub ast.Subst, depth int, yield yieldF
 	return nil
 }
 
-// edbTuples returns the facts for pred as AST term slices, cached.
+// edbTuples returns the live facts for pred as AST term slices, cached.
+// The resolver tries every one against each selected EDB goal, index-free
+// like Prolog's clause scan, so Stats.Steps keeps the baseline's count.
 func (s *solver) edbTuples(pred string, arity int) [][]ast.Term {
 	if cached, ok := s.edbAST[pred]; ok {
 		return cached
@@ -210,6 +219,9 @@ func (s *solver) edbTuples(pred string, arity int) [][]ast.Term {
 	var out [][]ast.Term
 	if rel := s.db.Lookup(pred); rel != nil && rel.Arity() == arity {
 		for pos := int32(0); pos < int32(rel.Len()); pos++ {
+			if rel.Round(pos) < 0 {
+				continue // deleted
+			}
 			tuple := rel.Tuple(pos)
 			args := make([]ast.Term, len(tuple))
 			for i, v := range tuple {
