@@ -30,7 +30,7 @@ type literalSpec struct {
 	pred      string
 	arity     int
 	args      []pattern
-	boundCols []int // columns fully bound before this literal (probe key)
+	boundCols []int // indexable columns fully bound before this literal (probe key)
 	freeCols  []int // remaining columns (residually matched)
 	idb       bool  // head predicate of some rule in the program
 }
@@ -57,6 +57,20 @@ type compiledRule struct {
 	// indexNeeds lists the (relation, columns) indexes this rule's body
 	// probes, one per literal with bound columns.
 	indexNeeds []indexNeed
+	// deltaLed[p], for every body position p ≥ 1, is the body reordered to
+	// lead with the literal at p: the join a delta pass on p runs when its
+	// delta window is the smaller scan (runner.passOrder). Its index needs
+	// are not planned; Probe builds them the first time the order probes.
+	deltaLed []joinOrder
+}
+
+// joinOrder is one evaluation order of a rule body: the source literals,
+// permuted, with their bound and free columns recomputed for the new
+// order. Patterns and slots are the source literals', so the head and the
+// binding frame are shared with the source order.
+type joinOrder struct {
+	body  []literalSpec
+	order []int // order[k] is the source position of body[k]
 }
 
 // label renders the rule's source for trace records.
@@ -156,19 +170,10 @@ func (c *compiler) compileRule(r ast.Rule, idx int) (*compiledRule, error) {
 	bound := make(map[int]bool)
 	for bi, a := range r.Body {
 		spec := literalSpec{pred: a.Pred, arity: len(a.Args), idb: c.idb[a.Pred]}
-		for col, t := range a.Args {
-			pat := c.compileTerm(t)
-			spec.args = append(spec.args, pat)
-			if patternBound(pat, bound) {
-				spec.boundCols = append(spec.boundCols, col)
-			} else {
-				spec.freeCols = append(spec.freeCols, col)
-			}
+		for _, t := range a.Args {
+			spec.args = append(spec.args, c.compileTerm(t))
 		}
-		// After the literal, all its slots are bound.
-		for _, pat := range spec.args {
-			markBound(pat, bound)
-		}
+		spec.splitCols(bound)
 		if spec.idb {
 			cr.idbOccs = append(cr.idbOccs, bi)
 		}
@@ -186,7 +191,83 @@ func (c *compiler) compileRule(r ast.Rule, idx int) (*compiledRule, error) {
 		cr.headArgs = append(cr.headArgs, pat)
 	}
 	cr.nslots = c.n
+	cr.deltaLed = deltaLedOrders(cr.body)
 	return cr, nil
+}
+
+// splitCols splits the literal's columns by the slots bound before it runs
+// — a fully bound column joins the probe key unless it lies at or past
+// IndexableColumns, where it is matched residually like a free one — and
+// then marks the literal's own slots bound.
+func (l *literalSpec) splitCols(bound map[int]bool) {
+	l.boundCols, l.freeCols = nil, nil
+	for col, pat := range l.args {
+		if col < IndexableColumns && patternBound(pat, bound) {
+			l.boundCols = append(l.boundCols, col)
+		} else {
+			l.freeCols = append(l.freeCols, col)
+		}
+	}
+	for _, pat := range l.args {
+		markBound(pat, bound)
+	}
+}
+
+// deltaLedOrders compiles deltaLed: for each body position p ≥ 1, the
+// literal at p first, then the rest in nextLiteral's greedy order.
+func deltaLedOrders(body []literalSpec) []joinOrder {
+	if len(body) < 2 {
+		return nil
+	}
+	orders := make([]joinOrder, len(body))
+	for p := 1; p < len(body); p++ {
+		jo := &orders[p]
+		used := make([]bool, len(body))
+		bound := map[int]bool{}
+		for next := p; next >= 0; next = nextLiteral(body, used, bound) {
+			used[next] = true
+			jo.order = append(jo.order, next)
+			jo.body = append(jo.body, body[next])
+			jo.body[len(jo.body)-1].splitCols(bound)
+		}
+	}
+	return orders
+}
+
+// nextLiteral picks the unused literal to join next — the most arguments
+// bound, then the fewest new variables, then EDB before IDB, then source
+// order — or returns -1 when every literal is used.
+func nextLiteral(body []literalSpec, used []bool, bound map[int]bool) int {
+	best, bestBound, bestFree := -1, 0, 0
+	for i := range body {
+		if used[i] {
+			continue
+		}
+		nb, nf := boundness(&body[i], bound)
+		if best < 0 || nb > bestBound || nb == bestBound && (nf < bestFree ||
+			nf == bestFree && body[best].idb && !body[i].idb) {
+			best, bestBound, bestFree = i, nb, nf
+		}
+	}
+	return best
+}
+
+// boundness counts the literal's arguments fully bound under bound and its
+// distinct variables not bound yet.
+func boundness(l *literalSpec, bound map[int]bool) (nBound, nFree int) {
+	vars := map[int]bool{}
+	for _, pat := range l.args {
+		if patternBound(pat, bound) {
+			nBound++
+		}
+		markBound(pat, vars)
+	}
+	for s := range vars {
+		if !bound[s] {
+			nFree++
+		}
+	}
+	return nBound, nFree
 }
 
 func (c *compiler) compileTerm(t ast.Term) pattern {

@@ -56,7 +56,8 @@ func (r *compiledRule) HeadPred() string { return r.headPred }
 // HeadArgs returns the compiled head argument patterns.
 func (r *compiledRule) HeadArgs() []Pattern { return r.headArgs }
 
-// Body returns the compiled body literals in evaluation order.
+// Body returns the compiled body literals in source order, the order every
+// non-delta pass joins in (a fixpoint delta pass may lead with its delta).
 func (r *compiledRule) Body() []LiteralSpec { return r.body }
 
 // IndexNeeds returns the (relation, columns) indexes the body probes.
@@ -75,7 +76,9 @@ func (l *literalSpec) Arity() int { return l.arity }
 func (l *literalSpec) Args() []Pattern { return l.args }
 
 // BoundCols returns the columns fully bound before this literal runs — the
-// probe key the evaluator pushes into an index lookup. Sorted ascending.
+// probe key the evaluator pushes into an index lookup. Sorted ascending. A
+// bound column at or past IndexableColumns is never here: it is in
+// FreeCols, matched against its bound pattern like any residual column.
 func (l *literalSpec) BoundCols() []int { return l.boundCols }
 
 // FreeCols returns the columns matched residually against each candidate.

@@ -23,6 +23,15 @@ const (
 	// delta position range over P_{r-1}, the delta position over the facts
 	// derived in round r, and occurrences after it over P_r. Tuples carry
 	// their insertion round, so no relation copying is needed.
+	//
+	// Round 0 joins every rule in its written order. A delta pass whose
+	// delta is not the first literal joins led by the delta instead,
+	// whenever the delta window is a shorter scan than the first literal
+	// (see runner.passOrder): a magic rule's demand literal is then probed
+	// with bound arguments rather than rescanned every round. The counts
+	// cannot tell the orders apart: every window of a pass ends at round r
+	// and the pass's derivations are stamped r+1, so the pass finds the same
+	// body instantiations in any order.
 	SemiNaive Strategy = iota
 	// Naive re-evaluates every rule against the full database each round.
 	Naive
@@ -373,13 +382,19 @@ type evaluator struct {
 // behavior: lazily built indexes via Relation.Probe and no shard filter.
 type runner struct {
 	db *DB
-	// limits holds the per-literal round windows of the rule being run.
+	// limits holds the per-literal round windows of the rule being run,
+	// keyed by source body position.
 	limits []roundRange
+	// body is the join order being run — the rule's source body or one of
+	// its deltaLed orders — and order maps its positions back to source
+	// positions (nil for the source order).
+	body  []literalSpec
+	order []int
 	// prov, when non-nil, makes join collect body fact IDs into children
 	// (sequential mode only).
 	prov *Provenance
-	// children collects the body fact IDs of the current derivation when
-	// provenance is on (sequential mode only).
+	// children collects the body fact IDs of the current derivation, by
+	// source position, when provenance is on (sequential mode only).
 	children []FactID
 	// cur points at the per-rule trace counters, nil when untraced.
 	cur *obsv.RuleStats
@@ -556,8 +571,9 @@ func buildIndexes(db *DB, rules []*compiledRule) {
 func (ev *evaluator) evalRule(r *compiledRule, deltaOcc int) error {
 	ev.traceRule(r)
 	ev.rn.setLimits(r, r.idbOccs, deltaOcc, ev.curRound)
+	jo := ev.rn.passOrder(r, deltaOcc)
 	if ev.roundSpan == nil {
-		return ev.rn.runRule(r)
+		return ev.rn.runRule(r, jo)
 	}
 	// Rule-pass span: attribute the pass's probe and derivation deltas read
 	// off the per-rule trace counters (Span implies Trace, so cur is set).
@@ -566,7 +582,7 @@ func (ev *evaluator) evalRule(r *compiledRule, deltaOcc int) error {
 	if c := ev.rn.cur; c != nil {
 		probes0, derived0 = c.JoinProbes, c.TuplesDerived
 	}
-	err := ev.rn.runRule(r)
+	err := ev.rn.runRule(r, jo)
 	if c := ev.rn.cur; c != nil {
 		sp.SetTuples(int64(c.JoinProbes-probes0), int64(c.TuplesDerived-derived0))
 	}
@@ -600,8 +616,39 @@ func (rn *runner) setLimits(r *compiledRule, occs []int, deltaOcc int, curRound 
 	}
 }
 
-// runRule runs r's body join under the limits set by setLimits.
-func (rn *runner) runRule(r *compiledRule) error {
+// passOrder picks the join order of a delta pass of r whose delta is the
+// literal at source position deltaOcc, once its limits are set. The pass
+// leads with its delta (r.deltaLed[deltaOcc]) when the delta window is a
+// shorter scan than the source order's leading literal, which must then be
+// a full scan: a leading literal with bound columns is already a probe, so
+// the source order stands. Otherwise, and for the non-delta passes
+// (deltaOcc < 1), it returns nil, the source order.
+//
+// Either order finds the same body instantiations: within a pass every
+// window ends at or below the current round or wave, and the pass's own
+// emissions are stamped above it, so no literal sees a row the pass
+// derived, whatever order the literals are joined in.
+func (rn *runner) passOrder(r *compiledRule, deltaOcc int) *joinOrder {
+	if deltaOcc < 1 || len(r.body[0].boundCols) > 0 {
+		return nil
+	}
+	lead, delta := rn.db.Lookup(r.body[0].pred), rn.db.Lookup(r.body[deltaOcc].pred)
+	if lead == nil || delta == nil {
+		return nil
+	}
+	if delta.windowSpan(rn.limits[deltaOcc].lo) < lead.windowSpan(rn.limits[0].lo) {
+		return &r.deltaLed[deltaOcc]
+	}
+	return nil
+}
+
+// runRule runs r's body join under the limits set by setLimits, in the
+// join order jo, or in source order when jo is nil.
+func (rn *runner) runRule(r *compiledRule, jo *joinOrder) error {
+	rn.body, rn.order = r.body, nil
+	if jo != nil {
+		rn.body, rn.order = jo.body, jo.order
+	}
 	if cap(rn.slots) < r.nslots {
 		rn.slots = make([]Val, r.nslots)
 	}
@@ -609,23 +656,31 @@ func (rn *runner) runRule(r *compiledRule) error {
 	for i := range slots {
 		slots[i] = NoVal
 	}
-	rn.children = rn.children[:0]
+	if rn.prov != nil {
+		if cap(rn.children) < len(r.body) {
+			rn.children = make([]FactID, len(r.body))
+		}
+		rn.children = rn.children[:len(r.body)]
+	}
 	return rn.join(r, 0, slots, nil)
 }
 
 func (rn *runner) join(r *compiledRule, li int, slots []Val, trail []int) error {
-	if li == len(r.body) {
+	if li == len(rn.body) {
 		return rn.emitHead(r, slots)
 	}
-	spec := &r.body[li]
+	spec := &rn.body[li]
 	rel := rn.db.Lookup(spec.pred)
 	if rel == nil || rel.Len() == 0 {
 		return nil
 	}
-	limit := rn.limits[li]
+	src := li
+	if rn.order != nil {
+		src = rn.order[li]
+	}
+	limit := rn.limits[src]
 	shardHere := rn.shardMod > 1 && li == rn.shardLit
 
-	childMark := len(rn.children)
 	tryPos := func(pos int32) error {
 		if t := rn.cur; t != nil {
 			t.JoinProbes++
@@ -647,8 +702,7 @@ func (rn *runner) join(r *compiledRule, li int, slots []Val, trail []int) error 
 				t.TuplesMatched++
 			}
 			if rn.prov != nil {
-				rn.children = append(rn.children[:childMark],
-					rn.prov.factID(spec.pred, tuple))
+				rn.children[src] = rn.prov.factID(spec.pred, tuple)
 			}
 			if err := rn.join(r, li+1, slots, trail); err != nil {
 				return err

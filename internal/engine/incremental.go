@@ -586,7 +586,7 @@ func (mt *maintainer) initialWaves(active []*compiledRule) error {
 			continue
 		}
 		mt.setInsertLimits(r, nil, -1)
-		if err := mt.rn.runRule(r); err != nil {
+		if err := mt.rn.runRule(r, nil); err != nil {
 			return err
 		}
 	}
@@ -663,7 +663,7 @@ func (mt *maintainer) runInsertWaves(active []*compiledRule) error {
 			occs := mt.bodyOccs(r, delta)
 			for _, li := range occs {
 				mt.setInsertLimits(r, occs, li)
-				if err := mt.rn.runRule(r); err != nil {
+				if err := mt.rn.runRule(r, mt.rn.passOrder(r, li)); err != nil {
 					return err
 				}
 			}
@@ -743,7 +743,7 @@ func (mt *maintainer) runDeleteWaves(victims []victimRef) error {
 			occs := mt.bodyOccs(r, dyingPreds)
 			for _, li := range occs {
 				mt.setDeleteLimits(r, occs, li)
-				if err := mt.rn.runRule(r); err != nil {
+				if err := mt.rn.runRule(r, mt.rn.passOrder(r, li)); err != nil {
 					return err
 				}
 			}

@@ -526,10 +526,14 @@ func (ev *parEvaluator) runRound(units []workUnit) error {
 					}
 				}
 				pw.rn.setLimits(u.rule, u.occs, u.deltaOcc, ev.curRound)
+				// Parallel passes join in source order: shards split the
+				// leading literal, and only the source order's indexes are
+				// built before the relations freeze. Whether this path stays
+				// is open (ROADMAP item 9(a)), so it takes no delta-led order.
 				// The buffering sink fails only with errEvalStopped (budget
 				// enforcement happens at the merge below); on cancellation
 				// the worker abandons its remaining units.
-				if err := pw.rn.runRule(u.rule); err != nil {
+				if err := pw.rn.runRule(u.rule, nil); err != nil {
 					break
 				}
 			}

@@ -508,6 +508,12 @@ func (r *Relation) windowStart(lo int32) int32 {
 	return r.starts[lo-1]
 }
 
+// windowSpan returns how many rows a scan of a round window with lower
+// bound lo reads: the rows from windowStart(lo) on.
+func (r *Relation) windowSpan(lo int32) int {
+	return len(r.rounds) - int(r.windowStart(lo))
+}
+
 // fromWindow drops the leading rows of an ascending postings list that lie
 // before windowStart(lo), by binary search.
 func (r *Relation) fromWindow(positions []int32, lo int32) []int32 {
@@ -642,13 +648,17 @@ func (r *Relation) Contains(tuple []Val) bool {
 }
 
 // IndexableColumns bounds the columns a column index may be keyed on:
-// index sets are keyed by a uint32 column mask, so columns from this one
-// on alias lower ones and must not be probed.
+// index sets are keyed by a uint32 column mask, so a column from this one
+// on has no bit of its own. The rule compiler matches such columns
+// residually, and keying an index on one panics.
 const IndexableColumns = 32
 
 func colMask(cols []int) uint32 {
 	var m uint32
 	for _, c := range cols {
+		if c < 0 || c >= IndexableColumns {
+			panic(fmt.Sprintf("engine: column %d cannot key an index (columns 0..%d can)", c, IndexableColumns-1))
+		}
 		m |= 1 << uint(c)
 	}
 	return m

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -121,5 +122,24 @@ func TestDBClone(t *testing.T) {
 	}
 	if cp.Store != db.Store {
 		t.Error("Clone should share the store")
+	}
+}
+
+// TestIndexPastBoundPanics: a column at or past IndexableColumns has no bit
+// in the index set's column mask, so keying an index on it must panic
+// rather than hand back another column's index.
+func TestIndexPastBoundPanics(t *testing.T) {
+	r := NewRelation(IndexableColumns + 2)
+	r.Insert(make([]Val, IndexableColumns+2))
+	for _, cols := range [][]int{{IndexableColumns}, {0, IndexableColumns + 1}} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "cannot key an index") {
+					t.Errorf("Probe(%v): recovered %q, want a panic naming the column", cols, msg)
+				}
+			}()
+			r.Probe(cols, make([]Val, len(cols)))
+		}()
 	}
 }

@@ -2,6 +2,8 @@ package workload
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 
 	"factorlog/internal/ast"
@@ -19,6 +21,26 @@ func Chain(db *engine.DB, pred string, n int) {
 func Cycle(db *engine.DB, pred string, n int) {
 	for i := 0; i < n; i++ {
 		db.MustInsert(pred, db.Store.Int(i), db.Store.Int((i+1)%n))
+	}
+}
+
+// RandomDigraph loads a random digraph over the nodes 0..n-1: m edges drawn
+// uniformly from a generator seeded with seed, duplicates collapsed, loaded
+// grouped by source node in draw order. The benchmark's mixed.dl draws its
+// digraph g the same way, so equal (n, m, seed) give the same rows.
+func RandomDigraph(db *engine.DB, pred string, n, m int, seed int64) {
+	r := rand.New(rand.NewSource(seed))
+	succ := make([][]int, n)
+	for i := 0; i < m; i++ {
+		a, b := r.Intn(n), r.Intn(n)
+		if !slices.Contains(succ[a], b) {
+			succ[a] = append(succ[a], b)
+		}
+	}
+	for a, out := range succ {
+		for _, b := range out {
+			db.MustInsert(pred, db.Store.Int(a), db.Store.Int(b))
+		}
 	}
 }
 

@@ -23,6 +23,22 @@ func TestCycle(t *testing.T) {
 	}
 }
 
+func TestRandomDigraph(t *testing.T) {
+	a, b := engine.NewDB(), engine.NewDB()
+	RandomDigraph(a, "g", 50, 120, 7)
+	RandomDigraph(b, "g", 50, 120, 7)
+	if n := a.Count("g"); n == 0 || n > 120 || n != b.Count("g") {
+		t.Fatalf("|g| = %d and %d from one seed, want equal and in 1..120", n, b.Count("g"))
+	}
+	ra, rb := a.Lookup("g"), b.Lookup("g")
+	for pos := int32(0); pos < int32(ra.Len()); pos++ {
+		x, y := ra.Tuple(pos), rb.Tuple(pos)
+		if a.Store.String(x[0]) != b.Store.String(y[0]) || a.Store.String(x[1]) != b.Store.String(y[1]) {
+			t.Fatalf("row %d differs between two loads of one seed", pos)
+		}
+	}
+}
+
 func TestBalancedTree(t *testing.T) {
 	db := engine.NewDB()
 	BalancedTree(db, 3)
