@@ -67,7 +67,7 @@ func run(args []string) error {
 	edbFile := fs.String("edb", "", "file of additional ground facts")
 	budget := fs.Int("budget", 0, "max derived facts (0 = unlimited)")
 	workers := fs.Int("workers", 1, "evaluation workers (>1 = parallel stratified semi-naive)")
-	profile := fs.Bool("profile", false, "run: print stage spans and per-rule/per-round tables")
+	profile := fs.Bool("profile", false, "run: print the span tree and the per-rule counter table")
 	streaming := fs.Bool("stream", false, "run: evaluate non-recursive strata with the streaming executor")
 	explainRun := fs.Bool("explain", false, "run: EXPLAIN ANALYZE — print the plan description and the measured span tree")
 	anon := fs.Bool("anon", false, "explain: print singleton variables as '_' (paper style)")
@@ -114,10 +114,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		if *profile {
-			sys.WithTrace(true)
-		}
-		var tc *factorlog.Trace
+		sys.WithTrace(*profile || *explainRun)
 		if *explainRun {
 			info, err := sys.Plan(s)
 			if err != nil {
@@ -125,8 +122,6 @@ func run(args []string) error {
 			}
 			fmt.Print(info.Text())
 			fmt.Println()
-			tc = factorlog.NewTrace(factorlog.NewTraceID())
-			sys.WithTraceSpan(tc.Root())
 		}
 		res, err := sys.Run(s, sys.NewDB())
 		if err != nil {
@@ -136,14 +131,14 @@ func run(args []string) error {
 			fmt.Printf("auto picked %s\n", res.Strategy)
 		}
 		fmt.Println(factorlog.FormatResult(res))
-		if *explainRun {
-			tc.Finish()
-			fmt.Println()
-			fmt.Print(tc.Profile())
-		}
-		if *profile {
+		// -profile's rendering already holds the tree -explain would print.
+		switch {
+		case *profile:
 			fmt.Println()
 			fmt.Print(res.Profile())
+		case *explainRun:
+			fmt.Println()
+			fmt.Print(res.Trace.Profile())
 		}
 		return nil
 

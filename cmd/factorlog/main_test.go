@@ -69,14 +69,31 @@ func TestCLIProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Stage spans for the full factored chain, plus the per-rule and
-	// per-round tables from the traced evaluation.
+	// One span tree — the cached stages of the full factored chain with
+	// factoring's arity drop, then eval with its rounds and rule passes —
+	// followed by the per-rule counter table.
 	for _, want := range []string{
-		"stage", "adorn", "magic", "factor", "optimize", "eval",
-		"firings", "probes", "round", "new-facts",
+		"trace q-", "adorn", "magic", "factor", "optimize", "(cached)",
+		"arity 2→1", "eval", "round 0", "rule #", "firings", "probes",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in profile output:\n%s", want, out)
+		}
+	}
+	if n := strings.Count(out, "trace q-"); n != 1 {
+		t.Errorf("profile prints %d span trees, want 1:\n%s", n, out)
+	}
+	if strings.Index(out, "round 0") > strings.Index(out, "firings") {
+		t.Errorf("counter table precedes the span tree:\n%s", out)
+	}
+	// Parallel runs show their strata and workers in the same tree.
+	out, err = capture(t, "run", "-profile", "-workers", "2", "-strategy", "magic", testdata("tc3.dl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"stratum 0", "worker 1", "units", "firings"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("missing %q in -workers 2 profile output:\n%s", want, out)
 		}
 	}
 	// Without -profile no tables appear.
@@ -90,14 +107,14 @@ func TestCLIProfile(t *testing.T) {
 }
 
 func TestCLIProfileExample44(t *testing.T) {
-	// The acceptance workload: per-stage spans plus rule/round tables on the
+	// The acceptance workload: the span tree plus the rule table on the
 	// paper's symmetric Example 4.4 (needs its EDB constraints to factor).
 	out, err := capture(t, "run", "-profile",
 		"-constraints", testdata("example44_constraints.dl"), testdata("example44.dl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"stage", "factor", "firings", "round"} {
+	for _, want := range []string{"trace q-", "factor", "firings", "round"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in example44 profile:\n%s", want, out)
 		}

@@ -69,7 +69,7 @@ func repl(in io.Reader, out io.Writer) error {
 			fmt.Fprintln(out, "  <clause>.            add a rule or ground fact")
 			fmt.Fprintln(out, "  ?- atom.             evaluate a query")
 			fmt.Fprintln(out, "  :strategy NAME       switch strategy, 'auto' = cost-based pick (current:", strategy, ")")
-			fmt.Fprintln(out, "  :profile             toggle per-query profiling (rule/round tables)")
+			fmt.Fprintln(out, "  :profile             toggle per-query profiling (span tree, rule table)")
 			fmt.Fprintln(out, "  :stats               show the last query's profile")
 			fmt.Fprintln(out, "  :budget N            cap derived facts per query (current:", budget, ")")
 			fmt.Fprintln(out, "  :workers N           evaluation workers, >1 = parallel (current:", workers, ")")
@@ -202,21 +202,19 @@ func repl(in io.Reader, out io.Writer) error {
 				continue
 			}
 			fmt.Fprint(out, info.Text())
-			tc := factorlog.NewTrace(factorlog.NewTraceID())
-			sys.WithBudget(0, budget).WithWorkers(workers).WithStreaming(streaming).WithTraceSpan(tc.Root())
+			sys.WithBudget(0, budget).WithWorkers(workers).WithStreaming(streaming).WithTrace(true)
 			res, err := sys.Run(strategy, sys.NewDB())
 			if err != nil {
 				fmt.Fprintln(out, "error:", err)
 				continue
 			}
-			tc.Finish()
 			last = res
 			if len(res.Answers) == 0 {
 				fmt.Fprintln(out, "no answers")
 			} else {
 				fmt.Fprintln(out, strings.Join(res.Answers, " "))
 			}
-			fmt.Fprint(out, tc.Profile())
+			fmt.Fprint(out, res.Trace.Profile())
 
 		case strings.HasPrefix(line, ":explain"):
 			q := strings.TrimSpace(strings.TrimPrefix(line, ":explain"))

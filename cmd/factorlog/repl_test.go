@@ -148,7 +148,7 @@ t(X, Y) :- e(X, W), t(W, Y).
 	if !strings.Contains(out, "profiling on") || !strings.Contains(out, "profiling off") {
 		t.Errorf("profile toggle missing:\n%s", out)
 	}
-	for _, want := range []string{"stage", "eval", "firings", "round"} {
+	for _, want := range []string{"trace q-", "eval", "round 0", "rule #", "firings"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("profiled query missing %q:\n%s", want, out)
 		}

@@ -121,34 +121,18 @@ var ErrMemoryBudget = engine.ErrMemoryBudget
 // errors.As(*engine.PanicError).
 var ErrInternal = engine.ErrInternal
 
-// RuleStats, RoundStats, StratumStats, WorkerStats, Span and StorageStats
-// re-export the observability record types; see package obsv for field
-// documentation.
+// RuleStats, StorageStats and StreamStats re-export the observability
+// record types; see package obsv for field documentation.
 type (
 	RuleStats    = obsv.RuleStats
-	RoundStats   = obsv.RoundStats
-	StratumStats = obsv.StratumStats
-	WorkerStats  = obsv.WorkerStats
-	Span         = obsv.Span
 	StorageStats = obsv.StorageStats
 	StreamStats  = obsv.StreamStats
 )
 
-// Trace and TraceSpan re-export the query-scoped tracing types: a Trace is
-// one query's bounded span tree, a TraceSpan one node of it. A nil
-// *TraceSpan is a valid no-op tracer, so callers can thread one
-// unconditionally. See package trace for the span discipline.
-type (
-	Trace     = trace.Context
-	TraceSpan = trace.Span
-)
-
-// NewTrace starts a trace for one query; pass its Root() to WithTraceSpan,
-// run, then Finish() and render via Profile() or JSON-marshal it.
-func NewTrace(id string) *Trace { return trace.New(id) }
-
-// NewTraceID mints a process-unique query ID (e.g. "q-9f2c1a7b-42").
-func NewTraceID() string { return trace.NewID() }
+// Trace re-exports the query-scoped span tree (package trace) a traced Run
+// records into Result.Trace: the compile stages, then eval with its strata,
+// rounds, rules and workers. Render it with Profile or JSON-marshal it.
+type Trace = trace.Context
 
 // System is a compiled (program, query) pair with cached transformations.
 type System struct {
@@ -219,21 +203,11 @@ func (s *System) WithMemoryBudget(maxBytes int64) *System {
 	return s
 }
 
-// WithTrace enables (or disables) evaluation tracing: subsequent Runs fill
-// Result.Rules and Result.Rounds (plus Result.Strata and Result.Workers for
-// parallel runs), at a small evaluation-time cost.
+// WithTrace enables (or disables) evaluation tracing: each subsequent Run
+// records its own span tree into Result.Trace and fills Result.Rules with
+// the exact per-rule counters, at a small evaluation-time cost.
 func (s *System) WithTrace(on bool) *System {
 	s.evalOpts.Trace = on
-	return s
-}
-
-// WithTraceSpan threads a trace span into subsequent Runs: the pipeline
-// attaches its compile-stage spans under it and the engine records stratum,
-// round, rule, and worker spans below an "eval" child. A nil span disables
-// span tracing (the no-op path costs nothing). Implies WithTrace for the
-// duration of the traced runs.
-func (s *System) WithTraceSpan(sp *TraceSpan) *System {
-	s.evalOpts.Span = sp
 	return s
 }
 
@@ -336,17 +310,10 @@ type Result struct {
 	Inferences  int
 	Iterations  int
 	MaxIDBArity int
-	// Spans traces the transformation stages that produced the evaluated
-	// program, ending with an "eval" span.
-	Spans []Span
-	// Rules and Rounds carry per-rule and per-round evaluation records when
-	// tracing is on (WithTrace); nil otherwise.
-	Rules  []RuleStats
-	Rounds []RoundStats
-	// Strata and Workers carry per-stratum and per-worker records for traced
-	// parallel runs (WithWorkers > 1); nil otherwise.
-	Strata  []StratumStats
-	Workers []WorkerStats
+	// Trace is the run's span tree and Rules its exact per-rule counters
+	// when tracing is on (WithTrace); both nil otherwise.
+	Trace *Trace
+	Rules []RuleStats
 	// EvalWall is the evaluation's wall-clock time.
 	EvalWall time.Duration
 	// Storage is the database's storage shape after evaluation: tuple-arena
@@ -369,23 +336,37 @@ type Result struct {
 	raw *pipeline.RunResult
 }
 
-// Profile renders the result's stage spans and, when tracing was enabled,
-// its per-rule and per-round tables.
+// Profile renders the result's summary lines and, when tracing was
+// enabled, its span tree and per-rule counter table.
 func (r *Result) Profile() string {
 	if r.raw == nil {
 		return ""
 	}
-	return pipeline.ProfileTable(r.raw)
+	return pipeline.ProfileTable(r.raw, r.Trace)
 }
 
 // Run evaluates the query over db with the given strategy. The db is
 // consumed (derived relations are added); create a fresh one per run.
 func (s *System) Run(strategy Strategy, db *DB) (*Result, error) {
-	r, err := s.pl.Run(strategy, db.inner, s.evalOpts)
+	return s.run(strategy, db, s.evalOpts)
+}
+
+// run is Run under explicit options; a traced run records into a trace of
+// its own.
+func (s *System) run(strategy Strategy, db *DB, opts engine.Options) (*Result, error) {
+	var tc *trace.Context
+	if opts.Trace {
+		tc = trace.New(trace.NewID())
+		opts.Span = tc.Root()
+	}
+	r, err := s.pl.Run(strategy, db.inner, opts)
+	tc.Finish()
 	if err != nil {
 		return nil, err
 	}
-	return newResult(r), nil
+	res := newResult(r)
+	res.Trace = tc
+	return res, nil
 }
 
 // newResult converts a pipeline run into the facade shape.
@@ -397,11 +378,7 @@ func newResult(r *pipeline.RunResult) *Result {
 		Inferences:  r.Inferences,
 		Iterations:  r.Iterations,
 		MaxIDBArity: r.MaxIDBArity,
-		Spans:       r.Spans,
 		Rules:       r.Rules,
-		Rounds:      r.Rounds,
-		Strata:      r.Strata,
-		Workers:     r.Workers,
 		EvalWall:    r.EvalWall,
 		Storage:     r.Storage,
 		Degraded:    r.Degraded,
@@ -442,11 +419,7 @@ func (p *Prepared) Strategy() Strategy { return p.strategy }
 func (p *Prepared) Run(ctx context.Context, db *DB) (*Result, error) {
 	opts := p.sys.evalOpts
 	opts.Context = ctx
-	r, err := p.sys.pl.Run(p.strategy, db.inner, opts)
-	if err != nil {
-		return nil, err
-	}
-	return newResult(r), nil
+	return p.sys.run(p.strategy, db, opts)
 }
 
 // Compare runs all the given strategies, each over a fresh copy of the

@@ -49,6 +49,47 @@ func TestLoadAndRun(t *testing.T) {
 	}
 }
 
+// TestWithTrace checks the facade's one tracing switch: every traced Run,
+// sequential or parallel, prepared or not, records a span tree of its own
+// beside the per-rule counters, and an untraced Run records neither.
+func TestWithTrace(t *testing.T) {
+	sys := loadTC(t)
+	res, err := sys.Run(factorlog.FactoredOptimized, chainDB(sys, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Trace != nil || res.Rules != nil {
+		t.Errorf("untraced run recorded a trace or counters")
+	}
+	sys.WithTrace(true).WithWorkers(2)
+	first, err := sys.Run(factorlog.FactoredOptimized, chainDB(sys, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := sys.Prepare(factorlog.FactoredOptimized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := prep.Run(context.Background(), chainDB(sys, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Trace == nil || second.Trace == nil || first.Trace.ID() == second.Trace.ID() {
+		t.Fatalf("traced runs must each record their own trace")
+	}
+	for _, r := range []*factorlog.Result{first, second} {
+		if len(r.Rules) == 0 {
+			t.Errorf("traced run has no per-rule counters")
+		}
+		out := r.Profile()
+		for _, want := range []string{"factor", "arity 2→1", "eval", "stratum", "round", "worker", "firings"} {
+			if !strings.Contains(out, want) {
+				t.Errorf("Profile missing %q:\n%s", want, out)
+			}
+		}
+	}
+}
+
 func TestWithStreaming(t *testing.T) {
 	sys := loadTC(t)
 	base, err := sys.Run(factorlog.FactoredOptimized, chainDB(sys, 10))

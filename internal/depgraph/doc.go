@@ -11,6 +11,6 @@
 // program and shared by every evaluation. The parallel evaluator
 // (internal/engine, Options.Workers > 1) walks the schedule stratum by
 // stratum, fanning each stratum's rounds out over its worker pool; the
-// per-stratum records it emits (obsv.StratumStats) are indexed by the
-// schedule order computed here.
+// stratum spans it records (internal/trace) are indexed by the schedule
+// order computed here.
 package depgraph

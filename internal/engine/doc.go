@@ -19,8 +19,9 @@
 //
 // Eval compiles a program's rules into join plans and runs them to the
 // least fixpoint under Options: naive or semi-naive strategy, optional
-// join reordering, per-rule/per-round tracing (package obsv records), and
-// derivation provenance. With Options.Workers > 1 the program is evaluated
+// join reordering, exact per-rule counters (package obsv), a span tree of
+// strata, rounds, rule passes and workers (package trace), and derivation
+// provenance. With Options.Workers > 1 the program is evaluated
 // stratum by stratum over its predicate dependency condensation (package
 // depgraph), each stratum's rounds fanned out over a worker pool; see
 // parallel.go for the full design.

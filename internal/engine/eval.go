@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"time"
 
 	"factorlog/internal/ast"
 	"factorlog/internal/faultinject"
@@ -165,20 +164,19 @@ type Options struct {
 	// most-bound literal runs first. Off by default: the paper's cost
 	// discussions assume the written left-to-right order.
 	ReorderJoins bool
-	// Trace records per-rule counters in Stats.Rules and per-round records
-	// in Stats.Rounds (plus, under parallel evaluation, per-stratum records
-	// in Stats.Strata and per-worker records in Stats.Workers). Off by
-	// default: with tracing off the hot path pays a nil check per event and
-	// allocates nothing.
+	// Trace records exact per-rule counters in Stats.Rules. Off by default:
+	// with tracing off the hot path pays a nil check per event and allocates
+	// nothing. Where time went is Span's job, not Trace's.
 	Trace bool
 	// Streaming selects the executor for non-recursive strata. The engine
 	// evaluators ignore it (see StreamMode); internal/pipeline honors it
 	// when the strategy evaluates bottom-up semi-naive without provenance.
 	Streaming StreamMode
 	// Span, when non-nil, receives a query-scoped span tree of the
-	// evaluation: round and rule-pass spans sequentially, stratum, round,
-	// and worker spans in parallel mode. Setting Span implies Trace (the
-	// span attributes are read off the trace counters). Spans are recorded
+	// evaluation (package trace, the one record of where time went): round
+	// and rule-pass spans sequentially; stratum, round, rule and worker
+	// spans in parallel mode. Setting Span implies Trace (the rule spans'
+	// tuple counts are read off the per-rule counters). Spans are recorded
 	// per stage/stratum/round/rule — never per tuple — and the trace's span
 	// cap bounds the memory one query can hold; a nil Span costs the same
 	// single nil check as Trace=false.
@@ -231,14 +229,6 @@ type Stats struct {
 	// Rules holds per-rule counters, indexed by rule position in the
 	// program; nil unless Options.Trace.
 	Rules []obsv.RuleStats
-	// Rounds holds one record per fixpoint round; nil unless Options.Trace.
-	Rounds []obsv.RoundStats
-	// Strata holds one record per evaluated stratum; nil unless
-	// Options.Trace under parallel evaluation (Workers > 1).
-	Strata []obsv.StratumStats
-	// Workers holds one record per evaluation worker; nil unless
-	// Options.Trace under parallel evaluation (Workers > 1).
-	Workers []obsv.WorkerStats
 	// Degraded reports that a parallel evaluation hit a worker panic and
 	// the result was produced by the sequential retry. Derived counts only
 	// the retry's insertions (facts merged before the panic are already in
@@ -319,15 +309,11 @@ func evalSequentialGuarded(p *ast.Program, db *DB, rules []*compiledRule, opts O
 		ev.rn.prov = ev.prov
 	}
 	if opts.Trace {
-		ev.trace = newEvalTrace(rules)
+		ev.stats.Rules = newRuleStats(rules)
 	}
 	ev.span = opts.Span
 	if err := ev.run(); err != nil {
 		return nil, err
-	}
-	if ev.trace != nil {
-		ev.stats.Rules = ev.trace.rules
-		ev.stats.Rounds = ev.trace.rounds
 	}
 	return &Result{DB: db, Stats: ev.stats, Prov: ev.prov}, nil
 }
@@ -360,13 +346,10 @@ type evaluator struct {
 	curRound  int32
 	newCounts map[string]int // facts stamped curRound+1, by predicate
 
-	// rn executes rule joins; its sink is ev.emit.
+	// rn executes rule joins; its sink is ev.emit. Under Options.Trace its
+	// cur points into stats.Rules; untraced, stats.Rules is nil and the
+	// recording helpers are single nil checks that allocate nothing.
 	rn runner
-
-	// trace is non-nil only under Options.Trace; all recording helpers are
-	// nil-guarded so the untraced hot path neither branches deeply nor
-	// allocates.
-	trace *evalTrace
 
 	// span is Options.Span (the evaluation's parent span) and roundSpan the
 	// currently open round span; both nil when span tracing is off, and every
@@ -425,50 +408,32 @@ type runner struct {
 	shardRem int32
 }
 
-// evalTrace accumulates the per-rule and per-round records behind
-// Options.Trace.
-type evalTrace struct {
-	rules  []obsv.RuleStats
-	rounds []obsv.RoundStats
-	start  time.Time // current round's start
-	fired  int       // rule evaluation passes this round
-}
-
-func newEvalTrace(rules []*compiledRule) *evalTrace {
-	t := &evalTrace{rules: make([]obsv.RuleStats, len(rules))}
+// newRuleStats returns the zeroed per-rule counters behind Options.Trace,
+// labeled with each rule's source.
+func newRuleStats(rules []*compiledRule) []obsv.RuleStats {
+	out := make([]obsv.RuleStats, len(rules))
 	for i, r := range rules {
-		t.rules[i] = obsv.RuleStats{Index: i, Rule: r.label()}
+		out[i] = obsv.RuleStats{Index: i, Rule: r.label()}
 	}
-	return t
+	return out
 }
 
 func (ev *evaluator) traceRoundStart() {
-	if t := ev.trace; t != nil {
-		t.start = time.Now()
-		t.fired = 0
-	}
 	ev.roundSpan = ev.span.Child("round").SetRound(int(ev.curRound))
 }
 
 func (ev *evaluator) traceRoundEnd() {
-	if t := ev.trace; t != nil {
-		t.rounds = append(t.rounds, obsv.RoundStats{
-			Round:      int(ev.curRound),
-			RulesFired: t.fired,
-			NewFacts:   total(ev.newCounts),
-			Wall:       time.Since(t.start),
-		})
+	if ev.roundSpan != nil {
+		ev.roundSpan.AddTuplesOut(int64(total(ev.newCounts)))
+		ev.roundSpan.End()
+		ev.roundSpan = nil
 	}
-	ev.roundSpan.AddTuplesOut(int64(total(ev.newCounts)))
-	ev.roundSpan.End()
-	ev.roundSpan = nil
 }
 
 func (ev *evaluator) traceRule(r *compiledRule) {
-	if t := ev.trace; t != nil {
-		ev.rn.cur = &t.rules[r.idx]
+	if ev.stats.Rules != nil {
+		ev.rn.cur = &ev.stats.Rules[r.idx]
 		ev.rn.cur.Firings++
-		t.fired++
 	}
 }
 
@@ -570,7 +535,7 @@ func buildIndexes(db *DB, rules []*compiledRule) {
 // occurrences over P_{r-1} (before it) / P_r (after it).
 func (ev *evaluator) evalRule(r *compiledRule, deltaOcc int) error {
 	ev.traceRule(r)
-	ev.rn.setLimits(r, r.idbOccs, deltaOcc, ev.curRound)
+	ev.rn.setLimits(r, r.idbOccs, deltaOcc, ev.curRound, unrestricted)
 	jo := ev.rn.passOrder(r, deltaOcc)
 	if ev.roundSpan == nil {
 		return ev.rn.runRule(r, jo)
@@ -590,28 +555,36 @@ func (ev *evaluator) evalRule(r *compiledRule, deltaOcc int) error {
 	return err
 }
 
-// setLimits prepares the per-literal round windows for one evaluation of r:
-// unrestricted everywhere, then the semi-naive delta discipline over occs
-// (the body positions participating in the fixpoint) when deltaOcc >= 0.
-func (rn *runner) setLimits(r *compiledRule, occs []int, deltaOcc int, curRound int32) {
+// setLimits prepares the per-literal round windows for one pass of r — the
+// one delta-window rule every evaluator shares. Positions outside occs (the
+// body positions taking part in the delta discipline) get rest; with
+// deltaOcc >= 0 the positions in occs get the semi-naive windows of pass w:
+// [0,w-1] before the delta, [w,w] at it, [0,w] after it.
+//
+// The callers differ only in w and rest: Eval's rounds pass rest =
+// unrestricted (other strata and the EDB are complete); insertion waves
+// pass [0,w], so rows the wave itself derives (stamped w+1) stay unseen;
+// deletion waves stamp alive rows 0 and dying rows 1 and pass w = 1,
+// rest = [0,1].
+func (rn *runner) setLimits(r *compiledRule, occs []int, deltaOcc int, w int32, rest roundRange) {
 	if cap(rn.limits) < len(r.body) {
 		rn.limits = make([]roundRange, len(r.body))
 	}
 	rn.limits = rn.limits[:len(r.body)]
 	for i := range rn.limits {
-		rn.limits[i] = unrestricted
+		rn.limits[i] = rest
 	}
-	if deltaOcc >= 0 {
-		r0 := curRound
-		for _, occ := range occs {
-			switch {
-			case occ < deltaOcc:
-				rn.limits[occ] = roundRange{0, r0 - 1}
-			case occ == deltaOcc:
-				rn.limits[occ] = roundRange{r0, r0}
-			default:
-				rn.limits[occ] = roundRange{0, r0}
-			}
+	if deltaOcc < 0 {
+		return
+	}
+	for _, occ := range occs {
+		switch {
+		case occ < deltaOcc:
+			rn.limits[occ] = roundRange{0, w - 1}
+		case occ == deltaOcc:
+			rn.limits[occ] = roundRange{w, w}
+		default:
+			rn.limits[occ] = roundRange{0, w}
 		}
 	}
 }

@@ -49,11 +49,11 @@ func DeltaPass(db *DB, r *CompiledRule, w PassWindows, occs []int, deltaOcc int,
 	}
 	switch w {
 	case RoundWindows:
-		mt.rn.setLimits(r, occs, deltaOcc, k)
+		mt.rn.setLimits(r, occs, deltaOcc, k, unrestricted)
 	case InsertWindows:
-		mt.setInsertLimits(r, occs, deltaOcc)
+		mt.rn.setLimits(r, occs, deltaOcc, k, roundRange{0, k})
 	case DeleteWindows:
-		mt.setDeleteLimits(r, occs, deltaOcc)
+		mt.rn.setLimits(r, occs, deltaOcc, 1, roundRange{0, 1})
 	}
 	var jo *joinOrder
 	if deltaLed {

@@ -585,7 +585,7 @@ func (mt *maintainer) initialWaves(active []*compiledRule) error {
 		if len(r.body) > 0 {
 			continue
 		}
-		mt.setInsertLimits(r, nil, -1)
+		mt.rn.setLimits(r, nil, -1, mt.wave, roundRange{0, mt.wave})
 		if err := mt.rn.runRule(r, nil); err != nil {
 			return err
 		}
@@ -662,7 +662,7 @@ func (mt *maintainer) runInsertWaves(active []*compiledRule) error {
 		for _, r := range active {
 			occs := mt.bodyOccs(r, delta)
 			for _, li := range occs {
-				mt.setInsertLimits(r, occs, li)
+				mt.rn.setLimits(r, occs, li, mt.wave, roundRange{0, mt.wave})
 				if err := mt.rn.runRule(r, mt.rn.passOrder(r, li)); err != nil {
 					return err
 				}
@@ -683,32 +683,6 @@ func (mt *maintainer) bodyOccs(r *compiledRule, delta map[string]int) []int {
 	}
 	mt.occScratch = occs
 	return occs
-}
-
-// setInsertLimits prepares the wave-w windows: delta position [w,w],
-// positions of delta predicates before it [0,w-1], everything else [0,w]
-// — never unrestricted, so same-wave emissions (stamped w+1) are
-// excluded and each new instantiation is found exactly once.
-func (mt *maintainer) setInsertLimits(r *compiledRule, occs []int, deltaOcc int) {
-	rn := &mt.rn
-	if cap(rn.limits) < len(r.body) {
-		rn.limits = make([]roundRange, len(r.body))
-	}
-	rn.limits = rn.limits[:len(r.body)]
-	w := mt.wave
-	for i := range rn.limits {
-		rn.limits[i] = roundRange{0, w}
-	}
-	for _, occ := range occs {
-		switch {
-		case occ < deltaOcc:
-			rn.limits[occ] = roundRange{0, w - 1}
-		case occ == deltaOcc:
-			rn.limits[occ] = roundRange{w, w}
-		default:
-			rn.limits[occ] = roundRange{0, w}
-		}
-	}
 }
 
 // runDeleteWaves cascades a set of dying facts: each wave stamps the
@@ -742,7 +716,7 @@ func (mt *maintainer) runDeleteWaves(victims []victimRef) error {
 		for _, r := range m.rules {
 			occs := mt.bodyOccs(r, dyingPreds)
 			for _, li := range occs {
-				mt.setDeleteLimits(r, occs, li)
+				mt.rn.setLimits(r, occs, li, 1, roundRange{0, 1})
 				if err := mt.rn.runRule(r, mt.rn.passOrder(r, li)); err != nil {
 					return err
 				}
@@ -756,30 +730,6 @@ func (mt *maintainer) runDeleteWaves(victims []victimRef) error {
 		wave = append(wave[:0:0], mt.next...)
 	}
 	return nil
-}
-
-// setDeleteLimits mirrors setInsertLimits for a deletion wave: alive rows
-// are stamped 0 and dying rows 1, so the delta position is [1,1], dying
-// positions before it [0,0], and everything else [0,1].
-func (mt *maintainer) setDeleteLimits(r *compiledRule, occs []int, deltaOcc int) {
-	rn := &mt.rn
-	if cap(rn.limits) < len(r.body) {
-		rn.limits = make([]roundRange, len(r.body))
-	}
-	rn.limits = rn.limits[:len(r.body)]
-	for i := range rn.limits {
-		rn.limits[i] = roundRange{0, 1}
-	}
-	for _, occ := range occs {
-		switch {
-		case occ < deltaOcc:
-			rn.limits[occ] = roundRange{0, 0}
-		case occ == deltaOcc:
-			rn.limits[occ] = roundRange{1, 1}
-		default:
-			rn.limits[occ] = roundRange{0, 1}
-		}
-	}
 }
 
 // deleteSink decrements the derivation count of a head fact that just

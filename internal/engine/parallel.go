@@ -143,8 +143,15 @@ type parWorker struct {
 	arena      []Val // buffered head tuples, row-major per facts entry
 	dedup      factSet
 	inferences int
-	rules      []obsv.RuleStats // per-rule counters; nil unless traced
-	stats      obsv.WorkerStats
+	// rules and ruleBusy are the round's per-rule join counters and time
+	// spent in the rule's units, folded into Stats.Rules at each barrier;
+	// nil unless traced.
+	rules    []obsv.RuleStats
+	ruleBusy []time.Duration
+	// units, tuples and busy feed the worker span: work units run, head
+	// tuples buffered (before the barrier's dedup), and time inside units.
+	units, tuples int
+	busy          time.Duration
 	// stop, when non-nil, is the evaluation's cancellation flag; the sink
 	// polls it so a worker abandons its current work unit mid-join instead
 	// of running the unit to completion after the context is gone.
@@ -187,8 +194,8 @@ func (pw *parWorker) release() {
 	pw.arena = pw.arena[:0]
 	pw.dedup.reset()
 	pw.inferences = 0
-	pw.rules = nil
-	pw.stats = obsv.WorkerStats{}
+	pw.rules, pw.ruleBusy = nil, nil
+	pw.units, pw.tuples, pw.busy = 0, 0, 0
 	pw.stop = nil
 	parWorkerPool.Put(pw)
 }
@@ -246,16 +253,16 @@ type parEvaluator struct {
 	// once a sibling has died, and runRound reports it after the barrier.
 	panicked atomic.Pointer[PanicError]
 
-	// Trace state; all nil/unused unless Options.Trace.
-	trace      *evalTrace
-	mergeRules []obsv.RuleStats // barrier-side counters (derived, duplicates)
-	strata     []obsv.StratumStats
+	// roundDerived counts the current round's new facts per rule, for the
+	// barrier's fold into Stats.Rules; nil unless Options.Trace.
+	roundDerived []int
 
 	// span is Options.Span and stratumSpan the currently open stratum span;
 	// both nil-receiver no-ops when span tracing is off. Only the
 	// coordinator touches them — round spans bracket whole rounds (workers
-	// included), and worker busy time is attached once at the end, so no
-	// worker goroutine ever creates spans mid-join.
+	// included), rule spans are attached at the barrier, and worker busy
+	// time once at the end, so no worker goroutine ever creates spans
+	// mid-join.
 	span        *trace.Span
 	stratumSpan *trace.Span
 }
@@ -298,7 +305,6 @@ func evalParallel(p *ast.Program, db *DB, rules []*compiledRule, opts Options) (
 	ev.workers = make([]*parWorker, opts.Workers)
 	for w := range ev.workers {
 		pw := parWorkerPool.Get().(*parWorker)
-		pw.stats = obsv.WorkerStats{Worker: w}
 		if ev.ctx != nil {
 			pw.stop = &ev.stop
 		}
@@ -313,10 +319,11 @@ func evalParallel(p *ast.Program, db *DB, rules []*compiledRule, opts Options) (
 		}
 	}()
 	if opts.Trace {
-		ev.trace = newEvalTrace(rules)
-		ev.mergeRules = make([]obsv.RuleStats, len(rules))
-		for w := range ev.workers {
-			ev.workers[w].rules = make([]obsv.RuleStats, len(rules))
+		ev.stats.Rules = newRuleStats(rules)
+		ev.roundDerived = make([]int, len(rules))
+		for _, pw := range ev.workers {
+			pw.rules = make([]obsv.RuleStats, len(rules))
+			pw.ruleBusy = make([]time.Duration, len(rules))
 		}
 	}
 
@@ -331,31 +338,10 @@ func evalParallel(p *ast.Program, db *DB, rules []*compiledRule, opts Options) (
 	// per-round worker spans would multiply the span count for no extra
 	// signal.
 	if ev.span != nil {
-		for _, pw := range ev.workers {
-			ev.span.AddFinished("worker", pw.stats.Busy).
-				SetWorker(pw.stats.Worker).SetTuples(0, int64(pw.stats.Tuples)).
-				SetNote(fmt.Sprintf("%d units", pw.stats.Units))
-		}
-	}
-
-	if ev.trace != nil {
-		// Fold the workers' join counters and the barrier's insert counters
-		// into one per-rule table.
-		for i := range ev.trace.rules {
-			ev.trace.rules[i].TuplesDerived = ev.mergeRules[i].TuplesDerived
-			ev.trace.rules[i].Duplicates = ev.mergeRules[i].Duplicates
-			for _, pw := range ev.workers {
-				ev.trace.rules[i].Firings += pw.rules[i].Firings
-				ev.trace.rules[i].JoinProbes += pw.rules[i].JoinProbes
-				ev.trace.rules[i].TuplesMatched += pw.rules[i].TuplesMatched
-				ev.trace.rules[i].Duplicates += pw.rules[i].Duplicates
-			}
-		}
-		ev.stats.Rules = ev.trace.rules
-		ev.stats.Rounds = ev.trace.rounds
-		ev.stats.Strata = ev.strata
-		for _, pw := range ev.workers {
-			ev.stats.Workers = append(ev.stats.Workers, pw.stats)
+		for w, pw := range ev.workers {
+			ev.span.AddFinished("worker", pw.busy).
+				SetWorker(w).SetTuples(0, int64(pw.tuples)).
+				SetNote(fmt.Sprintf("%d units", pw.units))
 		}
 	}
 	return &Result{DB: db, Stats: ev.stats}, nil
@@ -364,7 +350,6 @@ func evalParallel(p *ast.Program, db *DB, rules []*compiledRule, opts Options) (
 // evalStratum runs one stratum to completion: a seed pass over all its
 // rules, then (if recursive) semi-naive rounds until no new facts appear.
 func (ev *parEvaluator) evalStratum(si int, st *depgraph.Stratum) error {
-	start := time.Now()
 	ev.stratumSpan = ev.span.Child("stratum").SetStratum(si)
 	if ev.stratumSpan != nil {
 		ev.stratumSpan.SetNote(strings.Join(st.Preds, ","))
@@ -397,7 +382,6 @@ func (ev *parEvaluator) evalStratum(si int, st *depgraph.Stratum) error {
 	}
 
 	factsBefore := ev.stats.Derived
-	roundsBefore := ev.stats.Iterations
 
 	// Seed pass: every rule once, no delta restriction. Facts land with
 	// stamp curRound+1 so they form the first round's delta.
@@ -441,18 +425,6 @@ func (ev *parEvaluator) evalStratum(si int, st *depgraph.Stratum) error {
 	// Leave curRound past every stamp this stratum used, so the next
 	// stratum's delta windows cannot overlap it.
 	ev.curRound++
-
-	if ev.trace != nil {
-		ev.strata = append(ev.strata, obsv.StratumStats{
-			Index:     si,
-			Preds:     st.Preds,
-			Recursive: st.Recursive,
-			Rules:     len(st.Rules),
-			Rounds:    ev.stats.Iterations - roundsBefore,
-			NewFacts:  ev.stats.Derived - factsBefore,
-			Wall:      time.Since(start),
-		})
-	}
 	ev.stratumSpan.AddTuplesOut(int64(ev.stats.Derived - factsBefore))
 	return nil
 }
@@ -473,10 +445,6 @@ func (ev *parEvaluator) addUnits(units []workUnit, r *compiledRule, occs []int, 
 // runRound fans units out to the workers, waits for the barrier, and merges
 // the private buffers into the database with stamp curRound+1.
 func (ev *parEvaluator) runRound(units []workUnit) error {
-	var roundStart time.Time
-	if ev.trace != nil {
-		roundStart = time.Now()
-	}
 	roundSpan := ev.stratumSpan.Child("round").SetRound(int(ev.curRound))
 	defer roundSpan.End()
 	nw := len(ev.workers)
@@ -513,7 +481,7 @@ func (ev *parEvaluator) runRound(units []workUnit) error {
 					break
 				}
 				u := units[i]
-				pw.stats.Units++
+				pw.units++
 				pw.rn.shardLit = 0
 				pw.rn.shardMod = u.shardMod
 				pw.rn.shardRem = u.shardRem
@@ -525,7 +493,7 @@ func (ev *parEvaluator) runRound(units []workUnit) error {
 						pw.rn.cur.Firings++
 					}
 				}
-				pw.rn.setLimits(u.rule, u.occs, u.deltaOcc, ev.curRound)
+				pw.rn.setLimits(u.rule, u.occs, u.deltaOcc, ev.curRound, unrestricted)
 				// Parallel passes join in source order: shards split the
 				// leading literal, and only the source order's indexes are
 				// built before the relations freeze. Whether this path stays
@@ -533,11 +501,19 @@ func (ev *parEvaluator) runRound(units []workUnit) error {
 				// The buffering sink fails only with errEvalStopped (budget
 				// enforcement happens at the merge below); on cancellation
 				// the worker abandons its remaining units.
-				if err := pw.rn.runRule(u.rule, nil); err != nil {
+				var unitStart time.Time
+				if pw.ruleBusy != nil {
+					unitStart = time.Now()
+				}
+				err := pw.rn.runRule(u.rule, nil)
+				if pw.ruleBusy != nil {
+					pw.ruleBusy[u.rule.idx] += time.Since(unitStart)
+				}
+				if err != nil {
 					break
 				}
 			}
-			pw.stats.Busy += time.Since(busyStart)
+			pw.busy += time.Since(busyStart)
 		}()
 	}
 	wg.Wait()
@@ -561,16 +537,16 @@ func (ev *parEvaluator) runRound(units []workUnit) error {
 	for _, pw := range ev.workers {
 		ev.stats.Inferences += pw.inferences
 		pw.inferences = 0
-		pw.stats.Tuples += len(pw.facts)
+		pw.tuples += len(pw.facts)
 		for _, bf := range pw.facts {
 			if !ev.db.Lookup(bf.rule.headPred).InsertRound(pw.tuple(bf), stamp) {
-				if ev.mergeRules != nil {
-					ev.mergeRules[bf.rule.idx].Duplicates++
+				if ev.stats.Rules != nil {
+					ev.stats.Rules[bf.rule.idx].Duplicates++
 				}
 				continue
 			}
-			if ev.mergeRules != nil {
-				ev.mergeRules[bf.rule.idx].TuplesDerived++
+			if ev.roundDerived != nil {
+				ev.roundDerived[bf.rule.idx]++
 			}
 			ev.newCounts[bf.rule.headPred]++
 			ev.stats.Derived++
@@ -580,15 +556,10 @@ func (ev *parEvaluator) runRound(units []workUnit) error {
 		pw.arena = pw.arena[:0]
 		pw.dedup.reset()
 	}
-	if t := ev.trace; t != nil {
-		t.rounds = append(t.rounds, obsv.RoundStats{
-			Round:      int(ev.curRound),
-			RulesFired: len(units),
-			NewFacts:   added,
-			Wall:       time.Since(roundStart),
-		})
-	}
 	roundSpan.AddTuplesOut(int64(added))
+	if ev.stats.Rules != nil {
+		ev.foldRules(roundSpan)
+	}
 	if ev.opts.MaxFacts > 0 && ev.stats.Derived > ev.opts.MaxFacts {
 		return fmt.Errorf("%w: %d derived facts", ErrBudgetExceeded, ev.stats.Derived)
 	}
@@ -596,6 +567,29 @@ func (ev *parEvaluator) runRound(units []workUnit) error {
 	// round derived is now in the shared relations, so this is where the
 	// storage budget is enforceable.
 	return memBudgetErr(ev.db, ev.opts.MaxBytes)
+}
+
+// foldRules moves the round's per-rule counters — the workers' join counts
+// and the barrier's new facts — into Stats.Rules, and gives each rule the
+// round ran a rule span with its share: probes in, new facts out, and the
+// workers' summed time inside the rule's units as its wall.
+func (ev *parEvaluator) foldRules(roundSpan *trace.Span) {
+	for i := range ev.stats.Rules {
+		var round obsv.RuleStats
+		var busy time.Duration
+		for _, pw := range ev.workers {
+			round.Add(pw.rules[i])
+			busy += pw.ruleBusy[i]
+			pw.rules[i], pw.ruleBusy[i] = obsv.RuleStats{}, 0
+		}
+		round.TuplesDerived, ev.roundDerived[i] = ev.roundDerived[i], 0
+		if round.Firings == 0 {
+			continue
+		}
+		ev.stats.Rules[i].Add(round)
+		roundSpan.AddFinished("rule", busy).SetRule(i).
+			SetTuples(int64(round.JoinProbes), int64(round.TuplesDerived))
+	}
 }
 
 // discardBuffers drops every worker's partial round state after a panic or

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"factorlog/internal/parser"
+	"factorlog/internal/trace"
 )
 
 // TestParallelMatchesSequentialRandomGraphs is the parallel-correctness
@@ -98,7 +99,8 @@ func TestParallelStratifiedMagic(t *testing.T) {
 	}
 	for _, workers := range []int{2, 4, 8} {
 		dbPar := load()
-		resPar, err := Eval(p, dbPar, Options{Strategy: SemiNaive, Workers: workers, Trace: true})
+		tc := trace.New(trace.NewID())
+		resPar, err := Eval(p, dbPar, Options{Strategy: SemiNaive, Workers: workers, Span: tc.Root()})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -114,11 +116,12 @@ func TestParallelStratifiedMagic(t *testing.T) {
 				t.Errorf("workers=%d: missing answer %s", workers, k)
 			}
 		}
-		if len(resPar.Stats.Strata) != 3 {
-			t.Errorf("workers=%d: %d strata traced, want 3", workers, len(resPar.Stats.Strata))
+		tc.Finish()
+		if n := len(spansNamed(tc, "stratum")); n != 3 {
+			t.Errorf("workers=%d: %d stratum spans, want 3", workers, n)
 		}
-		if len(resPar.Stats.Workers) != workers {
-			t.Errorf("workers=%d: %d worker rows traced", workers, len(resPar.Stats.Workers))
+		if n := len(spansNamed(tc, "worker")); n != workers {
+			t.Errorf("workers=%d: %d worker spans", workers, n)
 		}
 	}
 }

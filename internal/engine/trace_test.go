@@ -28,7 +28,7 @@ func traceTC(t *testing.T, opts Options) Stats {
 }
 
 func TestTraceRecordsRuleAndRoundStats(t *testing.T) {
-	stats := traceTC(t, Options{Trace: true})
+	stats, tc := spanTC(t, Options{})
 
 	if len(stats.Rules) != 2 {
 		t.Fatalf("Rules = %d, want one entry per program rule", len(stats.Rules))
@@ -58,25 +58,29 @@ func TestTraceRecordsRuleAndRoundStats(t *testing.T) {
 		t.Error("cyclic graph must re-derive facts, Duplicates = 0")
 	}
 
-	if len(stats.Rounds) != stats.Iterations {
-		t.Fatalf("Rounds = %d, Iterations = %d", len(stats.Rounds), stats.Iterations)
+	// The rounds live in the span tree: one round span per iteration, each
+	// with one rule span per firing, the last deriving nothing.
+	rounds := spansNamed(tc, "round")
+	if len(rounds) != stats.Iterations {
+		t.Fatalf("round spans = %d, Iterations = %d", len(rounds), stats.Iterations)
 	}
-	var newFacts, fired int
-	for i, r := range stats.Rounds {
+	var newFacts int64
+	var fired int
+	for i, r := range rounds {
 		if r.Round != i {
-			t.Errorf("round %d has Round %d", i, r.Round)
+			t.Errorf("round span %d has Round %d", i, r.Round)
 		}
-		newFacts += r.NewFacts
-		fired += r.RulesFired
+		newFacts += r.TuplesOut
+		fired += len(r.Children())
 	}
-	if newFacts != stats.Derived {
+	if newFacts != int64(stats.Derived) {
 		t.Errorf("per-round new facts %d != Stats.Derived %d", newFacts, stats.Derived)
 	}
 	if fired != firings {
-		t.Errorf("per-round fired %d != per-rule firings %d", fired, firings)
+		t.Errorf("rule spans %d != per-rule firings %d", fired, firings)
 	}
-	if last := stats.Rounds[len(stats.Rounds)-1]; last.NewFacts != 0 {
-		t.Errorf("final round derived %d new facts, want 0 (fixpoint)", last.NewFacts)
+	if last := rounds[len(rounds)-1]; last.TuplesOut != 0 {
+		t.Errorf("final round derived %d new facts, want 0 (fixpoint)", last.TuplesOut)
 	}
 }
 
@@ -97,14 +101,14 @@ func TestTraceNaiveStrategy(t *testing.T) {
 
 func TestTraceOffRecordsNothing(t *testing.T) {
 	stats := traceTC(t, Options{})
-	if stats.Rules != nil || stats.Rounds != nil {
-		t.Errorf("Trace off: Rules = %v, Rounds = %v, want nil", stats.Rules, stats.Rounds)
+	if stats.Rules != nil {
+		t.Errorf("Trace off: Rules = %v, want nil", stats.Rules)
 	}
 }
 
 // TestTraceOffZeroAllocs pins the Options.Trace=false contract: the
-// recording helpers on the evaluation hot path allocate no per-rule or
-// per-round records when tracing is off.
+// recording helpers on the evaluation hot path allocate nothing when
+// tracing is off.
 func TestTraceOffZeroAllocs(t *testing.T) {
 	ev := &evaluator{newCounts: map[string]int{}}
 	r := &compiledRule{}
@@ -119,8 +123,8 @@ func TestTraceOffZeroAllocs(t *testing.T) {
 }
 
 // spanTC is traceTC for span tracing: evaluate the cyclic TC under a
-// trace.Context and return the finished trace.
-func spanTC(t *testing.T, opts Options) *trace.Context {
+// trace.Context and return the stats and the finished trace.
+func spanTC(t *testing.T, opts Options) (Stats, *trace.Context) {
 	t.Helper()
 	tc := trace.New(trace.NewID())
 	opts.Span = tc.Root().Child("eval")
@@ -130,25 +134,29 @@ func spanTC(t *testing.T, opts Options) *trace.Context {
 	if stats.Rules == nil {
 		t.Fatal("Options.Span must imply Options.Trace")
 	}
-	return tc
+	return stats, tc
 }
 
 // spanNames flattens a finished trace into name counts.
 func spanNames(tc *trace.Context) map[string]int {
 	counts := map[string]int{}
-	var walk func(s *trace.Span)
-	walk = func(s *trace.Span) {
-		counts[s.Name]++
-		for _, c := range s.Children() {
-			walk(c)
-		}
-	}
-	walk(tc.Root())
+	tc.Root().Walk(func(s *trace.Span) { counts[s.Name]++ })
 	return counts
 }
 
+// spansNamed lists a finished trace's spans called name, in tree order.
+func spansNamed(tc *trace.Context, name string) []*trace.Span {
+	var out []*trace.Span
+	tc.Root().Walk(func(s *trace.Span) {
+		if s.Name == name {
+			out = append(out, s)
+		}
+	})
+	return out
+}
+
 func TestSpanTreeSequential(t *testing.T) {
-	tc := spanTC(t, Options{})
+	_, tc := spanTC(t, Options{})
 	counts := spanNames(tc)
 	if counts["round"] < 2 {
 		t.Errorf("sequential trace has %d round spans, want >= 2", counts["round"])
@@ -172,7 +180,7 @@ func TestSpanTreeSequential(t *testing.T) {
 }
 
 func TestSpanTreeParallel(t *testing.T) {
-	tc := spanTC(t, Options{Workers: 3})
+	_, tc := spanTC(t, Options{Workers: 3})
 	counts := spanNames(tc)
 	if counts["stratum"] < 1 {
 		t.Errorf("parallel trace has %d stratum spans, want >= 1", counts["stratum"])

@@ -30,78 +30,15 @@ type RuleStats struct {
 	Duplicates int `json:"duplicates"`
 }
 
-// RoundStats describes one fixpoint round.
-type RoundStats struct {
-	// Round is the round number (0 is the initial full evaluation).
-	Round int `json:"round"`
-	// RulesFired counts rule evaluation passes during the round.
-	RulesFired int `json:"rules_fired"`
-	// NewFacts counts facts first derived in this round.
-	NewFacts int `json:"new_facts"`
-	// Wall is the round's wall-clock time.
-	Wall time.Duration `json:"wall_ns"`
-}
-
-// StratumStats describes one stratum of a parallel stratified evaluation:
-// one strongly connected component of the predicate dependency graph,
-// evaluated either in a single pass (non-recursive) or to a local fixpoint.
-type StratumStats struct {
-	// Index is the stratum's position in the topological schedule.
-	Index int `json:"index"`
-	// Preds are the IDB predicates the stratum defines.
-	Preds []string `json:"preds"`
-	// Recursive reports whether the stratum ran a fixpoint (vs one pass).
-	Recursive bool `json:"recursive"`
-	// Rules counts the rules belonging to the stratum.
-	Rules int `json:"rules"`
-	// Rounds counts the evaluation rounds the stratum took (1 for
-	// non-recursive strata).
-	Rounds int `json:"rounds"`
-	// NewFacts counts facts first derived in this stratum.
-	NewFacts int `json:"new_facts"`
-	// Wall is the stratum's wall-clock time, including merge barriers.
-	Wall time.Duration `json:"wall_ns"`
-}
-
-// WorkerStats describes one evaluation worker of a parallel run.
-type WorkerStats struct {
-	// Worker is the worker's index (0-based).
-	Worker int `json:"worker"`
-	// Units counts the work units (rule x delta-occurrence x shard) the
-	// worker executed.
-	Units int `json:"units"`
-	// Tuples counts head tuples the worker buffered, before barrier-merge
-	// deduplication.
-	Tuples int `json:"tuples"`
-	// Busy is the total wall-clock time the worker spent inside units.
-	Busy time.Duration `json:"busy_ns"`
-}
-
-// Span traces one pipeline stage: a program-to-program transformation (or
-// the final evaluation), with the deltas the paper cares about — rule count
-// and maximum IDB arity.
-type Span struct {
-	// Name identifies the stage (adorn, magic, factor, optimize, counting,
-	// sup-magic, eval).
-	Name string `json:"name"`
-	// Wall is the stage's wall-clock time.
-	Wall time.Duration `json:"wall_ns"`
-	// RulesBefore/RulesAfter are the rule counts of the input and output
-	// programs.
-	RulesBefore int `json:"rules_before"`
-	RulesAfter  int `json:"rules_after"`
-	// ArityBefore/ArityAfter are the maximum IDB arities of the input and
-	// output programs — the paper's argument-reduction metric.
-	ArityBefore int `json:"arity_before"`
-	ArityAfter  int `json:"arity_after"`
-	// Allocs/AllocBytes are the heap allocation count and bytes the stage
-	// performed (runtime.MemStats deltas over the stage; whole-process, so
-	// only meaningful when the stage runs without concurrent mutators).
-	// Zero when the pipeline did not sample them.
-	Allocs     uint64 `json:"allocs,omitempty"`
-	AllocBytes uint64 `json:"alloc_bytes,omitempty"`
-	// Err is set when the stage failed (e.g. a non-factorable program).
-	Err string `json:"error,omitempty"`
+// Add accumulates o's counters into r (Index and Rule stay r's): the fold
+// that merges a worker's, a round's or a subprogram's counters into one
+// evaluation's record.
+func (r *RuleStats) Add(o RuleStats) {
+	r.Firings += o.Firings
+	r.JoinProbes += o.JoinProbes
+	r.TuplesMatched += o.TuplesMatched
+	r.TuplesDerived += o.TuplesDerived
+	r.Duplicates += o.Duplicates
 }
 
 // StorageStats describes the storage shape of a database after evaluation:
@@ -210,30 +147,6 @@ func newTable(b *strings.Builder) *tabwriter.Writer {
 	return tabwriter.NewWriter(b, 0, 0, 2, ' ', 0)
 }
 
-// SpanTable renders pipeline stage spans as an aligned table.
-func SpanTable(spans []Span) string {
-	var b strings.Builder
-	w := newTable(&b)
-	fmt.Fprintln(w, "stage\twall\trules\tmax-arity\tallocs\talloc-bytes\tnote")
-	for _, s := range spans {
-		note := ""
-		if s.Err != "" {
-			note = "error: " + s.Err
-		}
-		allocs, bytes := "-", "-"
-		if s.Allocs > 0 || s.AllocBytes > 0 {
-			allocs = fmt.Sprintf("%d", s.Allocs)
-			bytes = FormatBytes(int64(s.AllocBytes))
-		}
-		fmt.Fprintf(w, "%s\t%s\t%d -> %d\t%d -> %d\t%s\t%s\t%s\n",
-			s.Name, FormatDuration(s.Wall),
-			s.RulesBefore, s.RulesAfter, s.ArityBefore, s.ArityAfter,
-			allocs, bytes, note)
-	}
-	w.Flush()
-	return b.String()
-}
-
 // FormatBytes renders a byte count with a binary unit suffix.
 func FormatBytes(n int64) string {
 	switch {
@@ -267,51 +180,6 @@ func RuleTable(rules []RuleStats) string {
 		fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%d\t%d\t%s\n",
 			r.Index, r.Firings, r.JoinProbes, r.TuplesMatched,
 			r.TuplesDerived, r.Duplicates, r.Rule)
-	}
-	w.Flush()
-	return b.String()
-}
-
-// StratumTable renders per-stratum records as an aligned table; the rec
-// column marks strata that ran a fixpoint.
-func StratumTable(strata []StratumStats) string {
-	var b strings.Builder
-	w := newTable(&b)
-	fmt.Fprintln(w, "stratum\tpreds\trec\trules\trounds\tnew-facts\twall")
-	for _, s := range strata {
-		rec := ""
-		if s.Recursive {
-			rec = "*"
-		}
-		fmt.Fprintf(w, "%d\t%s\t%s\t%d\t%d\t%d\t%s\n",
-			s.Index, strings.Join(s.Preds, ","), rec, s.Rules, s.Rounds,
-			s.NewFacts, FormatDuration(s.Wall))
-	}
-	w.Flush()
-	return b.String()
-}
-
-// WorkerTable renders per-worker records as an aligned table.
-func WorkerTable(workers []WorkerStats) string {
-	var b strings.Builder
-	w := newTable(&b)
-	fmt.Fprintln(w, "worker\tunits\ttuples\tbusy")
-	for _, ws := range workers {
-		fmt.Fprintf(w, "%d\t%d\t%d\t%s\n",
-			ws.Worker, ws.Units, ws.Tuples, FormatDuration(ws.Busy))
-	}
-	w.Flush()
-	return b.String()
-}
-
-// RoundTable renders per-round records as an aligned table.
-func RoundTable(rounds []RoundStats) string {
-	var b strings.Builder
-	w := newTable(&b)
-	fmt.Fprintln(w, "round\trules-fired\tnew-facts\twall")
-	for _, r := range rounds {
-		fmt.Fprintf(w, "%d\t%d\t%d\t%s\n",
-			r.Round, r.RulesFired, r.NewFacts, FormatDuration(r.Wall))
 	}
 	w.Flush()
 	return b.String()

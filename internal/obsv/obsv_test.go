@@ -6,27 +6,6 @@ import (
 	"time"
 )
 
-func TestSpanTable(t *testing.T) {
-	spans := []Span{
-		{Name: "adorn", Wall: 120 * time.Microsecond, RulesBefore: 4, RulesAfter: 4, ArityBefore: 2, ArityAfter: 2},
-		{Name: "magic", Wall: 80 * time.Microsecond, RulesBefore: 4, RulesAfter: 9, ArityBefore: 2, ArityAfter: 2},
-		{Name: "factor", Wall: time.Millisecond, RulesBefore: 9, RulesAfter: 9, ArityBefore: 2, ArityAfter: 1,
-			Err: "not factorable"},
-	}
-	out := SpanTable(spans)
-	for _, want := range []string{"stage", "adorn", "120µs", "4 -> 9", "2 -> 1", "error: not factorable"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("SpanTable missing %q:\n%s", want, out)
-		}
-	}
-	// Every line has the same header-driven alignment: tabwriter guarantees
-	// columns never collide, even with long stage names.
-	long := SpanTable([]Span{{Name: strings.Repeat("x", 40), Wall: time.Hour}})
-	if !strings.Contains(long, strings.Repeat("x", 40)) {
-		t.Errorf("long stage name mangled:\n%s", long)
-	}
-}
-
 func TestRuleTable(t *testing.T) {
 	rules := []RuleStats{
 		{Index: 0, Rule: "t(X,Y) :- e(X,Y).", Firings: 3, JoinProbes: 40, TuplesMatched: 12, TuplesDerived: 9, Duplicates: 3},
@@ -41,19 +20,6 @@ func TestRuleTable(t *testing.T) {
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 3 {
 		t.Errorf("want header + 2 rows, got %d lines:\n%s", len(lines), out)
-	}
-}
-
-func TestRoundTable(t *testing.T) {
-	rounds := []RoundStats{
-		{Round: 0, RulesFired: 4, NewFacts: 10, Wall: 1500 * time.Nanosecond},
-		{Round: 1, RulesFired: 6, NewFacts: 0, Wall: 2 * time.Millisecond},
-	}
-	out := RoundTable(rounds)
-	for _, want := range []string{"round", "rules-fired", "new-facts", "2ms"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("RoundTable missing %q:\n%s", want, out)
-		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"factorlog/internal/core"
 	"factorlog/internal/depgraph"
 	"factorlog/internal/engine"
-	"factorlog/internal/obsv"
 	"factorlog/internal/stream"
 )
 
@@ -58,9 +57,9 @@ type ExplainInfo struct {
 	Reductions []string `json:"reductions"`
 	// Strata is the topological stratum schedule of the evaluated program.
 	Strata []StratumPlan `json:"strata"`
-	// Stages are the compile-stage spans (wall, rule/arity deltas) the
-	// pipeline recorded building this plan.
-	Stages []obsv.Span `json:"stages,omitempty"`
+	// Stages are the compile-stage records (wall, rule/arity deltas) the
+	// pipeline measured building this plan.
+	Stages []stageRecord `json:"stages,omitempty"`
 	// Candidates is the Auto planner's candidate table (strategy, ordering,
 	// estimated cost, chosen/rejected reason) when the plan was picked by the
 	// adaptive optimizer; empty for fixed-strategy plans.
@@ -78,7 +77,7 @@ func (pl *Pipeline) Explain(s Strategy) (*ExplainInfo, error) {
 		Strategy:  s.String(),
 		Query:     pl.Query.String(),
 		Adornment: string(ast.AdornmentOf(pl.Query, nil)),
-		Stages:    pl.spansFor(s),
+		Stages:    pl.stagesFor(s),
 	}
 
 	// Walk the chain (Compile succeeded, so every stage of it is memoized):

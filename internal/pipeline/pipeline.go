@@ -27,7 +27,7 @@ type Pipeline struct {
 	// factorable classes (see package cq).
 	Constraints []ast.Rule
 
-	// mu guards the stage memo and the span log below, making a Pipeline safe
+	// mu guards the stage memo and the stage log below, making a Pipeline safe
 	// for concurrent Runs (the plan cache hands one Pipeline to many server
 	// requests). Evaluation itself never holds mu — only the compile-once
 	// bookkeeping does.
@@ -36,9 +36,10 @@ type Pipeline struct {
 	// memo holds each rewrite stage's outcome once it has run (see stage).
 	memo [numStages]stageMemo
 
-	// spans traces each transformation stage the first time it runs (the
-	// outcomes above are memoized, so each stage appears at most once).
-	spans []obsv.Span
+	// stageLog measures each transformation stage the first time it runs,
+	// in run order (the outcomes above are memoized, so each stage appears
+	// at most once).
+	stageLog []stageRecord
 
 	// tmpl and bound make this pipeline a query's instantiation of a plan
 	// template (see template.go): its stages are tmpl's, rewritten through
@@ -58,8 +59,35 @@ func (pl *Pipeline) WithConstraints(tgds []ast.Rule) *Pipeline {
 	return pl
 }
 
+// stageRecord measures one rewrite stage the time it ran: wall time, heap
+// delta, and the deltas the paper cares about — rule count and maximum IDB
+// arity. The stage memo keeps it because it outlives any one query's
+// trace: a traced Run replays it as a cached span, and EXPLAIN serves it as
+// one of the plan's stages.
+type stageRecord struct {
+	// Name identifies the stage (adorn, magic, factor, optimize, counting,
+	// sup-magic).
+	Name string `json:"name"`
+	// Wall is the stage's wall-clock time.
+	Wall time.Duration `json:"wall_ns"`
+	// RulesBefore/RulesAfter are the rule counts of the input and output
+	// programs.
+	RulesBefore int `json:"rules_before"`
+	RulesAfter  int `json:"rules_after"`
+	// ArityBefore/ArityAfter are the maximum IDB arities of the input and
+	// output programs — the paper's argument-reduction metric.
+	ArityBefore int `json:"arity_before"`
+	ArityAfter  int `json:"arity_after"`
+	// Allocs/AllocBytes are the heap allocation count and bytes the stage
+	// performed (see startStage).
+	Allocs     uint64 `json:"allocs,omitempty"`
+	AllocBytes uint64 `json:"alloc_bytes,omitempty"`
+	// Err is set when the stage failed (e.g. a non-factorable program).
+	Err string `json:"error,omitempty"`
+}
+
 // stageStart marks the beginning of a rewrite stage or an evaluation: its
-// wall clock and, when sampled, the process heap counters, so spanFrom can
+// wall clock and, when sampled, the process heap counters, so allocs can
 // report the allocation delta alongside the wall time.
 type stageStart struct {
 	t       time.Time
@@ -69,12 +97,12 @@ type stageStart struct {
 }
 
 // startStage samples the wall clock and, if asked, the allocation counters.
-// Rewrite stages always sample; evaluations only when traced — ReadMemStats
-// briefly stops the world, and untraced server queries should not pay that
-// per request. The counters are process-wide (runtime.MemStats), so the
-// delta attributes concurrent allocations to the stage too; rewrite stages
-// run once under the pipeline lock, where the attribution is accurate in
-// practice.
+// Rewrite stages always sample; evaluations only when they record a span —
+// ReadMemStats briefly stops the world, and untraced server queries should
+// not pay that per request. The counters are process-wide
+// (runtime.MemStats), so the delta attributes concurrent allocations to the
+// stage too; rewrite stages run once under the pipeline lock, where the
+// attribution is accurate in practice.
 func startStage(sampled bool) stageStart {
 	st := stageStart{sampled: sampled}
 	if sampled {
@@ -86,39 +114,30 @@ func startStage(sampled bool) stageStart {
 	return st
 }
 
-// spanFrom closes the span start opened; in or out may be nil when the
-// stage's input or output program is unavailable (a failed stage has no
-// output). An evaluation's span has the evaluated program on both sides.
-func spanFrom(name string, start stageStart, in, out *ast.Program, err error) obsv.Span {
-	sp := obsv.Span{Name: name, Wall: time.Since(start.t)}
-	if start.sampled {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		sp.Allocs = ms.Mallocs - start.mallocs
-		sp.AllocBytes = ms.TotalAlloc - start.bytes
+// allocs returns the heap allocation count and bytes since start, zero when
+// start was not sampled.
+func (start stageStart) allocs() (count, bytes uint64) {
+	if !start.sampled {
+		return 0, 0
 	}
-	if in != nil {
-		sp.RulesBefore, sp.ArityBefore = len(in.Rules), maxIDBArity(in)
-	}
-	if out == in {
-		sp.RulesAfter, sp.ArityAfter = sp.RulesBefore, sp.ArityBefore
-	} else if out != nil {
-		sp.RulesAfter, sp.ArityAfter = len(out.Rules), maxIDBArity(out)
-	}
-	if err != nil {
-		sp.Err = err.Error()
-	}
-	return sp
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs - start.mallocs, ms.TotalAlloc - start.bytes
 }
 
-// Spans returns the stage spans recorded so far, in execution order.
-func (pl *Pipeline) Spans() []obsv.Span {
-	if pl.tmpl != nil {
-		return pl.tmpl.Spans()
+// stageFrom closes the stage start opened; out is nil when the stage failed
+// and has no output program.
+func stageFrom(name string, start stageStart, in, out *ast.Program, err error) stageRecord {
+	rec := stageRecord{Name: name, Wall: time.Since(start.t)}
+	rec.Allocs, rec.AllocBytes = start.allocs()
+	rec.RulesBefore, rec.ArityBefore = len(in.Rules), maxIDBArity(in)
+	if out != nil {
+		rec.RulesAfter, rec.ArityAfter = len(out.Rules), maxIDBArity(out)
 	}
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	return append([]obsv.Span(nil), pl.spans...)
+	if err != nil {
+		rec.Err = err.Error()
+	}
+	return rec
 }
 
 // RunResult reports one strategy's outcome over one EDB.
@@ -140,18 +159,10 @@ type RunResult struct {
 	MaxIDBArity int
 	// Program is the program that was evaluated.
 	Program *ast.Program
-	// Spans traces the transformation stages that produced Program, ending
-	// with an "eval" span for the evaluation itself.
-	Spans []obsv.Span
-	// Rules and Rounds carry the engine's per-rule and per-round records
-	// when engine.Options.Trace is set (bottom-up strategies only; nil
-	// otherwise).
-	Rules  []obsv.RuleStats
-	Rounds []obsv.RoundStats
-	// Strata and Workers carry the parallel evaluator's per-stratum and
-	// per-worker records when tracing a run with engine.Options.Workers > 1.
-	Strata  []obsv.StratumStats
-	Workers []obsv.WorkerStats
+	// Rules carries the engine's exact per-rule counters when
+	// engine.Options.Trace (or Span) is set (bottom-up strategies only; nil
+	// otherwise). Where the time went is the span tree's to say.
+	Rules []obsv.RuleStats
 	// EvalWall is the evaluation's wall-clock time.
 	EvalWall time.Duration
 	// Storage is the database's storage shape after evaluation: arena and
@@ -210,17 +221,15 @@ func evalProgram(prog *ast.Program, db *engine.DB, opts engine.Options) (engine.
 
 // attachStageSpans replays the memoized transformation stages of s under
 // parent as pre-measured (Cached) spans — their wall time was paid when the
-// pipeline compiled, possibly by an earlier query — and returns the "eval"
-// child span the evaluation should run under.
-func (pl *Pipeline) attachStageSpans(s Strategy, parent *trace.Span) *trace.Span {
-	for _, sp := range pl.spansFor(s) {
-		parent.AddFinished(sp.Name, sp.Wall).
-			SetAllocs(sp.Allocs, sp.AllocBytes).
+// pipeline compiled, possibly by an earlier query.
+func (pl *Pipeline) attachStageSpans(s Strategy, parent *trace.Span) {
+	for _, rec := range pl.stagesFor(s) {
+		parent.AddFinished(rec.Name, rec.Wall).
+			SetAllocs(rec.Allocs, rec.AllocBytes).
 			SetCached(true).
 			SetNote(fmt.Sprintf("rules %d→%d, arity %d→%d",
-				sp.RulesBefore, sp.RulesAfter, sp.ArityBefore, sp.ArityAfter))
+				rec.RulesBefore, rec.RulesAfter, rec.ArityBefore, rec.ArityAfter))
 	}
-	return parent.Child("eval")
 }
 
 // Run evaluates one strategy over db. The db is mutated (derived relations
@@ -260,13 +269,11 @@ func (pl *Pipeline) Run(s Strategy, db *engine.DB, evalOpts engine.Options) (*Ru
 		if err := pl.Compile(s); err != nil {
 			return nil, err
 		}
-		evalSp := pl.attachStageSpans(s, evalOpts.Span)
-		evalOpts.Span = evalSp
-		defer evalSp.End()
+		pl.attachStageSpans(s, evalOpts.Span)
 	}
 	row := s.row()
 	if row.eval == sld || row.eval == tabled {
-		return pl.runTopDown(s, row.eval, db)
+		return pl.runTopDown(s, row.eval, db, evalOpts.Span)
 	}
 	if len(row.chain) == 0 {
 		evalOpts.Strategy = row.mode
@@ -277,13 +284,16 @@ func (pl *Pipeline) Run(s Strategy, db *engine.DB, evalOpts engine.Options) (*Ru
 	if err != nil {
 		return nil, err
 	}
-	start := startStage(evalOpts.Trace)
+	start := startStage(evalOpts.Span != nil)
+	evalSp := evalOpts.Span.Child("eval")
+	evalOpts.Span = evalSp
 	stats, streamStats, executor, err := evalProgram(prog, db, evalOpts)
-	span := spanFrom("eval", start, prog, prog, nil)
+	evalSp.End()
+	evalWall := time.Since(start.t)
 	if err != nil {
 		return nil, err
 	}
-	evalOpts.Span.AddTuplesOut(int64(stats.Derived))
+	evalSp.SetAllocs(start.allocs()).AddTuplesOut(int64(stats.Derived))
 	answers, err := pl.ProjectAnswers(db, query, transformed)
 	if err != nil {
 		return nil, err
@@ -294,14 +304,10 @@ func (pl *Pipeline) Run(s Strategy, db *engine.DB, evalOpts engine.Options) (*Ru
 		Facts:       stats.Derived,
 		Inferences:  stats.Inferences,
 		Iterations:  stats.Iterations,
-		MaxIDBArity: span.ArityAfter,
+		MaxIDBArity: maxIDBArity(prog),
 		Program:     prog,
-		Spans:       append(pl.spansFor(s), span),
 		Rules:       stats.Rules,
-		Rounds:      stats.Rounds,
-		Strata:      stats.Strata,
-		Workers:     stats.Workers,
-		EvalWall:    span.Wall,
+		EvalWall:    evalWall,
 		Storage:     db.StorageStats(),
 		Degraded:    stats.Degraded,
 		Executor:    executor,
@@ -311,9 +317,11 @@ func (pl *Pipeline) Run(s Strategy, db *engine.DB, evalOpts engine.Options) (*Ru
 
 // runTopDown proves the query goal-directed on the source program, with the
 // SLD or the tabled evaluator, and reports its counters in RunResult's
-// bottom-up vocabulary.
-func (pl *Pipeline) runTopDown(s Strategy, eval evaluator, db *engine.DB) (*RunResult, error) {
-	start := startStage(false)
+// bottom-up vocabulary. Under span tracing the proof is parent's "eval" span.
+func (pl *Pipeline) runTopDown(s Strategy, eval evaluator, db *engine.DB, parent *trace.Span) (*RunResult, error) {
+	evalSp := parent.Child("eval")
+	defer evalSp.End()
+	start := time.Now()
 	var proved []ast.Atom
 	var facts, steps, depth int
 	if eval == tabled {
@@ -337,7 +345,7 @@ func (pl *Pipeline) runTopDown(s Strategy, eval evaluator, db *engine.DB) (*RunR
 		}
 		proved, facts, steps, depth = res.Answers, res.Stats.IDBSuccesses, res.Stats.Steps, res.Stats.MaxDepthSeen
 	}
-	span := spanFrom("eval", start, pl.Program, pl.Program, nil)
+	evalWall := time.Since(start)
 	answers := map[string]bool{}
 	free := pl.freePositions()
 	parts := make([]string, len(free))
@@ -353,10 +361,9 @@ func (pl *Pipeline) runTopDown(s Strategy, eval evaluator, db *engine.DB) (*RunR
 		Facts:       facts,
 		Inferences:  steps,
 		Iterations:  depth,
-		MaxIDBArity: span.ArityAfter,
+		MaxIDBArity: maxIDBArity(pl.Program),
 		Program:     pl.Program,
-		Spans:       []obsv.Span{span},
-		EvalWall:    span.Wall,
+		EvalWall:    evalWall,
 		Storage:     db.StorageStats(),
 	}, nil
 }
@@ -458,10 +465,12 @@ func Table(results []*RunResult) string {
 	return b.String()
 }
 
-// ProfileTable renders one run's profile: its stage spans and, when the
-// evaluation was traced (engine.Options.Trace), the per-rule and per-round
-// tables.
-func ProfileTable(r *RunResult) string {
+// ProfileTable renders one run's profile: header lines (strategy, executor,
+// stream and storage summaries), then tc's span tree — compile stages, eval,
+// and the engine's strata, rounds, rules and workers — then, when the
+// evaluation was traced, the per-rule counter table and the streaming
+// operators' row counts. tc is the trace the run recorded into, or nil.
+func ProfileTable(r *RunResult, tc *trace.Context) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "strategy: %s (eval wall %s)\n",
 		r.Strategy, obsv.FormatDuration(r.EvalWall))
@@ -476,22 +485,10 @@ func ProfileTable(r *RunResult) string {
 		b.WriteString(obsv.StorageLine(r.Storage))
 		b.WriteByte('\n')
 	}
-	b.WriteString(obsv.SpanTable(r.Spans))
+	b.WriteString(tc.Profile())
 	if len(r.Rules) > 0 {
 		b.WriteByte('\n')
 		b.WriteString(obsv.RuleTable(r.Rules))
-	}
-	if len(r.Strata) > 0 {
-		b.WriteByte('\n')
-		b.WriteString(obsv.StratumTable(r.Strata))
-	}
-	if len(r.Workers) > 0 {
-		b.WriteByte('\n')
-		b.WriteString(obsv.WorkerTable(r.Workers))
-	}
-	if len(r.Rounds) > 0 {
-		b.WriteByte('\n')
-		b.WriteString(obsv.RoundTable(r.Rounds))
 	}
 	if r.Stream != nil && len(r.Stream.Ops) > 0 {
 		b.WriteByte('\n')

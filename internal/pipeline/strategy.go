@@ -11,7 +11,6 @@ import (
 	"factorlog/internal/counting"
 	"factorlog/internal/engine"
 	"factorlog/internal/magic"
-	"factorlog/internal/obsv"
 	"factorlog/internal/optimize"
 )
 
@@ -195,7 +194,7 @@ const (
 
 // stageDef declares one rewrite stage.
 type stageDef struct {
-	// name labels the stage's span (Spans, EXPLAIN's stages, the trace).
+	// name labels the stage's record (EXPLAIN's stages, the trace's spans).
 	name  string
 	input stageID
 	// rewrite runs under the pipeline lock once input — and so everything
@@ -270,9 +269,9 @@ type stageMemo struct {
 	rewritten
 	done bool
 	err  error
-	// span indexes the stage's entry in Pipeline.spans; -1 when the stage
+	// rec indexes the stage's entry in Pipeline.stageLog; -1 when the stage
 	// never ran because something upstream of it failed.
-	span int
+	rec int
 }
 
 // upstream reads the typed result of a stage that is known to have
@@ -281,7 +280,7 @@ func upstream[T any](pl *Pipeline, id stageID) T { return pl.memo[id].res.(T) }
 
 // stage returns stage id's outcome on this pipeline, running it — and
 // whatever it consumes — on first use. It is the only place a rewrite runs:
-// it owns the lock, the span, and the memoization rule.
+// it owns the lock, the stage record, and the memoization rule.
 func (pl *Pipeline) stage(id stageID) stageMemo {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
@@ -302,7 +301,7 @@ func (pl *Pipeline) stageLocked(id stageID) *stageMemo {
 	if def.input != sourceProgram {
 		up := pl.stageLocked(def.input)
 		if up.err != nil {
-			*m = stageMemo{done: true, err: up.err, span: -1}
+			*m = stageMemo{done: true, err: up.err, rec: -1}
 			return m
 		}
 		in = up.prog
@@ -312,8 +311,8 @@ func (pl *Pipeline) stageLocked(id stageID) *stageMemo {
 	// Nothing is memoized before the rewrite has returned: a panic in it
 	// unwinds through here (to buildPlan's recover barrier) and leaves the
 	// stage to run again on the next call.
-	*m = stageMemo{rewritten: out, done: true, err: err, span: len(pl.spans)}
-	pl.spans = append(pl.spans, spanFrom(def.name, start, in, out.prog, err))
+	*m = stageMemo{rewritten: out, done: true, err: err, rec: len(pl.stageLog)}
+	pl.stageLog = append(pl.stageLog, stageFrom(def.name, start, in, out.prog, err))
 	return m
 }
 
@@ -378,9 +377,9 @@ func (pl *Pipeline) compile(s Strategy) (ran bool, err error) {
 	}
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	before := len(pl.spans)
+	before := len(pl.stageLog)
 	err = pl.stageLocked(last).err
-	return len(pl.spans) > before, err
+	return len(pl.stageLog) > before, err
 }
 
 // MaterializedProgram returns the program strategy s evaluates bottom-up
@@ -404,19 +403,19 @@ func (pl *Pipeline) MaterializedProgram(s Strategy) (prog *ast.Program, query as
 	return m.prog, m.query, true, nil
 }
 
-// spansFor returns the recorded spans of one strategy's stage chain, in
-// chain order (the pipeline accumulates spans across strategies as its
+// stagesFor returns the stage records of one strategy's chain, in chain
+// order (the pipeline's log accumulates stages across strategies as its
 // memo fills).
-func (pl *Pipeline) spansFor(s Strategy) []obsv.Span {
+func (pl *Pipeline) stagesFor(s Strategy) []stageRecord {
 	if pl.tmpl != nil {
-		return pl.tmpl.spansFor(s)
+		return pl.tmpl.stagesFor(s)
 	}
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	var out []obsv.Span
+	var out []stageRecord
 	for _, id := range s.row().chain {
-		if m := pl.memo[id]; m.done && m.span >= 0 {
-			out = append(out, pl.spans[m.span])
+		if m := pl.memo[id]; m.done && m.rec >= 0 {
+			out = append(out, pl.stageLog[m.rec])
 		}
 	}
 	return out

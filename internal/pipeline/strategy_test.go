@@ -107,7 +107,7 @@ func TestStagesRunOncePerPipeline(t *testing.T) {
 	wg.Wait()
 
 	ran := map[string]int{}
-	for _, sp := range pl.Spans() {
+	for _, sp := range pl.stageRecords() {
 		ran[sp.Name]++
 		if (sp.Err != "") != (sp.Name == "counting") {
 			t.Errorf("span %s: err %q", sp.Name, sp.Err)
@@ -154,7 +154,7 @@ func TestStagesRunOncePerPipeline(t *testing.T) {
 		t.Errorf("memoized call: err %v, rewrite called %d times, want nil and 2", err, calls)
 	}
 	var names []string
-	for _, sp := range pl.Spans() {
+	for _, sp := range pl.stageRecords() {
 		names = append(names, sp.Name)
 	}
 	if want := []string{"adorn", "magic"}; !reflect.DeepEqual(names, want) {

@@ -179,7 +179,7 @@ func (pl *Pipeline) bind(query ast.Atom, params []ast.Term) *Pipeline {
 
 // stage binds one of the template's stage outcomes.
 func (b *binding) stage(m stageMemo) stageMemo {
-	out := stageMemo{done: true, span: m.span, rewritten: rewritten{
+	out := stageMemo{done: true, rec: m.rec, rewritten: rewritten{
 		prog:  b.program(m.prog),
 		query: b.atom(m.query),
 	}}

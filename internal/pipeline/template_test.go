@@ -335,7 +335,7 @@ func TestTemplateCompilesOncePerShape(t *testing.T) {
 	}
 	tmpl := cache.template(p, hash, nil, shapeOf(mustAtom(t, "tc(1, Y)"), p, nil))
 	var names []string
-	for _, sp := range tmpl.Spans() {
+	for _, sp := range tmpl.stageRecords() {
 		names = append(names, sp.Name)
 	}
 	if got := strings.Join(names, " "); got != "adorn magic factor optimize counting sup-magic" {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime/debug"
 	"strings"
-	"time"
 
 	"factorlog/internal/ast"
 	"factorlog/internal/depgraph"
@@ -142,32 +141,19 @@ func (ev *streamEval) run() error {
 			return err
 		}
 		sp := &ev.plan.Strata[si]
-		start := time.Now()
 		span := ev.opts.Span.Child("stratum").SetStratum(si)
 		if span != nil {
 			span.SetNote(executorNote(sp) + ": " + strings.Join(sp.Preds, ","))
 		}
 		var newFacts int
-		var rounds int
 		var err error
 		if sp.Streamed {
 			newFacts, err = ev.runStreamed(sp, span)
-			rounds = 1
 		} else {
-			newFacts, rounds, err = ev.runFixpoint(sp, span)
+			newFacts, err = ev.runFixpoint(sp, span)
 		}
+		span.AddTuplesOut(int64(newFacts))
 		span.End()
-		if ev.opts.Trace {
-			ev.result.Stats.Strata = append(ev.result.Stats.Strata, obsv.StratumStats{
-				Index:     si,
-				Preds:     sp.Preds,
-				Recursive: sp.Recursive,
-				Rules:     len(sp.ruleIdxs),
-				Rounds:    rounds,
-				NewFacts:  newFacts,
-				Wall:      time.Since(start),
-			})
-		}
 		if err != nil {
 			return err
 		}
@@ -187,9 +173,15 @@ func executorNote(sp *StratumPlan) string {
 
 // runStreamed executes one non-recursive stratum: each rule's pipeline runs
 // once, draining into the head relation as round-0 base facts. It returns
-// the number of new facts derived.
+// the number of new facts derived. The pass is the stratum's one iteration,
+// so under span tracing it is one round span holding a rule span per rule.
 func (ev *streamEval) runStreamed(sp *StratumPlan, span *trace.Span) (newFacts int, err error) {
 	stats := &ev.result.Stats
+	round := span.Child("round").SetRound(0)
+	defer func() {
+		round.AddTuplesOut(int64(newFacts))
+		round.End()
+	}()
 	for _, rp := range sp.Rules {
 		rel := ev.db.Lookup(rp.compiled.HeadPred())
 		mat := rp.Root
@@ -223,12 +215,13 @@ func (ev *streamEval) runStreamed(sp *StratumPlan, span *trace.Span) (newFacts i
 			probes += n.RowsIn
 		}
 		if ev.opts.Trace {
-			rs := &stats.Rules[rp.RuleIndex]
-			rs.Firings++
-			rs.JoinProbes += int(probes)
-			rs.TuplesMatched += int(nodes[len(nodes)-2].RowsIn) // rows reaching project
-			rs.TuplesDerived += derived
-			rs.Duplicates += dups
+			stats.Rules[rp.RuleIndex].Add(obsv.RuleStats{
+				Firings:       1,
+				JoinProbes:    int(probes),
+				TuplesMatched: int(nodes[len(nodes)-2].RowsIn), // rows reaching project
+				TuplesDerived: derived,
+				Duplicates:    dups,
+			})
 			for _, n := range nodes {
 				ev.result.Stream.Ops = append(ev.result.Stream.Ops, obsv.StreamOpStats{
 					Stratum: sp.Index,
@@ -241,8 +234,8 @@ func (ev *streamEval) runStreamed(sp *StratumPlan, span *trace.Span) (newFacts i
 				})
 			}
 		}
-		if span != nil {
-			span.Child("rule").SetRule(rp.RuleIndex).
+		if round != nil {
+			round.Child("rule").SetRule(rp.RuleIndex).
 				SetTuples(probes, int64(derived)).End()
 		}
 	}
@@ -257,8 +250,10 @@ func (ev *streamEval) runStreamed(sp *StratumPlan, span *trace.Span) (newFacts i
 // guarantees every body relation outside the stratum is already complete,
 // and the engine's round-0 pass is unrestricted, so leftover round stamps
 // from earlier strata are harmless. Budgets are passed as the remaining
-// slack so the whole evaluation honors the caller's bounds.
-func (ev *streamEval) runFixpoint(sp *StratumPlan, span *trace.Span) (newFacts, rounds int, err error) {
+// slack so the whole evaluation honors the caller's bounds. The engine
+// records its spans under span with subprogram rule indexes; they are
+// renumbered to the program's afterwards.
+func (ev *streamEval) runFixpoint(sp *StratumPlan, span *trace.Span) (newFacts int, err error) {
 	stats := &ev.result.Stats
 	sub := &ast.Program{Rules: make([]ast.Rule, len(sp.ruleIdxs))}
 	for i, ri := range sp.ruleIdxs {
@@ -276,45 +271,36 @@ func (ev *streamEval) runFixpoint(sp *StratumPlan, span *trace.Span) (newFacts, 
 	if ev.opts.MaxIterations > 0 {
 		remaining := ev.opts.MaxIterations - stats.Iterations
 		if remaining <= 0 {
-			return 0, 0, fmt.Errorf("%w: %d iterations", engine.ErrBudgetExceeded, stats.Iterations)
+			return 0, fmt.Errorf("%w: %d iterations", engine.ErrBudgetExceeded, stats.Iterations)
 		}
 		subOpts.MaxIterations = remaining
 	}
 	if ev.opts.MaxFacts > 0 {
 		remaining := ev.opts.MaxFacts - stats.Derived
 		if remaining <= 0 {
-			return 0, 0, fmt.Errorf("%w: %d derived facts", engine.ErrBudgetExceeded, stats.Derived)
+			return 0, fmt.Errorf("%w: %d derived facts", engine.ErrBudgetExceeded, stats.Derived)
 		}
 		subOpts.MaxFacts = remaining
 	}
 	res, err := engine.Eval(sub, ev.db, subOpts)
+	span.Walk(func(s *trace.Span) {
+		if s.Rule >= 0 {
+			s.Rule = sp.ruleIdxs[s.Rule]
+		}
+	})
 	if res != nil {
-		roundBase := stats.Iterations
 		stats.Inferences += res.Stats.Inferences
 		stats.Derived += res.Stats.Derived
 		stats.Iterations += res.Stats.Iterations
 		stats.Degraded = stats.Degraded || res.Stats.Degraded
-		if ev.opts.Trace {
-			// Subprogram rule i is global rule sp.ruleIdxs[i]; fold its
-			// counters into the global record (labels are already set).
-			for i := range res.Stats.Rules {
-				sub := &res.Stats.Rules[i]
-				rs := &stats.Rules[sp.ruleIdxs[i]]
-				rs.Firings += sub.Firings
-				rs.JoinProbes += sub.JoinProbes
-				rs.TuplesMatched += sub.TuplesMatched
-				rs.TuplesDerived += sub.TuplesDerived
-				rs.Duplicates += sub.Duplicates
-			}
-			for _, rd := range res.Stats.Rounds {
-				rd.Round += roundBase
-				stats.Rounds = append(stats.Rounds, rd)
-			}
+		// Subprogram rule i is global rule sp.ruleIdxs[i]; fold its counters
+		// into the global record (labels are already set).
+		for i, sub := range res.Stats.Rules {
+			stats.Rules[sp.ruleIdxs[i]].Add(sub)
 		}
 		newFacts = res.Stats.Derived
-		rounds = res.Stats.Iterations
 	}
-	return newFacts, rounds, err
+	return newFacts, err
 }
 
 // chainNodes flattens a rule plan's linear operator chain source-first:

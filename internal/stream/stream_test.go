@@ -11,6 +11,7 @@ import (
 	"factorlog/internal/ast"
 	"factorlog/internal/engine"
 	"factorlog/internal/parser"
+	"factorlog/internal/trace"
 )
 
 // mixedProgram exercises every stratum shape the executor routes: layered
@@ -257,10 +258,12 @@ func TestStreamTraceCountersAndOps(t *testing.T) {
 	prog := parser.MustParseProgram(mixedProgram)
 	db := engine.NewDB()
 	loadMixedEDB(db, 8)
-	res, err := Eval(prog, db, engine.Options{Trace: true})
+	tc := trace.New(trace.NewID())
+	res, err := Eval(prog, db, engine.Options{Span: tc.Root()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tc.Finish()
 	if len(res.Stats.Rules) != 5 {
 		t.Fatalf("got %d rule records, want 5", len(res.Stats.Rules))
 	}
@@ -269,8 +272,14 @@ func TestStreamTraceCountersAndOps(t *testing.T) {
 			t.Errorf("rule %d (%s) never fired", rs.Index, rs.Rule)
 		}
 	}
-	if len(res.Stats.Strata) != 4 {
-		t.Errorf("got %d stratum records, want 4", len(res.Stats.Strata))
+	strata := 0
+	tc.Root().Walk(func(s *trace.Span) {
+		if s.Name == "stratum" {
+			strata++
+		}
+	})
+	if strata != 4 {
+		t.Errorf("got %d stratum spans, want 4", strata)
 	}
 	if len(res.Stream.Ops) == 0 {
 		t.Fatal("no per-operator records under Trace")

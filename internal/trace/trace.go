@@ -271,6 +271,17 @@ func (s *Span) Children() []*Span {
 	return append([]*Span(nil), s.children...)
 }
 
+// Walk calls f on s and on every span below it, parents before children.
+func (s *Span) Walk(f func(*Span)) {
+	if s == nil {
+		return
+	}
+	f(s)
+	for _, c := range s.Children() {
+		c.Walk(f)
+	}
+}
+
 // The Set helpers are nil-safe and return the receiver for chaining, so
 // instrumentation reads as one expression and costs one branch when the
 // trace is off: sp := parent.Child("round").SetRound(r).
