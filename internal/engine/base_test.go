@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"factorlog/internal/ast"
+	"factorlog/internal/faultinject"
 	"factorlog/internal/parser"
 )
 
@@ -155,7 +157,6 @@ func TestFrozenRelationRejectsWrites(t *testing.T) {
 		"Insert":       func() { rel.Insert(tuple) },
 		"Delete":       func() { rel.Delete(rel.Tuple(0)) },
 		"EnableCounts": func() { rel.EnableCounts() },
-		"stampAll":     func() { rel.stampAll(1) },
 		"stampDying":   func() { rel.stampDying(0) },
 	}
 	for name, write := range writes {
@@ -324,9 +325,11 @@ func TestChildStoreThroughMaterialization(t *testing.T) {
 }
 
 // TestMaterializeVersionSlicesByRelevance: only the relations the program
-// names (and the ones the caller keeps) are carried, and a predicate that
-// is both asserted and derived keeps its EDB support through a retraction
-// of its other support and through a rebuild.
+// names (and the ones the caller keeps) are carried; the pure-EDB ones are
+// the image's own relations until a batch changes one, and the heads are
+// private and counted. A predicate that is both asserted and derived keeps
+// its EDB support through a retraction of its other support and through a
+// rebuild.
 func TestMaterializeVersionSlicesByRelevance(t *testing.T) {
 	u := mustUnit(t, incrementalPrograms["derivable-edb"]+`
 		e(1,2). seed(1,2). seed(3,4). m(2). m(4). other(1). other(2). kept(9).`)
@@ -348,9 +351,23 @@ func TestMaterializeVersionSlicesByRelevance(t *testing.T) {
 	if m.BaseCount() != 6 {
 		t.Errorf("BaseCount = %d, want the 6 carried base facts", m.BaseCount())
 	}
-	for _, rel := range m.DB().relations {
-		if rel.frozen {
-			t.Fatal("the counted database aliases a frozen relation")
+	v := b.Current()
+	// owned checks that the heads e and p and the given pure-EDB relations
+	// are private and counted, and every other relation is the image's.
+	owned := func(label string, preds ...string) {
+		t.Helper()
+		own := map[string]bool{"e": true, "p": true}
+		for _, pred := range preds {
+			own[pred] = true
+		}
+		for pred, rel := range m.DB().relations {
+			image := rel == v.Relation(pred)
+			if own[pred] && (image || rel.frozen || !rel.Counted()) {
+				t.Errorf("%s: %s is not private and counted", label, pred)
+			}
+			if !own[pred] && (!image || !rel.frozen) {
+				t.Errorf("%s: pure-EDB %s is not the image's relation", label, pred)
+			}
 		}
 	}
 	want := func(label string) {
@@ -358,6 +375,7 @@ func TestMaterializeVersionSlicesByRelevance(t *testing.T) {
 		facts := m.BaseFacts()
 		diffDump(t, label, scratchFixpoint(t, u.Program(), facts, 1), dumpLive(m.DB()))
 	}
+	owned("initial build")
 	want("initial build")
 	// e(1,2) is asserted and derived from seed(1,2): losing one support
 	// keeps it, whichever goes first.
@@ -367,10 +385,12 @@ func TestMaterializeVersionSlicesByRelevance(t *testing.T) {
 	if m.DB().Count("e") != 2 || m.DB().Count("p") != 2 {
 		t.Errorf("after retracting seed(1,2): e=%d p=%d, want 2 and 2", m.DB().Count("e"), m.DB().Count("p"))
 	}
+	owned("after retracting seed(1,2)", "seed")
 	want("after retracting the derived support")
 	if err := m.Rebuild(ctx); err != nil {
 		t.Fatal(err)
 	}
+	owned("after a rebuild", "seed")
 	want("after a rebuild")
 	if _, err := m.Apply(ctx, nil, atoms(t, "e(1,2)")); err != nil {
 		t.Fatal(err)
@@ -381,6 +401,166 @@ func TestMaterializeVersionSlicesByRelevance(t *testing.T) {
 	want("after retracting the asserted support")
 	if got := atomSet(b.Current().Atoms()); !got["e(1,2)"] || !got["seed(1,2)"] {
 		t.Error("a materialization's batches reached the image")
+	}
+}
+
+// imageState records what a materialization must never change in the
+// version it reads: each relation's pointer and rows.
+type imageState map[string]imageRel
+
+type imageRel struct {
+	rel   *Relation
+	rows  int
+	arena []Val
+}
+
+func recordImage(v *Version) imageState {
+	out := imageState{}
+	for pred, rel := range v.rels {
+		out[pred] = imageRel{rel, rel.Len(), slices.Clone(rel.arena)}
+	}
+	return out
+}
+
+// check fails unless v still holds exactly the recorded relations, each
+// frozen, with its rows, every row stamped 0 and no counts.
+func (want imageState) check(t *testing.T, label string, v *Version) {
+	t.Helper()
+	if len(v.rels) != len(want) {
+		t.Fatalf("%s: the version has %d relations, want %d", label, len(v.rels), len(want))
+	}
+	for pred, w := range want {
+		rel := v.rels[pred]
+		switch {
+		case rel != w.rel:
+			t.Fatalf("%s: %s is no longer the recorded relation", label, pred)
+		case !rel.frozen || rel.counted || rel.counts != nil || rel.dead != 0:
+			t.Fatalf("%s: %s was written (frozen %v, counted %v, dead %d)", label, pred, rel.frozen, rel.counted, rel.dead)
+		case rel.Len() != w.rows || !slices.Equal(rel.arena, w.arena):
+			t.Fatalf("%s: the rows of %s changed", label, pred)
+		}
+		for pos, round := range rel.rounds {
+			if round != 0 {
+				t.Fatalf("%s: %s row %d stamped %d", label, pred, pos, round)
+			}
+		}
+	}
+}
+
+// TestMaterializationLeavesImageUntouched: a materialization reads the pure
+// EDB by reference, so nothing it does — a build, counting deletes, DRed
+// rebuilds, a batch that fails and rolls back, an explicit Rebuild — may
+// write the version it was built over. After every step the version holds
+// the same relations with the same rows, unstamped and uncounted, and a
+// scratch Eval over v.EvalDB() agrees with the reference. Two entries are
+// built over the version at once (run it under -race); each one's first
+// batch writes relations it still shares with the image.
+func TestMaterializationLeavesImageUntouched(t *testing.T) {
+	ctx := context.Background()
+	var counting, dred int
+	for name, src := range incrementalPrograms {
+		t.Run(name, func(t *testing.T) {
+			u := mustUnit(t, src)
+			rng := rand.New(rand.NewSource(int64(len(name))))
+			b, err := NewBase(randomEDB(t, rng, incrementalEDB[name], 24), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := b.Current()
+			image := recordImage(v)
+			reference := scratchFixpoint(t, u.Program(), v.Atoms(), 1)
+
+			var ms [2]*Materialization
+			var errs [2]error
+			var wg sync.WaitGroup
+			for i := range ms {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					ms[i], errs[i] = MaterializeVersion(ctx, u.Program(), v, MaterializeOptions{})
+				}()
+			}
+			wg.Wait()
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("concurrent build %d: %v", i, err)
+				}
+			}
+			image.check(t, "after two concurrent builds", v)
+			m := ms[0]
+
+			live := atomSet(v.Atoms())
+			for batch := 0; batch < 16; batch++ {
+				assert := randomEDB(t, rng, incrementalEDB[name], 1+rng.Intn(3))
+				var retract []ast.Atom
+				for _, a := range randomEDB(t, rng, incrementalEDB[name], 8) {
+					// The first batch only asserts, so its insertions meet
+					// relations that are still the image's.
+					if batch > 0 && live[a.String()] && len(retract) < 3 {
+						retract = append(retract, a)
+					}
+				}
+				label := fmt.Sprintf("batch %d", batch)
+				if batch == 8 {
+					// A batch that dies in its first wave rolls back; the
+					// next batch rebuilds from the restored base.
+					fresh := randomEDB(t, rng, incrementalEDB[name][:1], 1)[0]
+					fresh.Args[0] = ast.C("100")
+					disable := faultinject.Enable(faultinject.Config{Seed: 1, MaxPeriod: 1, Points: []faultinject.Point{faultinject.DeltaWave}})
+					_, err := m.Apply(ctx, append(assert, fresh), retract)
+					disable()
+					if err == nil || !m.Dirty() {
+						t.Fatalf("%s under an armed DeltaWave: err = %v, dirty = %v", label, err, m.Dirty())
+					}
+					image.check(t, label+" (rolled back)", v)
+					continue
+				}
+				st, err := m.Apply(ctx, assert, retract)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if st.Rebuilt {
+					dred++
+				} else if st.DeletedFacts > 0 {
+					counting++
+				}
+				for _, a := range retract {
+					delete(live, a.String())
+				}
+				for _, a := range assert {
+					live[a.String()] = true
+				}
+				image.check(t, label, v)
+				diffDump(t, label, scratchFixpoint(t, u.Program(), m.BaseFacts(), 1), dumpLive(m.DB()))
+			}
+			if err := m.Rebuild(ctx); err != nil {
+				t.Fatal(err)
+			}
+			image.check(t, "after Rebuild", v)
+			diffDump(t, "after Rebuild", scratchFixpoint(t, u.Program(), m.BaseFacts(), 1), dumpLive(m.DB()))
+			if len(live) != m.BaseCount() {
+				t.Errorf("the materialization holds %d base facts, want %d", m.BaseCount(), len(live))
+			}
+
+			diffDump(t, "the other entry", reference, dumpLive(ms[1].DB()))
+			// The other entry's first batch only retracts, so its deletions
+			// meet relations that are still the image's.
+			retract := v.Atoms()[:3]
+			if _, err := ms[1].Apply(ctx, nil, retract); err != nil {
+				t.Fatal(err)
+			}
+			image.check(t, "after the other entry's retraction", v)
+			diffDump(t, "the other entry after its retraction", scratchFixpoint(t, u.Program(), ms[1].BaseFacts(), 1), dumpLive(ms[1].DB()))
+			db := v.EvalDB()
+			if _, err := Eval(u.Program(), db, Options{}); err != nil {
+				t.Fatal(err)
+			}
+			diffDump(t, "scratch Eval over the image", reference, dumpLive(db))
+			image.check(t, "after the scratch Eval", v)
+		})
+	}
+	if counting == 0 || dred == 0 {
+		t.Errorf("%d counting deletes and %d DRed rebuilds ran; want both", counting, dred)
 	}
 }
 
@@ -413,8 +593,9 @@ func dumpAtoms(t *testing.T, db *DB) []ast.Atom {
 }
 
 // TestApplyRestampsOnlyThePreviousDelta: an assert into an N-row
-// materialization visits O(batch + derived) round stamps, not N. (The first
-// batch after a build pays for the build's stamps once.)
+// materialization visits O(batch + derived) round stamps, not N — the
+// first batch after a build too, since the build stamps only what it
+// derives.
 func TestApplyRestampsOnlyThePreviousDelta(t *testing.T) {
 	const n = 20000
 	var facts []ast.Atom
@@ -432,19 +613,13 @@ func TestApplyRestampsOnlyThePreviousDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := m.Apply(ctx, atoms(t, "seed(x1,1)"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Restamped < n {
-		t.Errorf("first batch after the build restamped %d rows; the build stamped at least %d", st.Restamped, n)
-	}
-	for i, batch := range [][]ast.Atom{atoms(t, "seed(x2,2)"), atoms(t, "e(x3,1)", "e(x4,2)"), atoms(t, "m(7)")} {
+	for i, batch := range [][]ast.Atom{atoms(t, "seed(x1,1)"), atoms(t, "seed(x2,2)"), atoms(t, "e(x3,1)", "e(x4,2)"), atoms(t, "m(7)")} {
 		st, err := m.Apply(ctx, batch, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The previous batch added at most 2 base rows and 4 derived ones.
+		// The build or the previous batch added at most 2 base rows and 4
+		// derived ones.
 		if st.Restamped > 8 {
 			t.Errorf("batch %d restamped %d rows of a %d-row materialization", i, st.Restamped, st.Total)
 		}

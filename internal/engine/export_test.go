@@ -64,12 +64,18 @@ func DeltaPass(db *DB, r *CompiledRule, w PassWindows, occs []int, deltaOcc int,
 }
 
 // StampDying resets db's round stamps and stamps the given rows of each
-// predicate dying, the state a deletion wave's passes run in.
+// predicate dying, the state a deletion wave's passes run in. A relation
+// aliased from a base image is first made private to db, as Apply does
+// before a row of it can die.
 func StampDying(db *DB, dying map[string][]int32) {
 	db.resetRounds()
 	for pred, rows := range dying {
+		rel, err := db.own(pred, db.Lookup(pred).Arity())
+		if err != nil {
+			panic(err)
+		}
 		for _, row := range rows {
-			db.Lookup(pred).stampDying(row)
+			rel.stampDying(row)
 		}
 	}
 }

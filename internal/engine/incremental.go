@@ -9,9 +9,8 @@ package engine
 // the delta discipline exactly as in eval.go: facts stamped w are the
 // wave's delta, facts stamped below w are older state, and facts derived
 // during the wave are stamped w+1 so they become the next wave's delta.
-// Across batches, each relation additionally records the epoch a row was
-// inserted in (counted mode), so observability can attribute facts to the
-// mutation batch that introduced them.
+// Base rows a materialization reads from the image are never stamped: they
+// stay at 0, and a build's wave 0 joins them before any delta exists.
 //
 // Insertions use semi-naive delta propagation with an exact-once window
 // scheme: every body position of a delta predicate is decomposed the
@@ -67,8 +66,10 @@ type MaterializeOptions struct {
 	// MaxFacts bounds facts derived by one build or Apply; 0 = unlimited.
 	// Exceeding it fails the operation with ErrBudgetExceeded.
 	MaxFacts int
-	// MaxBytes bounds the materialized DB's storage footprint, checked at
-	// wave boundaries like Options.MaxBytes; 0 = unlimited.
+	// MaxBytes bounds the footprint of the relations the materialization
+	// owns, checked at wave boundaries like Options.MaxBytes; 0 = unlimited.
+	// Image relations it reads by reference are not charged, as for an Eval
+	// over Version.EvalDB (DB.StorageStats skips frozen relations).
 	MaxBytes int64
 }
 
@@ -88,7 +89,8 @@ type ApplyStats struct {
 	NewFacts, DeletedFacts int
 	// Inferences counts body instantiations visited by the waves.
 	Inferences int
-	// Waves counts maintenance waves (insertion + deletion).
+	// Waves counts maintenance waves (insertion + deletion); the wave 0 of
+	// a build or DRed rebuild (see initialWaves) is not counted.
 	Waves int
 	// Rebuilt reports that the DRed-style stratum rebuild ran (a
 	// retraction's downstream closure touched a recursive stratum).
@@ -112,12 +114,13 @@ func (st ApplyStats) Changed() int { return st.NewFacts + st.DeletedFacts }
 //
 // Its rows come from a base image Version, sliced by relevance: only the
 // relations the program names (plus any the caller asks to keep) are
-// carried. The mutable EDB starts as aliases of the image's frozen
-// relations and clones one only when a batch first changes it; the counted
-// database is bulk-cloned from them (Relation.clone: arena and table
-// copies, nothing re-interned or re-hashed). Terms the program or later
-// batches introduce are interned in a child of the image's store and die
-// with the materialization.
+// carried, and only the relations it writes are its own. The mutable EDB
+// and the counted database both alias the image's frozen relations and
+// clone one (Relation.clone) when they first write it: the counted database
+// its IDB heads at the build, a pure-EDB relation once a batch changes it.
+// A frozen row has stamp 0 and an implicit derivation count of 1. Terms the
+// program or later batches introduce are interned in a child of the
+// image's store and die with the materialization.
 type Materialization struct {
 	prog  *ast.Program
 	store *Store // a child of the image's store
@@ -134,7 +137,7 @@ type Materialization struct {
 	reads map[string]bool
 
 	base  *DB // the mutable EDB (live asserted facts only); frozen aliases until written
-	db    *DB // materialized EDB + IDB, counted mode
+	db    *DB // materialized EDB + IDB; owned relations counted, frozen aliases until written
 	epoch int64
 	dirty bool // a failed Apply poisoned db; rebuild before next use
 	opts  MaterializeOptions
@@ -360,10 +363,11 @@ func (m *Materialization) Apply(ctx context.Context, assert, retract []ast.Atom)
 		undoRetract = append(undoRetract, factRef{a.Pred, retractTuples[i]})
 		st.Retracted++
 		retractedPreds[a.Pred] = true
-		rel := m.db.Lookup(a.Pred)
-		if rel == nil {
-			continue
+		rel, rerr := m.db.own(a.Pred, len(a.Args))
+		if rerr != nil {
+			return st, fmt.Errorf("%w: %v", ErrMutation, rerr)
 		}
+		rel.EnableCounts()
 		row, ok := rel.findRow(retractTuples[i])
 		if !ok {
 			continue
@@ -412,7 +416,7 @@ func (m *Materialization) Apply(ctx context.Context, assert, retract []ast.Atom)
 		brel.Insert(assertTuples[i])
 		undoAssert = append(undoAssert, factRef{a.Pred, assertTuples[i]})
 		st.Asserted++
-		rel, rerr := m.db.Rel(a.Pred, len(a.Args))
+		rel, rerr := m.db.own(a.Pred, len(a.Args))
 		if rerr != nil {
 			return st, fmt.Errorf("%w: %v", ErrMutation, rerr)
 		}
@@ -475,19 +479,25 @@ func (m *Materialization) retractionClosure(preds map[string]bool) (map[string]b
 	return closure, recursive
 }
 
-// rebuild recomputes the whole materialization from the base EDB: every
-// base relation is bulk-cloned into a fresh counted database, then the
+// rebuild recomputes the whole materialization from the base EDB: a base
+// relation still frozen goes into a fresh counted database by pointer, one
+// an earlier batch wrote is cloned, every head is made private, and the
 // rules run to fixpoint over it.
 func (m *Materialization) rebuild(ctx context.Context) error {
 	db := NewDBWith(m.store)
 	for pred, brel := range m.base.relations {
-		db.relations[pred] = brel.clone(0)
+		if !brel.frozen {
+			brel = brel.clone(0)
+		}
+		db.relations[pred] = brel
 	}
 	if err := PrepareRelations(db, m.rules); err != nil {
 		return err
 	}
 	for _, rel := range db.relations {
-		rel.EnableCounts()
+		if !rel.frozen {
+			rel.EnableCounts()
+		}
 	}
 	var st ApplyStats
 	mt := &maintainer{m: m, ctx: ctx, st: &st}
@@ -529,7 +539,7 @@ func (mt *maintainer) rebuildPreds(closure map[string]bool) error {
 		m.db.relations[pred] = fresh
 	}
 	// Re-seed the EDB support of rebuilt predicates (a retractable
-	// predicate can also be derivable).
+	// predicate can also be derivable) as base state, stamp 0.
 	for pred := range rebuildSet {
 		brel := m.base.Lookup(pred)
 		if brel == nil {
@@ -540,7 +550,7 @@ func (mt *maintainer) rebuildPreds(closure map[string]bool) error {
 			if brel.Round(pos) < 0 {
 				continue
 			}
-			rel.InsertRound(brel.Tuple(pos), 1)
+			rel.Insert(brel.Tuple(pos))
 			mt.st.NewFacts++
 		}
 	}
@@ -567,12 +577,15 @@ type maintainer struct {
 	occScratch []int
 }
 
-// initialWaves treats every live fact as the wave-1 delta and runs the
-// active rules to fixpoint: the initial build (active = all rules) and
-// the DRed rederivation (active = the rebuilt strata's rules) are the
-// same computation over different rule subsets.
+// initialWaves runs the active rules to fixpoint over the live facts: the
+// initial build (active = all rules) and the DRed rederivation (active =
+// the rebuilt strata's rules) are the same computation over different rule
+// subsets. Wave 0 runs each rule once over the stamp-0 rows — every live
+// row, frozen ones included — emitting heads stamped 1 for the insertion
+// waves to go on from; each body instantiation is still counted once.
 func (mt *maintainer) initialWaves(active []*compiledRule) error {
 	m := mt.m
+	m.db.resetRounds()
 	buildIndexes(m.db, active)
 	mt.wave = 0
 	mt.newCounts = map[string]int{}
@@ -580,26 +593,16 @@ func (mt *maintainer) initialWaves(active []*compiledRule) error {
 	mt.rn.sink = func(r *compiledRule, tuple []Val, _ []FactID) error {
 		return mt.insertSink(r, tuple)
 	}
-	// Bodyless rules (e.g. magic seeds) fire exactly once, here.
+	// Bodyless rules (e.g. magic seeds) fire exactly once, here, outside
+	// the join counters.
 	for _, r := range active {
-		if len(r.body) > 0 {
-			continue
+		mt.rn.cur = m.joins
+		if len(r.body) == 0 {
+			mt.rn.cur = nil
 		}
-		mt.rn.setLimits(r, nil, -1, mt.wave, roundRange{0, mt.wave})
+		mt.rn.setLimits(r, nil, -1, 0, roundRange{0, 0})
 		if err := mt.rn.runRule(r, nil); err != nil {
 			return err
-		}
-	}
-	// Stamp every live fact as the wave-1 delta (facts emitted by the
-	// bodyless rules above carry stamp 1 already) and seed the wave loop
-	// with the per-predicate live counts.
-	for _, rel := range m.db.relations {
-		rel.stampAll(1)
-	}
-	mt.newCounts = map[string]int{}
-	for pred, rel := range m.db.relations {
-		if n := rel.Live(); n > 0 {
-			mt.newCounts[pred] = n
 		}
 	}
 	return mt.runInsertWaves(active)
@@ -686,10 +689,10 @@ func (mt *maintainer) bodyOccs(r *compiledRule, delta map[string]int) []int {
 }
 
 // runDeleteWaves cascades a set of dying facts: each wave stamps the
-// dying rows 1 (alive rows are 0), decrements the head count of every
-// body instantiation that includes at least one dying fact — counted
-// exactly once at its first dying position — then kills the wave's rows.
-// Heads whose count reaches zero form the next wave.
+// dying rows 1 (alive rows are 0; a dying row is always owned), decrements
+// the head count of every body instantiation that includes at least one
+// dying fact — counted exactly once at its first dying position — then
+// kills the wave's rows. Heads whose count reaches zero form the next wave.
 func (mt *maintainer) runDeleteWaves(victims []victimRef) error {
 	m := mt.m
 	m.db.resetRounds()

@@ -37,6 +37,36 @@ var incrementalPrograms = map[string]string{
 		?- even(X).`,
 }
 
+// incrementalEDB names the pure-EDB predicates of each incrementalPrograms
+// entry, the ones randomEDB draws facts for.
+var incrementalEDB = map[string][]string{
+	"tc":            {"e"},
+	"layered":       {"e"},
+	"derivable-edb": {"seed", "m"},
+	"mutual":        {"zero", "succ"},
+}
+
+// randomEDB draws n random facts of preds over a small domain.
+func randomEDB(t *testing.T, rng *rand.Rand, preds []string, n int) []ast.Atom {
+	t.Helper()
+	var out []ast.Atom
+	for i := 0; i < n; i++ {
+		pred := preds[rng.Intn(len(preds))]
+		switch pred {
+		case "m":
+			out = append(out, atom(t, fmt.Sprintf("m(%d)", rng.Intn(8))))
+		case "zero":
+			out = append(out, atom(t, fmt.Sprintf("zero(%d)", rng.Intn(3))))
+		case "succ":
+			a := rng.Intn(8)
+			out = append(out, atom(t, fmt.Sprintf("succ(%d,%d)", a, a+1)))
+		default:
+			out = append(out, atom(t, fmt.Sprintf("%s(%d,%d)", pred, rng.Intn(8), rng.Intn(8))))
+		}
+	}
+	return out
+}
+
 func mustUnit(t *testing.T, src string) *parser.Unit {
 	t.Helper()
 	u, err := parser.Parse(src)
@@ -120,30 +150,6 @@ func TestMaterializeInitialBuild(t *testing.T) {
 // families and from-scratch worker counts 1 and 8 (the reference side;
 // the maintenance waves themselves are sequential by design).
 func TestIncrementalDifferential(t *testing.T) {
-	pool := func(rng *rand.Rand, preds []string, n int) []ast.Atom {
-		var out []ast.Atom
-		for i := 0; i < n; i++ {
-			pred := preds[rng.Intn(len(preds))]
-			switch pred {
-			case "m":
-				out = append(out, atom(t, fmt.Sprintf("m(%d)", rng.Intn(8))))
-			case "zero":
-				out = append(out, atom(t, fmt.Sprintf("zero(%d)", rng.Intn(3))))
-			case "succ":
-				a := rng.Intn(8)
-				out = append(out, atom(t, fmt.Sprintf("succ(%d,%d)", a, a+1)))
-			default:
-				out = append(out, atom(t, fmt.Sprintf("%s(%d,%d)", pred, rng.Intn(8), rng.Intn(8))))
-			}
-		}
-		return out
-	}
-	edbPreds := map[string][]string{
-		"tc":            {"e"},
-		"layered":       {"e"},
-		"derivable-edb": {"seed", "m"},
-		"mutual":        {"zero", "succ"},
-	}
 	for name, src := range incrementalPrograms {
 		for _, workers := range []int{1, 8} {
 			t.Run(fmt.Sprintf("%s/w=%d", name, workers), func(t *testing.T) {
@@ -159,9 +165,7 @@ func TestIncrementalDifferential(t *testing.T) {
 				}
 				for batch := 0; batch < 25; batch++ {
 					var assert, retract []ast.Atom
-					for _, a := range pool(rng, edbPreds[name], 1+rng.Intn(4)) {
-						assert = append(assert, a)
-					}
+					assert = append(assert, randomEDB(t, rng, incrementalEDB[name], 1+rng.Intn(4))...)
 					// Retract a mix of live facts and never-asserted ones.
 					for k := range live {
 						if rng.Intn(4) == 0 {
@@ -172,7 +176,7 @@ func TestIncrementalDifferential(t *testing.T) {
 						}
 					}
 					if rng.Intn(3) == 0 {
-						retract = append(retract, pool(rng, edbPreds[name], 1)...)
+						retract = append(retract, randomEDB(t, rng, incrementalEDB[name], 1)...)
 					}
 					epochBefore := m.Epoch()
 					st, err := m.Apply(context.Background(), assert, retract)
@@ -427,5 +431,42 @@ func TestEpochStamps(t *testing.T) {
 	}
 	if m.Epoch() != 6 {
 		t.Errorf("epoch = %d, want 6", m.Epoch())
+	}
+}
+
+// TestMaterializeMaxBytesChargesOwnedRelations: MaxBytes bounds what the
+// materialization owns, not the image relations it reads by reference. A
+// budget below the image's footprint but above the derived facts' builds;
+// a budget below the derived facts' fails.
+func TestMaterializeMaxBytesChargesOwnedRelations(t *testing.T) {
+	const n = 4000
+	var facts []ast.Atom
+	for i := 0; i < n; i++ {
+		facts = append(facts, atom(t, fmt.Sprintf("e(%d,%d)", i, i+1)))
+	}
+	facts = append(facts, atom(t, "m(7)"), atom(t, "m(9)"))
+	u := mustUnit(t, "p(X) :- e(X,Y), m(Y). ?- p(X).")
+	b, err := NewBase(facts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := b.Current()
+	var image int64
+	for _, pred := range v.Preds() {
+		arena, index, _, _, _ := v.Relation(pred).StorageFootprint()
+		image += arena + index
+	}
+	ctx := context.Background()
+	budget := image / 4
+	m, err := MaterializeVersion(ctx, u.Program(), v, MaterializeOptions{MaxBytes: budget})
+	if err != nil {
+		t.Fatalf("build under MaxBytes %d (the image holds %d): %v", budget, image, err)
+	}
+	st := m.DB().StorageStats()
+	if owned := st.ArenaBytes + st.IndexBytes; owned > budget || m.DB().Count("p") != 2 {
+		t.Fatalf("built with %d owned bytes and %d p facts, want at most %d and 2", owned, m.DB().Count("p"), budget)
+	}
+	if _, err := MaterializeVersion(ctx, u.Program(), v, MaterializeOptions{MaxBytes: 8}); !errors.Is(err, ErrMemoryBudget) {
+		t.Fatalf("build under MaxBytes 8: err = %v, want ErrMemoryBudget", err)
 	}
 }

@@ -39,7 +39,7 @@ import (
 // stamp, so an append of any stamp, in or out of order, keeps the table
 // correct. The writes that restamp a row in place or shorten the arena
 // (stampDying, and the dense remove) lower the entries to that row;
-// stampAll and resetRounds rebuild the table outright, and clone copies it.
+// resetRounds empties the table, and clone copies it.
 //
 // Deletion (incremental maintenance) never moves rows: Delete removes the
 // tuple from the membership table and stamps rounds[row] = -1, the dead
@@ -51,11 +51,12 @@ import (
 // fresh ones rather than deleting their rows, so only individually
 // retracted facts leave dead rows behind.
 //
-// In counted mode (EnableCounts, used by Materialization) each row also
-// carries a derivation count — how many immediate derivations currently
-// support the fact — and the epoch it was first inserted in. Both columns
-// are absent (nil) outside counted mode, so fresh-DB evaluation pays
-// nothing for them.
+// In counted mode (EnableCounts, used by Materialization on the relations
+// it owns) each row also carries a derivation count — how many immediate
+// derivations currently support the fact. The column is absent (nil)
+// outside counted mode, so fresh-DB evaluation pays nothing for it, and a
+// frozen base relation a materialization reads by reference gives each of
+// its facts an implicit count of 1.
 //
 // A frozen relation (every relation of a base image Version is one)
 // never changes again and may be read by any number of goroutines and
@@ -538,20 +539,6 @@ func (r *Relation) restamped(row, stamp int32) {
 	for i := range r.starts {
 		r.starts[i] = min(r.starts[i], row)
 	}
-}
-
-// stampAll stamps every live row with round: the initial build and the
-// DRed rederivation treat the whole database as one delta.
-func (r *Relation) stampAll(round int32) {
-	r.checkWritable()
-	for i := range r.rounds {
-		if r.rounds[i] >= 0 {
-			r.rounds[i] = round
-		}
-	}
-	r.stampedFrom = 0
-	r.starts = r.starts[:0]
-	r.coverStamps(round, 0)
 }
 
 // stampDying stamps a live row as a deletion wave's delta. The wave kills

@@ -161,7 +161,7 @@ func TestDRedRebuildLeaksNothing(t *testing.T) {
 
 // TestRunTableDifferential drives relations through random sequences of
 // every write that touches round stamps — in-order and out-of-order
-// InsertRound, stampAll, stampDying, resetRounds, deleteRow, the dense
+// InsertRound, stampDying, resetRounds, deleteRow, the dense
 // remove and clone — and after every step checks the run table against a
 // brute-force reading of the stamps: for every lower bound lo, no row
 // stamped ≥ lo lies before windowStart(lo), and a windowed index probe
@@ -207,11 +207,7 @@ func TestRunTableDifferential(t *testing.T) {
 				case k < 11:
 					op = "insert out of order"
 					rel.InsertRound(randTuple(rng, 2, domain), int32(rng.Intn(int(wave)+1)))
-				case k == 11:
-					op = "stampAll"
-					wave = int32(rng.Intn(3))
-					rel.stampAll(wave)
-				case k == 12:
+				case k == 11 || k == 12:
 					op = "resetRounds"
 					rel.resetRounds()
 					wave = 1
