@@ -68,7 +68,7 @@ func run(args []string) error {
 	budget := fs.Int("budget", 0, "max derived facts (0 = unlimited)")
 	workers := fs.Int("workers", 1, "evaluation workers (>1 = parallel stratified semi-naive)")
 	profile := fs.Bool("profile", false, "run: print the span tree and the per-rule counter table")
-	streaming := fs.Bool("stream", false, "run: evaluate non-recursive strata with the streaming executor")
+	streaming := fs.Bool("stream", false, "run: evaluate stratum by stratum, non-recursive strata in one pass")
 	explainRun := fs.Bool("explain", false, "run: EXPLAIN ANALYZE — print the plan description and the measured span tree")
 	anon := fs.Bool("anon", false, "explain: print singleton variables as '_' (paper style)")
 	if err := fs.Parse(rest); err != nil {

@@ -73,7 +73,7 @@ func repl(in io.Reader, out io.Writer) error {
 			fmt.Fprintln(out, "  :stats               show the last query's profile")
 			fmt.Fprintln(out, "  :budget N            cap derived facts per query (current:", budget, ")")
 			fmt.Fprintln(out, "  :workers N           evaluation workers, >1 = parallel (current:", workers, ")")
-			fmt.Fprintln(out, "  :stream              toggle the streaming executor for non-recursive strata")
+			fmt.Fprintln(out, "  :stream              toggle stratum-by-stratum evaluation (one pass per non-recursive stratum)")
 			fmt.Fprintln(out, "  :assert fact.        add a ground fact and advance the session epoch")
 			fmt.Fprintln(out, "  :retract fact.       remove a ground fact (no-op if absent)")
 			fmt.Fprintln(out, "  :classify ?- atom.   which factorability theorem applies")

@@ -75,9 +75,9 @@ t(X, Y) :- e(X, Y).
 :analyze ?- t(1, Y).
 :quit
 `)
-	// The plan description renders the streamed strata's operator trees and
-	// the span tree follows the evaluated query.
-	for _, want := range []string{"stratum schedule", "stream", "scan", "project", "materialize"} {
+	// The plan description renders each stratum's rule joins and the span
+	// tree follows the evaluated query.
+	for _, want := range []string{"stratum schedule", "stream", "scan m_t_bf(X)", "probe e(X,Y) on col0=X", "eval"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in :analyze output:\n%s", want, out)
 		}

@@ -95,16 +95,17 @@ func TestExplainPlan(t *testing.T) {
 	if len(er.Plan.Strata) == 0 {
 		t.Error("no stratum schedule")
 	}
-	// The streaming classification is part of every plan: the factored
-	// program's seed strata stream, and their operator trees ride along.
-	// CI greps the response for the "executor": "stream" literal.
+	// The stratified schedule is part of every plan: the factored
+	// program's seed strata run one pass, and every stratum carries its
+	// rules' joins. CI greps the response for the "executor": "stream"
+	// literal.
 	streamed := 0
 	for _, st := range er.Plan.Strata {
 		if st.Executor == "stream" {
 			streamed++
-			if len(st.Plans) == 0 || st.Plans[0].Root == nil {
-				t.Errorf("stratum %d: streamed without operator tree", st.Index)
-			}
+		}
+		if len(st.Plans) != st.Rules {
+			t.Errorf("stratum %d: %d rule plans for %d rules", st.Index, len(st.Plans), st.Rules)
 		}
 	}
 	if streamed == 0 {

@@ -116,9 +116,9 @@ func TestQueryCacheMissThenHit(t *testing.T) {
 }
 
 // TestQueryStreamingExecutor covers the stream request knob: opted-in
-// queries run the streaming executor (reporting which strata streamed and
-// the iterator row flow), identical answers to the default materializing
-// run, and a malformed stream value is rejected up front.
+// queries run the stratified schedule (reporting which strata ran one pass
+// and the rows they emitted), identical answers to the default run, and a
+// malformed stream value is rejected up front.
 func TestQueryStreamingExecutor(t *testing.T) {
 	_, ts := testServer(t, tcProgram, serve.Config{Strategy: "magic", Timeout: 5 * time.Second})
 

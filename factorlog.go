@@ -220,13 +220,13 @@ func (s *System) WithWorkers(n int) *System {
 	return s
 }
 
-// WithStreaming opts subsequent Runs into the streaming executor: the
-// bottom-up semi-naive strategies run each non-recursive stratum (magic
-// seeds, factoring cleanup products, ...) as a single-pass iterator
-// pipeline instead of a materializing fixpoint, falling back to the
-// fixpoint for recursive strata. Answers are identical either way;
+// WithStreaming opts subsequent Runs into the stratified schedule
+// (engine.StreamAuto): the bottom-up semi-naive strategies evaluate the
+// program stratum by stratum, each non-recursive stratum (magic seeds,
+// factoring cleanup products, ...) in one pass and each recursive one as
+// its own semi-naive fixpoint. Answers are identical either way;
 // Result.Executor and Result.Stream report what ran. Off by default so the
-// paper's cost measures keep their fixpoint semantics.
+// paper's cost measures keep the global loop's semantics.
 func (s *System) WithStreaming(on bool) *System {
 	if on {
 		s.evalOpts.Streaming = engine.StreamAuto
@@ -322,10 +322,11 @@ type Result struct {
 	// Degraded reports that a parallel run (WithWorkers > 1) lost a worker
 	// to a panic and the answers come from the automatic sequential retry.
 	Degraded bool
-	// Executor names the bottom-up evaluator that ran: "stream" under
-	// WithStreaming for a program with streamable strata, "materialize" for
-	// the classic fixpoint, empty for top-down strategies. Stream carries
-	// the streaming counters when Executor is "stream"; nil otherwise.
+	// Executor names the bottom-up schedule that ran: "stream" under
+	// WithStreaming (stratum by stratum), "materialize" for the global
+	// semi-naive or naive loop, empty for top-down strategies. Stream
+	// carries the stratified schedule's counters when Executor is "stream";
+	// nil otherwise.
 	Executor string
 	Stream   *StreamStats
 	// AutoPicked reports that the run was requested as Auto and Strategy is

@@ -270,8 +270,8 @@ func (v *Version) Relation(pred string) *Relation { return v.rels[pred] }
 // EvalDB returns a database for one evaluation at this version: every base
 // relation is the image's own frozen relation, by pointer, and the store is
 // a fresh child of the base vocabulary. Nothing is loaded, interned or
-// hashed. The executors make their head relations private before deriving
-// (PrepareRelations) and DB.Insert clones on first write, so the image is
+// hashed. The evaluators make their head relations private before deriving
+// (prepareRelations) and DB.Insert clones on first write, so the image is
 // never written through; a column index a request builds on an aliased
 // relation stays with the image and serves every later request.
 func (v *Version) EvalDB() *DB {

@@ -10,7 +10,8 @@ import (
 )
 
 // TestChaos is the deterministic chaos suite: with every injection point
-// armed at seed-derived rates, evaluations across all worker counts must
+// armed at seed-derived rates, evaluations across all worker counts and
+// both schedules must
 // (1) never crash the process — every failure is a typed error, (2) never
 // deadlock — the suite finishing is the assertion, bounded by go test's
 // timeout, and (3) produce exactly the baseline answers whenever they
@@ -34,15 +35,21 @@ func TestChaos(t *testing.T) {
 		faultinject.PlanCompile, faultinject.ContextCheck,
 	}
 	seeds := []uint64{1, 2, 3, 42, 12345}
-	workerCounts := []int{1, 2, 4, 8}
+	// Every worker count, then the stratified schedule sequential and
+	// parallel; new inputs go last, so the runs before them keep their
+	// fault schedules.
+	inputs := []Options{
+		{Workers: 1}, {Workers: 2}, {Workers: 4}, {Workers: 8},
+		{Streaming: StreamAuto}, {Streaming: StreamAuto, Workers: 3},
+	}
 
 	for _, seed := range seeds {
 		for _, maxPeriod := range []uint64{25, 400} {
 			t.Run(fmt.Sprintf("seed=%d period<=%d", seed, maxPeriod), func(t *testing.T) {
 				// Build every EDB before arming: fact loading here is test
 				// setup, not the system under test.
-				dbs := make([]*DB, len(workerCounts))
-				for i := range workerCounts {
+				dbs := make([]*DB, len(inputs))
+				for i := range inputs {
 					dbs[i] = chainDB(n)
 				}
 				disable := faultinject.Enable(faultinject.Config{
@@ -50,18 +57,19 @@ func TestChaos(t *testing.T) {
 				})
 				defer disable()
 
-				for i, workers := range workerCounts {
+				for i, opts := range inputs {
+					label := fmt.Sprintf("workers=%d stream=%v", opts.Workers, opts.Streaming)
 					firedBefore := faultinject.TotalFired()
-					res, err := Eval(tcProgram(), dbs[i], Options{Workers: workers})
+					res, err := Eval(tcProgram(), dbs[i], opts)
 					if err != nil {
 						// Never-crash: the only acceptable failure is the
 						// typed internal error from a recovery barrier.
 						if !errors.Is(err, ErrInternal) {
-							t.Fatalf("workers=%d: untyped failure %v", workers, err)
+							t.Fatalf("%s: untyped failure %v", label, err)
 						}
 						var pe *PanicError
 						if !errors.As(err, &pe) || len(pe.Stack) == 0 {
-							t.Fatalf("workers=%d: internal error without stack: %v", workers, err)
+							t.Fatalf("%s: internal error without stack: %v", label, err)
 						}
 						continue
 					}
@@ -69,11 +77,11 @@ func TestChaos(t *testing.T) {
 					// fired and the run degraded to the sequential retry.
 					got, aerr := AnswerSet(dbs[i], q)
 					if aerr != nil {
-						t.Fatalf("workers=%d: answer read-back: %v", workers, aerr)
+						t.Fatalf("%s: answer read-back: %v", label, aerr)
 					}
 					if !sameSet(got, baseline) {
-						t.Fatalf("workers=%d (degraded=%v, fired=%d): %d answers, want %d",
-							workers, res.Stats.Degraded, faultinject.TotalFired()-firedBefore,
+						t.Fatalf("%s (degraded=%v, fired=%d): %d answers, want %d",
+							label, res.Stats.Degraded, faultinject.TotalFired()-firedBefore,
 							len(got), len(baseline))
 					}
 				}
@@ -84,7 +92,7 @@ func TestChaos(t *testing.T) {
 
 // TestChaosDisabledDifferential pins the harness-off invariant the chaos
 // suite's baseline rests on: with injection disabled, every worker count
-// agrees with the sequential evaluator exactly.
+// and the stratified schedule agree with the sequential evaluator exactly.
 func TestChaosDisabledDifferential(t *testing.T) {
 	if faultinject.Enabled() {
 		t.Fatal("harness armed at test start")
@@ -93,13 +101,16 @@ func TestChaosDisabledDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 4, 8} {
-		got, err := tcAnswerSet(20, Options{Workers: workers})
+	for _, opts := range []Options{
+		{Workers: 2}, {Workers: 4}, {Workers: 8},
+		{Streaming: StreamAuto}, {Streaming: StreamAuto, Workers: 3},
+	} {
+		got, err := tcAnswerSet(20, opts)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("%+v: %v", opts, err)
 		}
 		if !sameSet(got, baseline) {
-			t.Errorf("workers=%d: answers differ from sequential baseline", workers)
+			t.Errorf("%+v: answers differ from sequential baseline", opts)
 		}
 	}
 }

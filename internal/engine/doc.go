@@ -21,9 +21,14 @@
 // least fixpoint under Options: naive or semi-naive strategy, optional
 // join reordering, exact per-rule counters (package obsv), a span tree of
 // strata, rounds, rule passes and workers (package trace), and derivation
-// provenance. With Options.Workers > 1 the program is evaluated
-// stratum by stratum over its predicate dependency condensation (package
-// depgraph), each stratum's rounds fanned out over a worker pool; see
+// provenance. Every evaluator runs rule bodies through one join,
+// runner.join. By default the sequential evaluator runs one semi-naive
+// fixpoint over the whole program; Options.Streaming = StreamAuto selects
+// the stratified schedule instead, the strata of the predicate dependency
+// condensation (package depgraph) in topological order, a non-recursive
+// stratum in one pass and a recursive one as its own semi-naive fixpoint.
+// With Options.Workers > 1 the program is always evaluated stratum by
+// stratum, each stratum's rounds fanned out over a worker pool; see
 // parallel.go for the full design.
 //
 // # Bounding evaluations

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"factorlog/internal/ast"
+	"factorlog/internal/depgraph"
 	"factorlog/internal/faultinject"
 	"factorlog/internal/obsv"
 	"factorlog/internal/trace"
@@ -96,25 +97,27 @@ func contextErr(ctx context.Context) error {
 	}
 }
 
-// StreamMode selects whether eligible non-recursive strata run on the
-// streaming relational-algebra executor (internal/stream) instead of the
-// materializing fixpoint. The engine's own evaluators never consult this
-// field — the pipeline layer routes evaluation to the streaming executor
-// when it is set — but it lives on Options so the choice threads through
-// every caller (facade, server, CLI, bench) the same way Workers does.
+// StreamMode selects the schedule of a sequential semi-naive evaluation:
+// one fixpoint over the whole program, or the program's strata one at a
+// time. Both run every rule body through the same join (runner.join); the
+// stratified schedule only orders the passes differently.
 //
-// The zero value keeps the classic evaluator: the paper's cost measures
+// The zero value keeps the global loop: the paper's cost measures
 // (Inferences, Iterations) assume standard semi-naive evaluation, and the
 // experiment reproductions must keep reporting them unchanged.
 type StreamMode int
 
 const (
-	// StreamOff evaluates every stratum with the materializing fixpoint.
+	// StreamOff evaluates the whole program as one semi-naive fixpoint.
 	StreamOff StreamMode = iota
-	// StreamAuto streams non-recursive strata through composed iterator
-	// pipelines and falls back to the fixpoint for recursive strata. Answer
-	// sets and relation contents are identical to StreamOff; Inferences and
-	// Iterations differ (each non-recursive rule body runs exactly once).
+	// StreamAuto evaluates the strata of the program's dependency graph in
+	// topological order (package depgraph). A non-recursive stratum reads
+	// only complete lower strata, so one pass over its rules derives all of
+	// it; a recursive stratum runs semi-naive rounds over its own rules.
+	// Answer sets and relation contents equal StreamOff's; Inferences and
+	// Iterations differ (a non-recursive stratum never pays the delta round
+	// that finds nothing new). It applies to the sequential semi-naive
+	// evaluator without provenance; see Options.stratified.
 	StreamAuto
 )
 
@@ -168,9 +171,9 @@ type Options struct {
 	// with tracing off the hot path pays a nil check per event and allocates
 	// nothing. Where time went is Span's job, not Trace's.
 	Trace bool
-	// Streaming selects the executor for non-recursive strata. The engine
-	// evaluators ignore it (see StreamMode); internal/pipeline honors it
-	// when the strategy evaluates bottom-up semi-naive without provenance.
+	// Streaming selects the evaluation schedule (see StreamMode). It is
+	// honored by the semi-naive strategy without provenance; Naive and
+	// provenance runs ignore it, and Workers > 1 is stratified already.
 	Streaming StreamMode
 	// Span, when non-nil, receives a query-scoped span tree of the
 	// evaluation (package trace, the one record of where time went): round
@@ -202,6 +205,15 @@ func (o Options) validate() error {
 		return fmt.Errorf("%w: Streaming = %d (want StreamOff or StreamAuto)", ErrBadOptions, int(o.Streaming))
 	}
 	return nil
+}
+
+// stratified reports whether opts select the stratified schedule. This is
+// the one place the rule lives: StreamAuto is a schedule of the semi-naive
+// delta discipline, so it is ignored under Naive, and under Provenance,
+// whose derivation records assume the global loop's rounds. With
+// Workers > 1 the parallel evaluator runs strata anyway.
+func (o Options) stratified() bool {
+	return o.Streaming == StreamAuto && o.Strategy == SemiNaive && !o.Provenance
 }
 
 // memBudgetErr checks db's storage footprint against maxBytes (0 = no
@@ -242,6 +254,9 @@ type Result struct {
 	DB    *DB
 	Stats Stats
 	Prov  *Provenance // nil unless Options.Provenance
+	// Stream counts what the stratified schedule did; nil unless
+	// Options.Streaming selected it (see Options.stratified).
+	Stream *obsv.StreamStats
 }
 
 // Eval computes the least fixpoint of program p over db (which supplies the
@@ -312,10 +327,14 @@ func evalSequentialGuarded(p *ast.Program, db *DB, rules []*compiledRule, opts O
 		ev.stats.Rules = newRuleStats(rules)
 	}
 	ev.span = opts.Span
+	if opts.stratified() {
+		ev.sched = depgraph.Analyze(p)
+		ev.stream = &obsv.StreamStats{Strata: len(ev.sched.Strata)}
+	}
 	if err := ev.run(); err != nil {
 		return nil, err
 	}
-	return &Result{DB: db, Stats: ev.stats, Prov: ev.prov}, nil
+	return &Result{DB: db, Stats: ev.stats, Prov: ev.prov, Stream: ev.stream}, nil
 }
 
 // evalParallelGuarded runs the parallel coordinator behind a recover
@@ -345,6 +364,16 @@ type evaluator struct {
 
 	curRound  int32
 	newCounts map[string]int // facts stamped curRound+1, by predicate
+
+	// head is the relation the running pass derives into and headNew the
+	// facts it added so far, folded into newCounts when the pass ends.
+	head    *Relation
+	headNew int
+
+	// sched is the stratum schedule when Options select the stratified
+	// one, and stream its counters; both nil for the global loop.
+	sched  *depgraph.Schedule
+	stream *obsv.StreamStats
 
 	// rn executes rule joins; its sink is ev.emit. Under Options.Trace its
 	// cur points into stats.Rules; untraced, stats.Rules is nil and the
@@ -394,6 +423,11 @@ type runner struct {
 	slots []Val
 	key   []Val
 	head  []Val
+	// trail records the slots bound along the current join path. Each slot
+	// binds at most once per path, so nslots entries always suffice: every
+	// recursion level appends into the one backing array and truncates back
+	// to its mark, and no level ever grows it.
+	trail []int
 
 	// Parallel-mode fields.
 	//
@@ -440,7 +474,7 @@ func (ev *evaluator) traceRule(r *compiledRule) {
 func (ev *evaluator) run() error {
 	// Materialize head and body relations up front so empty IDB predicates
 	// exist, arities are checked, and every head is private to this DB.
-	if err := PrepareRelations(ev.db, ev.rules); err != nil {
+	if err := prepareRelations(ev.db, ev.rules); err != nil {
 		return err
 	}
 
@@ -453,12 +487,31 @@ func (ev *evaluator) run() error {
 		return err
 	}
 
-	// Round 0: evaluate every rule against the full database (covers
-	// bodyless rules, rules over EDB only, and pre-seeded IDB facts).
-	ev.curRound = 0
+	if ev.sched != nil {
+		for si := range ev.sched.Strata {
+			if err := ev.runStratum(si, &ev.sched.Strata[si]); err != nil {
+				return err
+			}
+		}
+	} else if err := ev.fixpoint(ev.rules, false); err != nil {
+		return err
+	}
+	// The loop checks the budget at round starts, which misses growth from
+	// a converging final round and from index builds when the fixpoint
+	// closes in round 0; one exit check covers both.
+	return memBudgetErr(ev.db, ev.opts.MaxBytes)
+}
+
+// fixpoint runs rules from ev.curRound. Round 0 evaluates every rule
+// against the full database (covers bodyless rules, rules over EDB only,
+// and pre-seeded IDB facts). Unless once is set, semi-naive rounds follow
+// while facts keep appearing: each rule runs one pass per IDB body
+// position whose predicate gained facts in the previous round (Naive: one
+// unrestricted pass per rule).
+func (ev *evaluator) fixpoint(rules []*compiledRule, once bool) error {
 	ev.newCounts = map[string]int{}
 	ev.traceRoundStart()
-	for _, r := range ev.rules {
+	for _, r := range rules {
 		if err := ev.evalRule(r, -1); err != nil {
 			return err
 		}
@@ -466,7 +519,7 @@ func (ev *evaluator) run() error {
 	ev.traceRoundEnd()
 	ev.stats.Iterations++
 
-	for total(ev.newCounts) > 0 {
+	for !once && total(ev.newCounts) > 0 {
 		if err := contextErr(ev.ctx); err != nil {
 			return err
 		}
@@ -480,32 +533,86 @@ func (ev *evaluator) run() error {
 		ev.newCounts = map[string]int{}
 		ev.curRound++
 		ev.traceRoundStart()
-		switch ev.opts.Strategy {
-		case Naive:
-			for _, r := range ev.rules {
+		for _, r := range rules {
+			if ev.opts.Strategy == Naive {
 				if err := ev.evalRule(r, -1); err != nil {
 					return err
 				}
+				continue
 			}
-		default: // SemiNaive
-			for _, r := range ev.rules {
-				for _, occ := range r.idbOccs {
-					if deltaCounts[r.body[occ].pred] == 0 {
-						continue
-					}
-					if err := ev.evalRule(r, occ); err != nil {
-						return err
-					}
+			for _, occ := range r.idbOccs {
+				if deltaCounts[r.body[occ].pred] == 0 {
+					continue
+				}
+				if err := ev.evalRule(r, occ); err != nil {
+					return err
 				}
 			}
 		}
 		ev.traceRoundEnd()
 		ev.stats.Iterations++
 	}
-	// The loop checks the budget at round starts, which misses growth from
-	// a converging final round and from index builds when the fixpoint
-	// closes in round 0; one exit check covers both.
+	return nil
+}
+
+// runStratum evaluates stratum si of the schedule StreamAuto selects,
+// under a "stratum" span. Every predicate below it is complete, so a
+// non-recursive stratum needs its one pass. Like parEvaluator.evalStratum
+// it leaves curRound past every stamp the stratum used. That keeps every
+// lower stratum's facts stamped at or below the stratum's first round, so
+// each window of its delta passes covers them whole, and only the
+// stratum's own predicates ever head a delta.
+func (ev *evaluator) runStratum(si int, st *depgraph.Stratum) error {
+	if err := contextErr(ev.ctx); err != nil {
+		return err
+	}
+	rules := make([]*compiledRule, len(st.Rules))
+	for i, ri := range st.Rules {
+		rules[i] = ev.rules[ri]
+	}
+	outer := ev.span
+	ev.span = outer.Child("stratum").SetStratum(si)
+	if ev.span != nil {
+		executor, _ := StratumExecutor(st)
+		ev.span.SetNote(executor + ": " + strings.Join(st.Preds, ","))
+	}
+	inferences, derived := ev.stats.Inferences, ev.stats.Derived
+	err := ev.fixpoint(rules, !st.Recursive)
+	ev.span.AddTuplesOut(int64(ev.stats.Derived - derived))
+	ev.span.End()
+	ev.span = outer
+	ev.curRound++
+	if !st.Recursive {
+		addOnePass(ev.stream, rules, ev.stats.Inferences-inferences, ev.stats.Derived-derived)
+	}
+	if err != nil {
+		return err
+	}
 	return memBudgetErr(ev.db, ev.opts.MaxBytes)
+}
+
+// StratumExecutor says how the stratified schedule runs st: "stream", one
+// pass, for a non-recursive stratum; "fixpoint", semi-naive rounds, for a
+// recursive one. The reason is EXPLAIN's.
+func StratumExecutor(st *depgraph.Stratum) (executor, reason string) {
+	if st.Recursive {
+		return "fixpoint", "recursive: semi-naive rounds over the stratum's rules"
+	}
+	return "stream", "non-recursive: one pass over complete lower strata"
+}
+
+// addOnePass records in s a one-pass stratum of rules that emitted rows,
+// derived of them new: the rows, the duplicates, and the columns that key
+// the rules' probes (constants and variables bound by earlier literals).
+func addOnePass(s *obsv.StreamStats, rules []*compiledRule, emitted, derived int) {
+	s.Streamed++
+	s.RowsEmitted += int64(emitted)
+	s.Duplicates += int64(emitted - derived)
+	for _, r := range rules {
+		for _, l := range r.body {
+			s.Pushdowns += len(l.boundCols)
+		}
+	}
 }
 
 func total(m map[string]int) int {
@@ -537,6 +644,17 @@ func (ev *evaluator) evalRule(r *compiledRule, deltaOcc int) error {
 	ev.traceRule(r)
 	ev.rn.setLimits(r, r.idbOccs, deltaOcc, ev.curRound, unrestricted)
 	jo := ev.rn.passOrder(r, deltaOcc)
+	ev.head, ev.headNew = ev.db.Lookup(r.headPred), 0
+	err := ev.runPass(r, jo)
+	if ev.headNew > 0 {
+		ev.newCounts[r.headPred] += ev.headNew
+	}
+	return err
+}
+
+// runPass runs one pass of r in join order jo, under a rule span when a
+// round span is open.
+func (ev *evaluator) runPass(r *compiledRule, jo *joinOrder) error {
 	if ev.roundSpan == nil {
 		return ev.rn.runRule(r, jo)
 	}
@@ -629,13 +747,16 @@ func (rn *runner) runRule(r *compiledRule, jo *joinOrder) error {
 	for i := range slots {
 		slots[i] = NoVal
 	}
+	if cap(rn.trail) < r.nslots {
+		rn.trail = make([]int, 0, r.nslots)
+	}
 	if rn.prov != nil {
 		if cap(rn.children) < len(r.body) {
 			rn.children = make([]FactID, len(r.body))
 		}
 		rn.children = rn.children[:len(r.body)]
 	}
-	return rn.join(r, 0, slots, nil)
+	return rn.join(r, 0, slots, rn.trail[:0])
 }
 
 func (rn *runner) join(r *compiledRule, li int, slots []Val, trail []int) error {
@@ -776,8 +897,7 @@ func (ev *evaluator) emit(r *compiledRule, tuple []Val, children []FactID) error
 			return err
 		}
 	}
-	full := ev.db.Lookup(r.headPred)
-	if !full.InsertRound(tuple, ev.curRound+1) {
+	if !ev.head.InsertRound(tuple, ev.curRound+1) {
 		if t := ev.rn.cur; t != nil {
 			t.Duplicates++
 		}
@@ -786,7 +906,7 @@ func (ev *evaluator) emit(r *compiledRule, tuple []Val, children []FactID) error
 	if t := ev.rn.cur; t != nil {
 		t.TuplesDerived++
 	}
-	ev.newCounts[r.headPred]++
+	ev.headNew++
 	ev.stats.Derived++
 	if ev.prov != nil {
 		ev.prov.record(r, tuple, children)

@@ -3,12 +3,34 @@ package engine
 import (
 	"context"
 
+	"factorlog/internal/ast"
 	"factorlog/internal/obsv"
 )
 
 // This file opens engine internals to the external tests of package
 // engine_test, which need packages that import the engine (pipeline for the
 // rewrites, workload for the inputs) and so cannot live in package engine.
+
+// CompiledRule is the compiler's lowering of one rule.
+type CompiledRule = compiledRule
+
+// CompileProgram lowers every rule of p against store, as Eval does.
+func CompileProgram(p *ast.Program, store *Store, reorder bool) ([]*CompiledRule, error) {
+	return compileRulesGuarded(p, store, reorder)
+}
+
+// Body returns the compiled body literals in source order.
+func (r *compiledRule) Body() []literalSpec { return r.body }
+
+// Label renders the rule's source.
+func (r *compiledRule) Label() string { return r.label() }
+
+// Pred returns the literal's predicate name.
+func (l *literalSpec) Pred() string { return l.pred }
+
+// IsIDB reports whether the literal's predicate is a rule head of the
+// compiled program.
+func (l *literalSpec) IsIDB() bool { return l.idb }
 
 // RebuildJoins rebuilds m from its base and returns the join counters of
 // the build's insertion waves.

@@ -491,7 +491,7 @@ func (m *Materialization) rebuild(ctx context.Context) error {
 		}
 		db.relations[pred] = brel
 	}
-	if err := PrepareRelations(db, m.rules); err != nil {
+	if err := prepareRelations(db, m.rules); err != nil {
 		return err
 	}
 	for _, rel := range db.relations {

@@ -26,9 +26,10 @@ var ErrInternal = errors.New("engine: internal error")
 // PanicError is a recovered panic: the site that caught it, the panic
 // value, and the goroutine stack at recovery. It wraps ErrInternal.
 type PanicError struct {
-	// Where names the recovery barrier: "compile", "eval" (sequential),
-	// "parallel" (coordinator), "worker", "load", or "stream" (the
-	// streaming executor, internal/stream).
+	// Where names the recovery barrier: "compile", "eval" (sequential,
+	// either schedule), "parallel" (coordinator), "worker", "load",
+	// "apply" and "base" (materialization maintenance), or "refresh" (the
+	// pipeline's materialization registry).
 	Where string
 	// Value is the value passed to panic.
 	Value any

@@ -186,7 +186,7 @@ func (pw *parWorker) factEquals(bf bufFact, pred string, tuple []Val) bool {
 // release returns the worker to the pool, dropping every reference into
 // the evaluation (db, rules, sinks) while keeping the scratch capacity.
 func (pw *parWorker) release() {
-	pw.rn = runner{slots: pw.rn.slots[:0], key: pw.rn.key[:0], head: pw.rn.head[:0], limits: pw.rn.limits[:0]}
+	pw.rn = runner{slots: pw.rn.slots[:0], key: pw.rn.key[:0], head: pw.rn.head[:0], trail: pw.rn.trail[:0], limits: pw.rn.limits[:0]}
 	for i := range pw.facts {
 		pw.facts[i] = bufFact{}
 	}
@@ -265,6 +265,10 @@ type parEvaluator struct {
 	// mid-join.
 	span        *trace.Span
 	stratumSpan *trace.Span
+
+	// stream counts the one-pass strata when Options select the stratified
+	// schedule (the parallel evaluator's own); nil otherwise.
+	stream *obsv.StreamStats
 }
 
 // evalParallel is the Workers > 1 entry point; the caller has already
@@ -298,7 +302,7 @@ func evalParallel(p *ast.Program, db *DB, rules []*compiledRule, opts Options) (
 
 	// Materialize head and body relations up front, exactly like the
 	// sequential path.
-	if err := PrepareRelations(db, rules); err != nil {
+	if err := prepareRelations(db, rules); err != nil {
 		return nil, err
 	}
 
@@ -328,6 +332,9 @@ func evalParallel(p *ast.Program, db *DB, rules []*compiledRule, opts Options) (
 	}
 
 	sched := depgraph.Analyze(p)
+	if opts.stratified() {
+		ev.stream = &obsv.StreamStats{Strata: len(sched.Strata)}
+	}
 	for si := range sched.Strata {
 		if err := ev.evalStratum(si, &sched.Strata[si]); err != nil {
 			return nil, err
@@ -344,7 +351,7 @@ func evalParallel(p *ast.Program, db *DB, rules []*compiledRule, opts Options) (
 				SetNote(fmt.Sprintf("%d units", pw.units))
 		}
 	}
-	return &Result{DB: db, Stats: ev.stats}, nil
+	return &Result{DB: db, Stats: ev.stats, Stream: ev.stream}, nil
 }
 
 // evalStratum runs one stratum to completion: a seed pass over all its
@@ -381,7 +388,7 @@ func (ev *parEvaluator) evalStratum(si int, st *depgraph.Stratum) error {
 		}
 	}
 
-	factsBefore := ev.stats.Derived
+	factsBefore, inferencesBefore := ev.stats.Derived, ev.stats.Inferences
 
 	// Seed pass: every rule once, no delta restriction. Facts land with
 	// stamp curRound+1 so they form the first round's delta.
@@ -421,6 +428,9 @@ func (ev *parEvaluator) evalStratum(si int, st *depgraph.Stratum) error {
 		}
 	} else {
 		ev.newCounts = map[string]int{}
+		if ev.stream != nil {
+			addOnePass(ev.stream, srules, ev.stats.Inferences-inferencesBefore, ev.stats.Derived-factsBefore)
+		}
 	}
 	// Leave curRound past every stamp this stratum used, so the next
 	// stratum's delta windows cannot overlap it.

@@ -715,25 +715,9 @@ func (r *Relation) Probe(cols []int, key []Val) []int32 {
 	return ix.probe(r, key)
 }
 
-// HasIndex reports whether an index on cols has already been built. The
-// streaming executor uses it to reuse a persistent index when one exists
-// and otherwise build its own transient table, so streamed strata never
-// grow the relation's retained index footprint.
+// HasIndex reports whether an index on cols has already been built.
 func (r *Relation) HasIndex(cols []int) bool {
 	return r.indexSet()[colMask(cols)] != nil
-}
-
-// ProbeIndexed probes a previously built index on cols without building
-// one: a pure read over frozen state, returning ok=false when no such
-// index exists. cols must be sorted ascending (the compiler emits bound
-// columns in column order).
-func (r *Relation) ProbeIndexed(cols []int, key []Val) ([]int32, bool) {
-	ix := r.indexSet()[colMask(cols)]
-	if ix == nil {
-		return nil, false
-	}
-	faultinject.Hit(faultinject.IndexProbe)
-	return ix.probe(r, key), true
 }
 
 // probeFrozen probes a prebuilt index without mutating the relation, so
@@ -835,12 +819,12 @@ func (db *DB) own(pred string, arity int) (*Relation, error) {
 	return r, nil
 }
 
-// PrepareRelations readies db for an evaluation of rules: every head and
+// prepareRelations readies db for an evaluation of rules: every head and
 // body relation exists with a checked arity, and every head relation is
 // private to db (own), since heads are the only relations an evaluator
-// inserts into. All three executors start here, which is what lets a DB
-// alias a base image's frozen relations without copying them.
-func PrepareRelations(db *DB, rules []*CompiledRule) error {
+// inserts into. Every evaluator starts here, which is what lets a DB alias
+// a base image's frozen relations without copying them.
+func prepareRelations(db *DB, rules []*compiledRule) error {
 	for _, r := range rules {
 		if _, err := db.own(r.headPred, len(r.headArgs)); err != nil {
 			return err

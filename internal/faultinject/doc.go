@@ -16,10 +16,10 @@
 //
 // The point catalog covers storage (ArenaGrow, IndexProbe), parallel
 // evaluation (WorkerStart), plan compilation (PlanCompile), cancellation
-// (ContextCheck), the streaming executor (StreamNext), the mutation
-// path (FactsApply, DeltaWave, MatRefresh) — which prove that a
-// fault mid-batch rolls the base EDB back, leaves the epoch unchanged, and
-// costs at most a materialization rebuild, never wrong answers — and the
+// (ContextCheck), the mutation path (FactsApply, DeltaWave, MatRefresh) —
+// which prove that a fault mid-batch rolls the base EDB back, leaves the
+// epoch unchanged, and costs at most a materialization rebuild, never wrong
+// answers — and the
 // durability path (WalAppend, WalFsync, SnapshotWrite, Replay), which
 // proves that exactly the acknowledged prefix of mutation batches survives
 // a crash. See docs/RESILIENCE.md for the catalog and the chaos suites

@@ -28,10 +28,6 @@ const (
 	// (internal/engine.contextErr), the path every bounded evaluation
 	// crosses at round boundaries.
 	ContextCheck
-	// StreamNext fires on the streaming executor's iterator hot path
-	// (internal/stream, once per source row pulled), exercising panic
-	// isolation in mid-pipeline operator state.
-	StreamNext
 	// FactsApply fires as a Materialization starts applying a mutation
 	// batch (internal/engine.Materialization.Apply), before any state is
 	// touched — exercising the poison-and-rebuild rollback path.
@@ -71,7 +67,6 @@ var pointNames = [NumPoints]string{
 	IndexProbe:    "index-probe",
 	PlanCompile:   "plan-compile",
 	ContextCheck:  "context-check",
-	StreamNext:    "stream-next",
 	FactsApply:    "facts-apply",
 	DeltaWave:     "delta-wave",
 	MatRefresh:    "mat-refresh",

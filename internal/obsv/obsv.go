@@ -64,76 +64,27 @@ type StorageStats struct {
 	IndexLoad   float64 `json:"index_load"`
 }
 
-// StreamOpStats is one streaming operator's measured row flow: how many
-// candidate rows it examined and how many rows it produced. The streaming
-// executor (internal/stream) reports one record per operator per rule, in
-// pipeline order (source first, materialize last).
-type StreamOpStats struct {
-	// Stratum is the stratum the operator's rule belongs to; Rule its rule
-	// index in the evaluated program.
-	Stratum int `json:"stratum"`
-	Rule    int `json:"rule"`
-	// Op names the operator: scan, hash-join, nested-loop, project,
-	// materialize, const.
-	Op string `json:"op"`
-	// Pred is the relation the operator reads or writes, when it has one.
-	Pred string `json:"pred,omitempty"`
-	// RowsIn counts candidate rows the operator examined; Rows counts rows
-	// it produced (for materialize: distinct facts inserted).
-	RowsIn int64 `json:"rows_in,omitempty"`
-	Rows   int64 `json:"rows"`
-	// Pushed lists the predicates pushed into the operator: selections
-	// applied during the scan or probe ("σ col0=5") and join equalities
-	// folded into the probe key ("col1=$2").
-	Pushed []string `json:"pushed,omitempty"`
-}
-
-// StreamStats aggregates a streaming evaluation: how much of the program
-// streamed, the iterator row flow, and how probes were served.
+// StreamStats counts what the engine's stratified schedule
+// (engine.StreamAuto) did: how many strata ran one pass, and what those
+// passes emitted.
 type StreamStats struct {
-	// Strata counts the schedule's strata; Streamed how many ran on the
-	// iterator executor (the rest ran the materializing fixpoint).
+	// Strata counts the schedule's strata; Streamed how many were
+	// non-recursive and ran one pass (the rest ran semi-naive rounds).
 	Strata   int `json:"strata"`
 	Streamed int `json:"streamed"`
-	// RowsEmitted counts head rows the streamed pipelines produced
-	// (including duplicates); Duplicates how many re-derived existing facts.
+	// RowsEmitted counts head rows the one-pass strata produced (including
+	// duplicates); Duplicates how many re-derived existing facts.
 	RowsEmitted int64 `json:"rows_emitted"`
 	Duplicates  int64 `json:"duplicates"`
-	// Probes counts join probes issued by streamed operators. IndexReuses
-	// of them were served by a relation's persistent index; the rest went to
-	// transient build tables: BuildTables of them, over BuildRows rows,
-	// pre-sized from the relation's fact count and discarded after the run.
-	Probes      int64 `json:"probes"`
-	IndexReuses int64 `json:"index_reuses"`
-	BuildTables int   `json:"build_tables"`
-	BuildRows   int64 `json:"build_rows"`
-	// Pushdowns counts predicates pushed into scans and probe keys across
-	// the streamed plan.
+	// Pushdowns counts the columns that key the one-pass strata's index
+	// probes: constants and join equalities.
 	Pushdowns int `json:"pushdowns"`
-	// Ops holds the per-operator row counters, nil unless tracing.
-	Ops []StreamOpStats `json:"ops,omitempty"`
 }
 
 // StreamLine renders a one-line summary of a StreamStats record.
 func StreamLine(s StreamStats) string {
-	return fmt.Sprintf(
-		"stream: %d/%d strata streamed, %d rows (%d dup), %d probes (%d via persistent index, %d build tables/%d rows), %d pushdowns",
-		s.Streamed, s.Strata, s.RowsEmitted, s.Duplicates,
-		s.Probes, s.IndexReuses, s.BuildTables, s.BuildRows, s.Pushdowns)
-}
-
-// StreamOpTable renders per-operator row counters as an aligned table.
-func StreamOpTable(ops []StreamOpStats) string {
-	var b strings.Builder
-	w := newTable(&b)
-	fmt.Fprintln(w, "stratum\trule\top\tpred\trows-in\trows\tpushed")
-	for _, o := range ops {
-		fmt.Fprintf(w, "%d\t%d\t%s\t%s\t%d\t%d\t%s\n",
-			o.Stratum, o.Rule, o.Op, o.Pred, o.RowsIn, o.Rows,
-			strings.Join(o.Pushed, " "))
-	}
-	w.Flush()
-	return b.String()
+	return fmt.Sprintf("stream: %d/%d strata streamed, %d rows (%d dup), %d pushdowns",
+		s.Streamed, s.Strata, s.RowsEmitted, s.Duplicates, s.Pushdowns)
 }
 
 // FormatDuration renders d rounded to the nearest microsecond, keeping the

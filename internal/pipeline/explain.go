@@ -8,7 +8,6 @@ import (
 	"factorlog/internal/core"
 	"factorlog/internal/depgraph"
 	"factorlog/internal/engine"
-	"factorlog/internal/stream"
 )
 
 // This file implements the plan half of EXPLAIN: a structured description
@@ -27,17 +26,19 @@ type StratumPlan struct {
 	Recursive bool `json:"recursive"`
 	// Rules counts the rules belonging to the stratum.
 	Rules int `json:"rules"`
-	// Executor is the streaming planner's classification: "stream" for
-	// strata the streaming executor runs as iterator pipelines (when
-	// engine.Options.Streaming selects it), "fixpoint" for recursive strata.
-	// The classification is always computed so EXPLAIN describes what a
-	// streamed run would do even when the run itself materializes.
+	// Executor says how Streaming: StreamAuto runs the stratum
+	// (engine.StratumExecutor): "stream", one pass, when it is
+	// non-recursive; "fixpoint", semi-naive rounds, when it is recursive. It
+	// is always filled so EXPLAIN describes the stratified schedule whether
+	// or not the run uses it; empty when the rule compiler rejects the
+	// program.
 	Executor string `json:"executor"`
-	// Reason says why the planner chose that executor.
+	// Reason says why.
 	Reason string `json:"reason,omitempty"`
-	// Plans holds the per-rule streaming operator trees (with pushed
-	// predicates) of a streamable stratum; nil for fixpoint strata.
-	Plans []*stream.RulePlan `json:"plans,omitempty"`
+	// Plans holds the join of each of the stratum's rules, as the runner
+	// executes it: per body literal, a scan or an index probe and what keys
+	// the probe.
+	Plans []engine.RulePlan `json:"plans,omitempty"`
 }
 
 // ExplainInfo describes one strategy's compiled plan for a query.
@@ -93,39 +94,23 @@ func (pl *Pipeline) Explain(s Strategy) (*ExplainInfo, error) {
 	for _, r := range prog.Rules {
 		info.Rules = append(info.Rules, r.String())
 	}
-	// The streaming planner subsumes the bare depgraph schedule: same
-	// strata, plus the executor decision and the per-rule operator trees of
-	// the streamable ones. It is computed unconditionally so EXPLAIN
-	// describes the streaming plan whether or not the run opts in.
-	splan, err := stream.PlanProgram(prog, engine.NewStore(), false)
-	if err != nil {
-		// Fall back to the schedule alone (e.g. a program the rule compiler
-		// rejects but the depgraph can still stratify).
-		for i, st := range depgraph.Analyze(prog).Strata {
-			info.Strata = append(info.Strata, StratumPlan{
-				Index:     i,
-				Preds:     st.Preds,
-				Recursive: st.Recursive,
-				Rules:     len(st.Rules),
-			})
+	// The rule plans come from the compiler the runner executes; a program
+	// the compiler rejects keeps the bare schedule.
+	plans, err := engine.PlanRules(prog)
+	for i, st := range depgraph.Analyze(prog).Strata {
+		sp := StratumPlan{
+			Index:     i,
+			Preds:     st.Preds,
+			Recursive: st.Recursive,
+			Rules:     len(st.Rules),
 		}
-		return info, nil
-	}
-	for i := range splan.Strata {
-		sp := &splan.Strata[i]
-		executor := "stream"
-		if !sp.Streamed {
-			executor = "fixpoint"
+		if err == nil {
+			sp.Executor, sp.Reason = engine.StratumExecutor(&st)
+			for _, ri := range st.Rules {
+				sp.Plans = append(sp.Plans, plans[ri])
+			}
 		}
-		info.Strata = append(info.Strata, StratumPlan{
-			Index:     sp.Index,
-			Preds:     sp.Preds,
-			Recursive: sp.Recursive,
-			Rules:     sp.RuleCount(),
-			Executor:  executor,
-			Reason:    sp.Reason,
-			Plans:     sp.Rules,
-		})
+		info.Strata = append(info.Strata, sp)
 	}
 	return info, nil
 }
@@ -199,8 +184,13 @@ func (e *ExplainInfo) Text() string {
 			fmt.Fprintf(&b, "  %d: [%s] %d rules (%s)\n",
 				st.Index, strings.Join(st.Preds, ","), st.Rules, kind)
 			for _, rp := range st.Plans {
-				for _, line := range strings.Split(strings.TrimRight(rp.Root.Tree(), "\n"), "\n") {
-					fmt.Fprintf(&b, "      %s\n", line)
+				fmt.Fprintf(&b, "      %s\n", rp.Source)
+				for _, step := range rp.Steps {
+					if len(step.Probe) == 0 {
+						fmt.Fprintf(&b, "        scan %s\n", step.Literal)
+					} else {
+						fmt.Fprintf(&b, "        probe %s on %s\n", step.Literal, strings.Join(step.Keys, ", "))
+					}
 				}
 			}
 		}

@@ -13,7 +13,6 @@ import (
 	"factorlog/internal/cost"
 	"factorlog/internal/engine"
 	"factorlog/internal/obsv"
-	"factorlog/internal/stream"
 	"factorlog/internal/topdown"
 	"factorlog/internal/trace"
 )
@@ -171,15 +170,15 @@ type RunResult struct {
 	// Degraded reports that a parallel evaluation lost a worker to a panic
 	// and the answers come from the sequential retry (engine.Stats.Degraded).
 	Degraded bool
-	// Executor names the bottom-up evaluator that ran: "stream" when the
-	// streaming relational-algebra executor handled the run (non-recursive
-	// strata as iterator pipelines, recursive ones delegated to the
-	// fixpoint), "materialize" for the classic fixpoint evaluators. Empty
-	// for top-down strategies.
+	// Executor names the bottom-up schedule that ran: "stream" when the
+	// engine evaluated the program stratum by stratum (engine.StreamAuto:
+	// one pass per non-recursive stratum, semi-naive rounds per recursive
+	// one), "materialize" for the global semi-naive or naive loop. Empty for
+	// top-down strategies.
 	Executor string
-	// Stream carries the streaming executor's counters (rows, probes,
-	// pushdowns, per-operator flow under Trace); nil unless Executor is
-	// "stream".
+	// Stream carries the stratified schedule's counters (strata, one-pass
+	// strata, rows and duplicates they emitted, probe-key columns); nil
+	// unless Executor is "stream".
 	Stream *obsv.StreamStats
 	// AutoPicked reports that the run was requested under the Auto strategy
 	// and Strategy is the concrete winner the planner resolved it to.
@@ -189,32 +188,16 @@ type RunResult struct {
 	Candidates []CandidateInfo
 }
 
-// streamEligible reports whether opts route a bottom-up evaluation to the
-// streaming executor: opt-in via Options.Streaming, semi-naive strategy
-// (the streaming plan's recursive fallback is semi-naive, so naive-mode
-// cost measures would be wrong), and no provenance recording (only the
-// fixpoint evaluator builds derivation trees).
-func streamEligible(opts engine.Options) bool {
-	return opts.Streaming == engine.StreamAuto &&
-		opts.Strategy == engine.SemiNaive &&
-		!opts.Provenance
-}
-
-// evalProgram runs one bottom-up evaluation, routing to the streaming
-// executor when eligible. It returns the engine stats, the stream stats
-// (nil for materializing runs), and the executor name.
+// evalProgram runs one bottom-up evaluation. It returns the engine stats,
+// the stratified schedule's counters (nil unless the options selected it)
+// and the executor name that reports the schedule.
 func evalProgram(prog *ast.Program, db *engine.DB, opts engine.Options) (engine.Stats, *obsv.StreamStats, string, error) {
-	if streamEligible(opts) {
-		res, err := stream.Eval(prog, db, opts)
-		if err != nil {
-			return engine.Stats{}, nil, "", err
-		}
-		st := res.Stream
-		return res.Stats, &st, "stream", nil
-	}
 	res, err := engine.Eval(prog, db, opts)
 	if err != nil {
 		return engine.Stats{}, nil, "", err
+	}
+	if res.Stream != nil {
+		return res.Stats, res.Stream, "stream", nil
 	}
 	return res.Stats, nil, "materialize", nil
 }
@@ -468,8 +451,8 @@ func Table(results []*RunResult) string {
 // ProfileTable renders one run's profile: header lines (strategy, executor,
 // stream and storage summaries), then tc's span tree — compile stages, eval,
 // and the engine's strata, rounds, rules and workers — then, when the
-// evaluation was traced, the per-rule counter table and the streaming
-// operators' row counts. tc is the trace the run recorded into, or nil.
+// evaluation was traced, the per-rule counter table. tc is the trace the
+// run recorded into, or nil.
 func ProfileTable(r *RunResult, tc *trace.Context) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "strategy: %s (eval wall %s)\n",
@@ -489,10 +472,6 @@ func ProfileTable(r *RunResult, tc *trace.Context) string {
 	if len(r.Rules) > 0 {
 		b.WriteByte('\n')
 		b.WriteString(obsv.RuleTable(r.Rules))
-	}
-	if r.Stream != nil && len(r.Stream.Ops) > 0 {
-		b.WriteByte('\n')
-		b.WriteString(obsv.StreamOpTable(r.Stream.Ops))
 	}
 	return b.String()
 }

@@ -44,9 +44,10 @@ type Request struct {
 	// describes the compiled plan without evaluating, "analyze" evaluates
 	// with tracing forced and returns the measured span tree too.
 	Explain string `json:"explain,omitempty"`
-	// Stream opts the request into the streaming executor: non-recursive
-	// strata run as single-pass iterator pipelines (same answers, different
-	// cost shape). The response reports what ran in executor/stream.
+	// Stream opts the request into the stratified schedule: the program is
+	// evaluated stratum by stratum, non-recursive strata in one pass (same
+	// answers, different cost shape). The response reports what ran in
+	// executor/stream.
 	Stream bool `json:"stream,omitempty"`
 }
 

@@ -160,7 +160,8 @@ func Section64(db *engine.DB, n int) {
 // up to t<stages>. Every stratum past the first joins an IDB predicate, the
 // shape on which the materializing semi-naive evaluator pays each join twice
 // (the round-0 cascade derives everything, then the delta round re-joins the
-// full relation to find nothing new) while the streaming executor pays once.
+// full relation to find nothing new) while the stratified schedule
+// (engine.StreamAuto) pays once.
 func LayeredJoinProgram(stages int) string {
 	if stages < 1 {
 		stages = 1
