@@ -51,12 +51,27 @@ func TestStreamAutoMatchesGlobalOnMixedProgram(t *testing.T) {
 	if st := res.Stream; st == nil || st.Strata != 4 || st.Streamed != 3 || st.RowsEmitted == 0 {
 		t.Errorf("stream stats = %+v, want 4 strata, 3 of them (s1, s2, top) one pass, with rows", st)
 	}
-	answers, err := AnswerSet(strata, ast.NewAtom("top", ast.V("X"), ast.V("Y")))
+}
+
+// TestStreamAutoAnswersMatchQuery pins the answer-projection path end to end
+// over a StreamAuto evaluation.
+func TestStreamAutoAnswersMatchQuery(t *testing.T) {
+	prog := parser.MustParseProgram(mixedProgram)
+	db := mixedDB(12)
+	if _, err := Eval(prog, db, Options{Streaming: StreamAuto}); err != nil {
+		t.Fatal(err)
+	}
+	answers, err := AnswerSet(db, ast.NewAtom("top", ast.V("X"), ast.V("Y")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(answers) == 0 {
 		t.Fatal("no answers for top(X, Y)")
+	}
+	for ans := range answers {
+		if !strings.HasPrefix(ans, "(") {
+			t.Fatalf("unexpected answer shape %q", ans)
+		}
 	}
 }
 
