@@ -168,6 +168,9 @@ func run(args []string) error {
 		if ex.Class != "" {
 			fmt.Printf("%% class: %s\n", ex.Class)
 		}
+		for _, r := range ex.Reduced {
+			fmt.Printf("%% %s\n", r)
+		}
 		prog := ex.Program
 		if *anon {
 			parsed, err := parser.ParseProgram(prog)

@@ -149,6 +149,29 @@ func TestCLIExplain(t *testing.T) {
 	}
 }
 
+// A closure into a constant is factored through static-argument reduction:
+// explain names the reduction and prints the unary program of Lemma 5.1.
+func TestCLIExplainStaticReduction(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "reach.dl")
+	src := "r(X, Y) :- g(X, Y).\nr(X, Y) :- g(X, Z), r(Z, Y).\ng(1, 17). g(2, 1).\n?- r(X, 17).\n"
+	if err := os.WriteFile(file, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := capture(t, "explain", "-strategy", "factored+opt", file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"% static-argument reduction (Def. 5.2): r/2 → r_r1/1 at position 1\n",
+		"r_r1(X) :- g(X,17).\n",
+		"r_r1(X) :- g(X,Z), r_r1(Z).\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("missing %q in explain output:\n%s", want, out)
+		}
+	}
+}
+
 func TestCLIClassify(t *testing.T) {
 	out, err := capture(t, "classify", testdata("tc3.dl"))
 	if err != nil {

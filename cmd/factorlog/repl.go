@@ -231,6 +231,9 @@ func repl(in io.Reader, out io.Writer) error {
 			if ex.Class != "" {
 				fmt.Fprintln(out, "% class:", ex.Class)
 			}
+			for _, r := range ex.Reduced {
+				fmt.Fprintln(out, "%", r)
+			}
 			fmt.Fprint(out, ex.Program)
 
 		case strings.HasPrefix(line, ":"):

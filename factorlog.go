@@ -441,6 +441,9 @@ type Explanation struct {
 	Program  string
 	// Class is the factorability certificate ("" when not applicable).
 	Class string
+	// Reduced lists the static-argument reductions (Def. 5.2) the factoring
+	// strategies applied before factoring; empty when none did.
+	Reduced []string
 	// Trace lists the optimization steps (FactoredOptimized only).
 	Trace []string
 }
@@ -483,7 +486,10 @@ func (s *System) Explain(strategy Strategy) (*Explanation, error) {
 		switch st.Name {
 		case "factor":
 			fr, _ := s.pl.FactoredProgram()
-			ex.Class = fr.Class.String()
+			ex.Class = fr.Certificate()
+			for _, step := range fr.Reduced {
+				ex.Reduced = append(ex.Reduced, step.String())
+			}
 		case "optimize":
 			opt, _ := s.pl.OptimizedProgram()
 			ex.Trace = opt.Trace
@@ -522,7 +528,7 @@ func (s *System) Classify() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return fr.Class.String(), nil
+	return fr.Certificate(), nil
 }
 
 // FormatTable renders results as an aligned comparison table; columns adapt

@@ -6,6 +6,7 @@ import (
 
 	"factorlog/internal/ast"
 	"factorlog/internal/magic"
+	"factorlog/internal/reduce"
 )
 
 // ErrNotFactorable is returned when none of the sufficient conditions of
@@ -26,6 +27,28 @@ type FactorResult struct {
 	Analysis *Analysis
 	// Query is the answer predicate head, unchanged from the Magic result.
 	Query ast.Atom
+	// Magic is the Magic program that was factored; its seed carries the
+	// query's bound constants (Proposition 5.3). Nil when static-argument
+	// reduction removed every bound position, so there was nothing to factor.
+	Magic *magic.Result
+	// Reduced lists the static-argument reductions (Definition 5.2) applied
+	// to the source program before it was factored, in order; empty when the
+	// Magic program of the query as posed factored.
+	Reduced []reduce.Step
+}
+
+// Certificate names what licenses the factored program: the Section 4
+// class that certified the split, qualified when static-argument reduction
+// came first, or the reduction alone (Lemma 5.1) when it left no bound
+// argument to factor.
+func (fr *FactorResult) Certificate() string {
+	switch {
+	case len(fr.Reduced) == 0:
+		return fr.Class.String()
+	case fr.Magic == nil:
+		return "static-argument reduction (Lemma 5.1)"
+	}
+	return fr.Class.String() + " after static-argument reduction"
 }
 
 // FactorMagic factors the recursive predicate of a Magic program into its
@@ -88,5 +111,6 @@ func factorWith(m *magic.Result, analysis *Analysis, class Class) (*FactorResult
 		Split:    split,
 		Analysis: analysis,
 		Query:    m.Query,
+		Magic:    m,
 	}, nil
 }

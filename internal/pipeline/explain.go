@@ -116,9 +116,9 @@ func (pl *Pipeline) Explain(s Strategy) (*ExplainInfo, error) {
 }
 
 // magicReduction renders the Magic Sets step with the query's adornment.
-func (pl *Pipeline) magicReduction() string {
+func magicReduction(query ast.Atom) string {
 	return fmt.Sprintf("magic sets on %s%s: restrict evaluation to facts reachable from the bound arguments",
-		pl.Query.Pred, ast.AdornmentOf(pl.Query, nil))
+		query.Pred, ast.AdornmentOf(query, nil))
 }
 
 // factorReduction renders the applied factoring theorem and its predicate

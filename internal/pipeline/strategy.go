@@ -12,6 +12,7 @@ import (
 	"factorlog/internal/engine"
 	"factorlog/internal/magic"
 	"factorlog/internal/optimize"
+	"factorlog/internal/reduce"
 )
 
 // This file is the one place a strategy or a rewrite stage is declared. A
@@ -228,7 +229,7 @@ var stages = [numStages]stageDef{
 		if err != nil {
 			return rewritten{}, err
 		}
-		return rewritten{m, m.Program, m.Query, []string{pl.magicReduction()}}, nil
+		return rewritten{m, m.Program, m.Query, []string{magicReduction(pl.Query)}}, nil
 	}},
 	supMagicStage: {name: "sup-magic", input: adornStage, rewrite: func(pl *Pipeline) (rewritten, error) {
 		sm, err := magic.TransformSupplementary(upstream[*adorn.Result](pl, adornStage))
@@ -236,19 +237,22 @@ var stages = [numStages]stageDef{
 			return rewritten{}, err
 		}
 		return rewritten{sm, sm.Program, sm.Query,
-			[]string{pl.magicReduction() + " with supplementary predicates"}}, nil
+			[]string{magicReduction(pl.Query) + " with supplementary predicates"}}, nil
 	}},
 	factorStage: {name: "factor", input: magicStage, rewrite: func(pl *Pipeline) (rewritten, error) {
 		fr, err := core.FactorMagic(upstream[*magic.Result](pl, magicStage), pl.Constraints)
 		if err != nil {
-			return rewritten{}, err
+			return pl.factorReduced(err)
 		}
 		return rewritten{fr, fr.Program, fr.Query, []string{factorReduction(fr)}}, nil
 	}},
 	optimizeStage: {name: "optimize", input: factorStage, rewrite: func(pl *Pipeline) (rewritten, error) {
 		fr := upstream[*core.FactorResult](pl, factorStage)
-		seed := upstream[*magic.Result](pl, magicStage).Seed.Head.Args
-		opt, err := optimize.Optimize(fr.Program, optimize.ForFactored(fr, magic.QueryPred, seed))
+		var seed []ast.Term
+		if fr.Magic != nil {
+			seed = fr.Magic.Seed.Head.Args
+		}
+		opt, err := optimize.Optimize(fr.Program, optimize.ForFactored(fr, fr.Query.Pred, seed))
 		if err != nil {
 			return rewritten{}, err
 		}
@@ -262,6 +266,64 @@ var stages = [numStages]stageDef{
 		return rewritten{c, c.Program, c.Query,
 			[]string{"counting transformation (§6.4): distance indexes replace carried arguments"}}, nil
 	}},
+}
+
+// factorReduced is the factor stage's answer to a refusal, the paper's §5
+// route around the class tests: when the rules the query reaches define
+// only its predicate and a bound position is static (Definition 5.1), the
+// program reduced at every static position answers the query the same way
+// (Lemma 5.1). If a bound position remains, the reduced program is adorned,
+// rewritten by Magic Sets and factored; if none does, its predicate has lost
+// every bound argument (bp would be nullary) and it is the factored program
+// as it stands. Any other outcome keeps the refusal.
+func (pl *Pipeline) factorReduced(refused error) (rewritten, error) {
+	unit := unitRules(pl.Program, pl.Query.Pred)
+	if unit == nil {
+		return rewritten{}, refused
+	}
+	prog, query, steps, err := reduce.ReduceAll(unit, pl.Query)
+	if err != nil || len(steps) == 0 {
+		return rewritten{}, refused
+	}
+	taken, _ := pl.Program.PredArities()
+	var lines []string
+	for _, st := range steps {
+		if _, clash := taken[st.Reduced]; clash {
+			return rewritten{}, refused
+		}
+		lines = append(lines, st.String())
+	}
+	fr := &core.FactorResult{Program: prog, Query: query, Reduced: steps}
+	if len(ast.AdornmentOf(query, nil).Bound()) == 0 {
+		lines = append(lines, fmt.Sprintf("%s has no bound argument left: the reduced program replaces the magic program (Lemma 5.1)",
+			ast.FmtPredArity(query.Pred, len(query.Args))))
+		return rewritten{fr, fr.Program, fr.Query, lines}, nil
+	}
+	m, err := magic.FromQuery(prog, query)
+	if err != nil {
+		return rewritten{}, refused
+	}
+	if fr, err = core.FactorMagic(m, pl.Constraints); err != nil {
+		return rewritten{}, refused
+	}
+	fr.Reduced = steps
+	lines = append(lines, magicReduction(query), factorReduction(fr))
+	return rewritten{fr, fr.Program, fr.Query, lines}, nil
+}
+
+// unitRules returns the rules defining pred when they are all the rules the
+// query reaches — no body literal names another IDB predicate — and nil
+// otherwise.
+func unitRules(p *ast.Program, pred string) *ast.Program {
+	unit := &ast.Program{Rules: p.RulesFor(pred)}
+	for _, r := range unit.Rules {
+		for _, b := range r.Body {
+			if b.Pred != pred && p.IsIDB(b.Pred) {
+				return nil
+			}
+		}
+	}
+	return unit
 }
 
 // stageMemo is one stage's memoized outcome on one Pipeline.

@@ -194,6 +194,7 @@ func TestTemplateInstantiationMatchesFreshCompile(t *testing.T) {
 	}
 	constants := map[string]bool{}
 	templated := 0
+	compiled := map[string]bool{} // shape|strategy pairs that compiled
 	for _, tc := range templateCases(t) {
 		base, err := engine.NewBase(tc.facts, 0)
 		if err != nil {
@@ -230,6 +231,7 @@ func TestTemplateInstantiationMatchesFreshCompile(t *testing.T) {
 				if hit && len(sh.params) > 0 {
 					templated++
 				}
+				compiled[sh.canon+"|"+s.String()] = true
 				gotProg, gotAns, gotT, err1 := plan.Pipeline().MaterializedProgram(s)
 				wantProg, wantAns, wantT, err2 := fresh.MaterializedProgram(s)
 				if err1 != nil || err2 != nil {
@@ -282,6 +284,13 @@ func TestTemplateInstantiationMatchesFreshCompile(t *testing.T) {
 	}
 	if templated == 0 {
 		t.Error("no plan was bound from an already-compiled template")
+	}
+	// A closure into a constant compiles under factoring through
+	// static-argument reduction, its constant reaching the rules.
+	for _, s := range []Strategy{Factored, FactoredOptimized} {
+		if !compiled["r(V0,'$0')|"+s.String()] {
+			t.Errorf("r(X,$0) did not compile under %s", s)
+		}
 	}
 }
 

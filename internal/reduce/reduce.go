@@ -107,21 +107,40 @@ func Reduce(p *ast.Program, query ast.Atom, pos int) (*ast.Program, ast.Atom, er
 	return out, drop(query), nil
 }
 
+// Step records one reduction: Pred/Arity lost position Pos and became
+// Reduced, of arity Arity-1.
+type Step struct {
+	Pred    string
+	Arity   int
+	Pos     int
+	Reduced string
+}
+
+// String renders the step as EXPLAIN lists it.
+func (s Step) String() string {
+	return fmt.Sprintf("static-argument reduction (Def. 5.2): %s → %s at position %d",
+		ast.FmtPredArity(s.Pred, s.Arity), ast.FmtPredArity(s.Reduced, s.Arity-1), s.Pos)
+}
+
 // ReduceAll reduces with respect to every static position, left to right,
-// returning the final program and query. With no static positions it
-// returns the inputs unchanged.
-func ReduceAll(p *ast.Program, query ast.Atom) (*ast.Program, ast.Atom, error) {
+// returning the final program and query and the reductions in the order
+// applied. With no static positions it returns the inputs unchanged and no
+// steps.
+func ReduceAll(p *ast.Program, query ast.Atom) (*ast.Program, ast.Atom, []Step, error) {
+	var steps []Step
 	for {
 		static, err := StaticPositions(p, query)
 		if err != nil {
-			return nil, ast.Atom{}, err
+			return nil, ast.Atom{}, nil, err
 		}
 		if len(static) == 0 {
-			return p, query, nil
+			return p, query, steps, nil
 		}
-		p, query, err = Reduce(p, query, static[0])
+		rp, rq, err := Reduce(p, query, static[0])
 		if err != nil {
-			return nil, ast.Atom{}, err
+			return nil, ast.Atom{}, nil, err
 		}
+		steps = append(steps, Step{Pred: query.Pred, Arity: len(query.Args), Pos: static[0], Reduced: rq.Pred})
+		p, query = rp, rq
 	}
 }

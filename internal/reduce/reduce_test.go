@@ -1,11 +1,13 @@
-package reduce
+package reduce_test
 
 import (
+	"strings"
 	"testing"
 
 	"factorlog/internal/core"
 	"factorlog/internal/engine"
 	"factorlog/internal/parser"
+	"factorlog/internal/reduce"
 )
 
 // TestExample51 reduces the program of Example 5.1 with respect to its
@@ -17,7 +19,7 @@ func TestExample51(t *testing.T) {
 	`)
 	query := parser.MustParseAtom("p(5, 6, U)")
 
-	static, err := StaticPositions(p, query)
+	static, err := reduce.StaticPositions(p, query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +27,7 @@ func TestExample51(t *testing.T) {
 		t.Fatalf("static positions = %v, want [0]", static)
 	}
 
-	red, rq, err := Reduce(p, query, 0)
+	red, rq, err := reduce.Reduce(p, query, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +66,7 @@ func TestExample52(t *testing.T) {
 		p(X, Y, Z) :- exit(X, Y, Z).
 	`)
 	query := parser.MustParseAtom("p(5, 6, U)")
-	red, rq, err := Reduce(p, query, 0)
+	red, rq, err := reduce.Reduce(p, query, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +97,7 @@ func TestLemma51Equivalence(t *testing.T) {
 		p(X, Y, Z) :- exit(X, Y, Z).
 	`)
 	query := parser.MustParseAtom("p(5, 6, U)")
-	red, rq, err := Reduce(p, query, 0)
+	red, rq, err := reduce.Reduce(p, query, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +146,7 @@ func TestStaticPositionsNegative(t *testing.T) {
 		p(X, Y) :- p(Y, X).
 		p(X, Y) :- e(X, Y).
 	`)
-	static, err := StaticPositions(p, parser.MustParseAtom("p(5, Y)"))
+	static, err := reduce.StaticPositions(p, parser.MustParseAtom("p(5, Y)"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +160,7 @@ func TestStaticRequiresGroundQueryArg(t *testing.T) {
 		p(X, Y) :- p(X, W), e(W, Y).
 		p(X, Y) :- e(X, Y).
 	`)
-	static, err := StaticPositions(p, parser.MustParseAtom("p(X, Y)"))
+	static, err := reduce.StaticPositions(p, parser.MustParseAtom("p(X, Y)"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +175,7 @@ func TestReduceErrors(t *testing.T) {
 		p(X, Y) :- e(X, Y).
 	`)
 	// Position 1 is free, not static.
-	if _, _, err := Reduce(p, parser.MustParseAtom("p(5, Y)"), 1); err == nil {
+	if _, _, err := reduce.Reduce(p, parser.MustParseAtom("p(5, Y)"), 1); err == nil {
 		t.Error("non-static position accepted")
 	}
 	// Non-unit program.
@@ -181,7 +183,7 @@ func TestReduceErrors(t *testing.T) {
 		p(X) :- q(X).
 		q(X) :- e(X).
 	`)
-	if _, err := StaticPositions(p2, parser.MustParseAtom("p(5)")); err == nil {
+	if _, err := reduce.StaticPositions(p2, parser.MustParseAtom("p(5)")); err == nil {
 		t.Error("non-unit program accepted")
 	}
 }
@@ -192,9 +194,17 @@ func TestReduceAll(t *testing.T) {
 		p(A, B, Y) :- p(A, B, W), e(W, Y).
 		p(A, B, Y) :- exit(A, B, Y).
 	`)
-	red, rq, err := ReduceAll(p, parser.MustParseAtom("p(1, 2, U)"))
+	red, rq, steps, err := reduce.ReduceAll(p, parser.MustParseAtom("p(1, 2, U)"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	var lines []string
+	for _, st := range steps {
+		lines = append(lines, st.String())
+	}
+	if got := strings.Join(lines, "\n"); got != "static-argument reduction (Def. 5.2): p/3 → p_r0/2 at position 0\n"+
+		"static-argument reduction (Def. 5.2): p_r0/2 → p_r0_r0/1 at position 0" {
+		t.Errorf("steps:\n%s", got)
 	}
 	if rq.Arity() != 1 {
 		t.Errorf("reduced query = %s, want arity 1", rq)
@@ -209,11 +219,11 @@ func TestReduceAll(t *testing.T) {
 		p(X, Y) :- e(X, Y).
 	`)
 	q2 := parser.MustParseAtom("p(5, Y)")
-	same, sameQ, err := ReduceAll(p2, q2)
+	same, sameQ, steps, err := reduce.ReduceAll(p2, q2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if same != p2 || !sameQ.Equal(q2) {
+	if same != p2 || !sameQ.Equal(q2) || len(steps) != 0 {
 		t.Error("no-op ReduceAll should return inputs")
 	}
 }
