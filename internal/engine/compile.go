@@ -33,13 +33,17 @@ type literalSpec struct {
 	boundCols []int // indexable columns fully bound before this literal (probe key)
 	freeCols  []int // remaining columns (residually matched)
 	idb       bool  // head predicate of some rule in the program
+	// fullKey marks a literal whose every column is in boundCols: it probes
+	// its relation's membership table, which needs no index.
+	fullKey bool
 }
 
 // indexNeed is one hash index a rule's body requires: the probe of some
-// body literal with at least one bound column. The compiler declares these
-// so the evaluator can build every index up front (once per stratum in the
-// parallel path) instead of lazily inside Probe — removing the first-probe
-// stall and making in-round probes read-only.
+// body literal with at least one bound column and at least one free one (a
+// literal bound on every column probes the membership table). The compiler
+// declares these so the evaluator can build every index up front (once per
+// stratum in the parallel path) instead of at a pass's first probe —
+// removing the first-probe stall and making in-round probes read-only.
 type indexNeed struct {
 	pred string
 	cols []int // sorted ascending (compiled in column order)
@@ -55,12 +59,15 @@ type compiledRule struct {
 	body     []literalSpec
 	idbOccs  []int // body positions whose predicate is IDB (delta positions)
 	// indexNeeds lists the (relation, columns) indexes this rule's body
-	// probes, one per literal with bound columns.
+	// probes, one per literal with bound and free columns.
 	indexNeeds []indexNeed
 	// deltaLed[p], for every body position p ≥ 1, is the body reordered to
 	// lead with the literal at p: the join a delta pass on p runs when its
 	// delta window is the smaller scan (runner.passOrder). Its index needs
-	// are not planned; Probe builds them the first time the order probes.
+	// are not planned: the first pass that probes one of its positions
+	// builds the index through ensureIndex (sequential passes only — a
+	// parallel pass joins in source order), and a position bound on every
+	// column probes the membership table like any other full-key literal.
 	deltaLed []joinOrder
 }
 
@@ -177,7 +184,7 @@ func (c *compiler) compileRule(r ast.Rule, idx int) (*compiledRule, error) {
 		if spec.idb {
 			cr.idbOccs = append(cr.idbOccs, bi)
 		}
-		if len(spec.boundCols) > 0 {
+		if len(spec.boundCols) > 0 && !spec.fullKey {
 			cr.indexNeeds = append(cr.indexNeeds, indexNeed{pred: spec.pred, cols: spec.boundCols})
 		}
 		cr.body = append(cr.body, spec)
@@ -208,6 +215,7 @@ func (l *literalSpec) splitCols(bound map[int]bool) {
 			l.freeCols = append(l.freeCols, col)
 		}
 	}
+	l.fullKey = len(l.boundCols) > 0 && len(l.freeCols) == 0
 	for _, pat := range l.args {
 		markBound(pat, bound)
 	}

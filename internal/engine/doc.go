@@ -13,7 +13,8 @@
 // true during evaluation. Relations hold tuples of Vals stamped with their
 // insertion round (the semi-naive delta discipline needs no copying) and
 // build column-subset hash indexes on demand or up front from the
-// compiler's declared index needs.
+// compiler's declared index needs; a probe that binds every column reads
+// the relation's membership table instead.
 //
 // # Evaluation
 //

@@ -362,8 +362,12 @@ type evaluator struct {
 	prov  *Provenance
 	ctx   context.Context // nil when the evaluation is unbounded
 
-	curRound  int32
-	newCounts map[string]int // facts stamped curRound+1, by predicate
+	curRound int32
+	// newCounts holds the facts stamped curRound+1, by predicate, and
+	// deltaCounts the previous round's, the delta the running round joins;
+	// the two maps trade places at every round and are cleared, never
+	// reallocated.
+	newCounts, deltaCounts map[string]int
 
 	// head is the relation the running pass derives into and headNew the
 	// facts it added so far, folded into newCounts when the pass ends.
@@ -388,10 +392,14 @@ type evaluator struct {
 }
 
 // runner executes one rule's join over the database. The sequential
-// evaluator owns one, and each parallel worker owns one; sink receives the
-// materialized head tuple of every successful body instantiation. The
-// zero-valued parallel fields (frozen, shardMod) select the sequential
-// behavior: lazily built indexes via Relation.Probe and no shard filter.
+// evaluator owns one, the maintainer one, and each parallel worker one;
+// sink receives the materialized head tuple of every successful body
+// instantiation. A pass resolves what it joins once, in runRule: the
+// relation of every body position, and — the first time a position probes
+// — the index it probes, so the join loop itself does no name lookup and
+// no index-set search. The zero-valued parallel fields (frozen, shardMod)
+// select the sequential behavior: an index missing at a position's first
+// probe is built then (ensureIndex), and no shard filter.
 type runner struct {
 	db *DB
 	// limits holds the per-literal round windows of the rule being run,
@@ -410,6 +418,13 @@ type runner struct {
 	children []FactID
 	// cur points at the per-rule trace counters, nil when untraced.
 	cur *obsv.RuleStats
+	// rels, ixs and rows are per join position of the running pass: its
+	// relation, the index it probes (nil until its first probe, and for a
+	// scan or a full-key probe), and the one-row postings of a full-key
+	// probe, which stays live while deeper positions probe their own.
+	rels []*Relation
+	ixs  []*index
+	rows []int32
 	// sink consumes derived head tuples; children is the provenance scratch
 	// (valid only until sink returns).
 	sink func(r *compiledRule, tuple []Val, children []FactID) error
@@ -431,8 +446,8 @@ type runner struct {
 
 	// Parallel-mode fields.
 	//
-	// frozen probes prebuilt indexes read-only (no lazy builds, no shared
-	// scratch), so concurrent runners never mutate shared relations.
+	// frozen probes prebuilt indexes read-only (no builds), so concurrent
+	// runners never mutate shared relations.
 	frozen bool
 	// shardMod > 1 restricts the literal at shardLit to positions with
 	// pos % shardMod == shardRem, splitting one rule evaluation into
@@ -509,7 +524,7 @@ func (ev *evaluator) run() error {
 // position whose predicate gained facts in the previous round (Naive: one
 // unrestricted pass per rule).
 func (ev *evaluator) fixpoint(rules []*compiledRule, once bool) error {
-	ev.newCounts = map[string]int{}
+	ev.newCounts = clearedCounts(ev.newCounts)
 	ev.traceRoundStart()
 	for _, r := range rules {
 		if err := ev.evalRule(r, -1); err != nil {
@@ -529,8 +544,7 @@ func (ev *evaluator) fixpoint(rules []*compiledRule, once bool) error {
 		if ev.opts.MaxIterations > 0 && ev.stats.Iterations >= ev.opts.MaxIterations {
 			return fmt.Errorf("%w: %d iterations", ErrBudgetExceeded, ev.stats.Iterations)
 		}
-		deltaCounts := ev.newCounts
-		ev.newCounts = map[string]int{}
+		ev.deltaCounts, ev.newCounts = ev.newCounts, clearedCounts(ev.deltaCounts)
 		ev.curRound++
 		ev.traceRoundStart()
 		for _, r := range rules {
@@ -541,7 +555,7 @@ func (ev *evaluator) fixpoint(rules []*compiledRule, once bool) error {
 				continue
 			}
 			for _, occ := range r.idbOccs {
-				if deltaCounts[r.body[occ].pred] == 0 {
+				if ev.deltaCounts[r.body[occ].pred] == 0 {
 					continue
 				}
 				if err := ev.evalRule(r, occ); err != nil {
@@ -613,6 +627,16 @@ func addOnePass(s *obsv.StreamStats, rules []*compiledRule, emitted, derived int
 			s.Pushdowns += len(l.boundCols)
 		}
 	}
+}
+
+// clearedCounts returns m emptied, or a new map when m is nil: the per-round
+// and per-wave fact counts are reused, not reallocated.
+func clearedCounts(m map[string]int) map[string]int {
+	if m == nil {
+		return map[string]int{}
+	}
+	clear(m)
+	return m
 }
 
 func total(m map[string]int) int {
@@ -756,7 +780,33 @@ func (rn *runner) runRule(r *compiledRule, jo *joinOrder) error {
 		}
 		rn.children = rn.children[:len(r.body)]
 	}
+	n := len(rn.body)
+	if cap(rn.rels) < n {
+		rn.rels, rn.ixs, rn.rows = make([]*Relation, n), make([]*index, n), make([]int32, n)
+	}
+	rn.rels, rn.ixs, rn.rows = rn.rels[:n], rn.ixs[:n], rn.rows[:n]
+	for li := range rn.body {
+		rn.rels[li], rn.ixs[li] = rn.db.Lookup(rn.body[li].pred), nil
+	}
 	return rn.join(r, 0, slots, rn.trail[:0])
+}
+
+// index returns the index position li of the running pass probes,
+// resolving it on the position's first probe: the planned index on a
+// frozen pass, ensureIndex's (built now if need be) otherwise.
+func (rn *runner) index(li int) *index {
+	if ix := rn.ixs[li]; ix != nil {
+		return ix
+	}
+	spec, rel := &rn.body[li], rn.rels[li]
+	var ix *index
+	if rn.frozen {
+		ix = rel.plannedIndex(spec.boundCols)
+	} else {
+		ix = rel.ensureIndex(spec.boundCols)
+	}
+	rn.ixs[li] = ix
+	return ix
 }
 
 func (rn *runner) join(r *compiledRule, li int, slots []Val, trail []int) error {
@@ -764,7 +814,7 @@ func (rn *runner) join(r *compiledRule, li int, slots []Val, trail []int) error 
 		return rn.emitHead(r, slots)
 	}
 	spec := &rn.body[li]
-	rel := rn.db.Lookup(spec.pred)
+	rel := rn.rels[li]
 	if rel == nil || rel.Len() == 0 {
 		return nil
 	}
@@ -815,11 +865,12 @@ func (rn *runner) join(r *compiledRule, li int, slots []Val, trail []int) error 
 			key = append(key, evalPattern(spec.args[col], slots, rn.db.Store))
 		}
 		rn.key = key
+		faultinject.Hit(faultinject.IndexProbe)
 		var positions []int32
-		if rn.frozen {
-			positions = rel.probeFrozen(spec.boundCols, key)
+		if spec.fullKey {
+			positions = rel.probeFull(key, rn.rows[li:li+1])
 		} else {
-			positions = rel.Probe(spec.boundCols, key)
+			positions = rn.index(li).probe(rel, key)
 		}
 		if limit.lo > 0 {
 			positions = rel.fromWindow(positions, limit.lo)

@@ -421,15 +421,12 @@ func (m *Materialization) Apply(ctx context.Context, assert, retract []ast.Atom)
 			return st, fmt.Errorf("%w: %v", ErrMutation, rerr)
 		}
 		rel.EnableCounts()
-		if row, ok := rel.findRow(assertTuples[i]); ok {
-			// Already derivable: the fact gains EDB support but its
-			// presence is unchanged — a count bump, not a delta.
-			rel.addCount(row, 1)
-			continue
+		// A fact that is already derivable only gains EDB support: its
+		// presence is unchanged — a count bump, not a delta.
+		if rel.insertCounted(assertTuples[i], 1) {
+			mt.newCounts[a.Pred]++
+			st.NewFacts++
 		}
-		rel.InsertRound(assertTuples[i], 1)
-		mt.newCounts[a.Pred]++
-		st.NewFacts++
 	}
 	if total(mt.newCounts) > 0 {
 		if err := mt.runInsertWaves(m.rules); err != nil {
@@ -570,10 +567,18 @@ type maintainer struct {
 	ctx context.Context
 	st  *ApplyStats
 
-	rn         runner
-	wave       int32
-	newCounts  map[string]int // facts stamped wave+1, per predicate
-	next       []victimRef    // next deletion wave's victims
+	rn   runner
+	wave int32
+	// newCounts holds the facts stamped wave+1, per predicate, and delta
+	// the running wave's (stamped wave); they trade places at every wave
+	// and are cleared, never reallocated. A deletion wave's dying
+	// predicates are counted in delta too.
+	newCounts, delta map[string]int
+	// head is the relation the running pass derives into and headNew the
+	// facts it added so far, folded into newCounts when the pass ends.
+	head       *Relation
+	headNew    int
+	next       []victimRef // next deletion wave's victims
 	occScratch []int
 }
 
@@ -588,11 +593,8 @@ func (mt *maintainer) initialWaves(active []*compiledRule) error {
 	m.db.resetRounds()
 	buildIndexes(m.db, active)
 	mt.wave = 0
-	mt.newCounts = map[string]int{}
-	mt.rn = runner{db: m.db}
-	mt.rn.sink = func(r *compiledRule, tuple []Val, _ []FactID) error {
-		return mt.insertSink(r, tuple)
-	}
+	mt.newCounts = clearedCounts(mt.newCounts)
+	mt.rn = runner{db: m.db, sink: mt.insertSink}
 	// Bodyless rules (e.g. magic seeds) fire exactly once, here, outside
 	// the join counters.
 	for _, r := range active {
@@ -601,26 +603,36 @@ func (mt *maintainer) initialWaves(active []*compiledRule) error {
 			mt.rn.cur = nil
 		}
 		mt.rn.setLimits(r, nil, -1, 0, roundRange{0, 0})
-		if err := mt.rn.runRule(r, nil); err != nil {
+		if err := mt.runPass(r, nil); err != nil {
 			return err
 		}
 	}
 	return mt.runInsertWaves(active)
 }
 
+// runPass runs one pass of r in join order jo (nil: source order) into
+// r's head relation, resolved once for the pass; the facts an insertion
+// pass adds are folded into newCounts when it ends.
+func (mt *maintainer) runPass(r *compiledRule, jo *joinOrder) error {
+	mt.head, mt.headNew = mt.m.db.Lookup(r.headPred), 0
+	err := mt.rn.runRule(r, jo)
+	if mt.headNew > 0 {
+		mt.newCounts[r.headPred] += mt.headNew
+	}
+	return err
+}
+
 // insertSink consumes derived head tuples during insertion waves: a new
 // fact is inserted stamped wave+1 (the next delta) with count 1; a
 // re-derivation of a live fact bumps its count and does not propagate.
-func (mt *maintainer) insertSink(r *compiledRule, tuple []Val) error {
+func (mt *maintainer) insertSink(_ *compiledRule, tuple []Val, _ []FactID) error {
 	mt.st.Inferences++
 	if mt.st.Inferences&ctxCheckMask == 0 {
 		if err := contextErr(mt.ctx); err != nil {
 			return err
 		}
 	}
-	rel := mt.m.db.Lookup(r.headPred)
-	if row, ok := rel.findRow(tuple); ok {
-		rel.addCount(row, 1)
+	if !mt.head.insertCounted(tuple, mt.wave+1) {
 		if t := mt.rn.cur; t != nil {
 			t.Duplicates++
 		}
@@ -629,8 +641,7 @@ func (mt *maintainer) insertSink(r *compiledRule, tuple []Val) error {
 	if t := mt.rn.cur; t != nil {
 		t.TuplesDerived++
 	}
-	rel.InsertRound(tuple, mt.wave+1)
-	mt.newCounts[r.headPred]++
+	mt.headNew++
 	mt.st.NewFacts++
 	if max := mt.m.opts.MaxFacts; max > 0 && mt.st.NewFacts > max {
 		return fmt.Errorf("%w: %d facts derived during maintenance", ErrBudgetExceeded, mt.st.NewFacts)
@@ -645,9 +656,7 @@ func (mt *maintainer) runInsertWaves(active []*compiledRule) error {
 	m := mt.m
 	mt.rn.db = m.db
 	mt.rn.cur = m.joins
-	mt.rn.sink = func(r *compiledRule, tuple []Val, _ []FactID) error {
-		return mt.insertSink(r, tuple)
-	}
+	mt.rn.sink = mt.insertSink
 	for total(mt.newCounts) > 0 {
 		if err := contextErr(mt.ctx); err != nil {
 			return err
@@ -659,14 +668,13 @@ func (mt *maintainer) runInsertWaves(active []*compiledRule) error {
 			return fmt.Errorf("%w: %d maintenance waves", ErrBudgetExceeded, mt.st.Waves)
 		}
 		faultinject.Hit(faultinject.DeltaWave)
-		delta := mt.newCounts
-		mt.newCounts = map[string]int{}
+		mt.delta, mt.newCounts = mt.newCounts, clearedCounts(mt.delta)
 		mt.wave++
 		for _, r := range active {
-			occs := mt.bodyOccs(r, delta)
+			occs := mt.bodyOccs(r, mt.delta)
 			for _, li := range occs {
 				mt.rn.setLimits(r, occs, li, mt.wave, roundRange{0, mt.wave})
-				if err := mt.rn.runRule(r, mt.rn.passOrder(r, li)); err != nil {
+				if err := mt.runPass(r, mt.rn.passOrder(r, li)); err != nil {
 					return err
 				}
 			}
@@ -697,10 +705,7 @@ func (mt *maintainer) runDeleteWaves(victims []victimRef) error {
 	m := mt.m
 	m.db.resetRounds()
 	buildIndexes(m.db, m.rules)
-	mt.rn = runner{db: m.db}
-	mt.rn.sink = func(r *compiledRule, tuple []Val, _ []FactID) error {
-		return mt.deleteSink(r, tuple)
-	}
+	mt.rn = runner{db: m.db, sink: mt.deleteSink}
 	wave := victims
 	for len(wave) > 0 {
 		if err := contextErr(mt.ctx); err != nil {
@@ -710,17 +715,17 @@ func (mt *maintainer) runDeleteWaves(victims []victimRef) error {
 			return fmt.Errorf("%w: %d maintenance waves", ErrBudgetExceeded, mt.st.Waves)
 		}
 		faultinject.Hit(faultinject.DeltaWave)
-		dyingPreds := map[string]int{}
+		mt.delta = clearedCounts(mt.delta)
 		for _, v := range wave {
 			m.db.Lookup(v.pred).stampDying(v.row)
-			dyingPreds[v.pred]++
+			mt.delta[v.pred]++
 		}
 		mt.next = mt.next[:0]
 		for _, r := range m.rules {
-			occs := mt.bodyOccs(r, dyingPreds)
+			occs := mt.bodyOccs(r, mt.delta)
 			for _, li := range occs {
 				mt.rn.setLimits(r, occs, li, 1, roundRange{0, 1})
-				if err := mt.rn.runRule(r, mt.rn.passOrder(r, li)); err != nil {
+				if err := mt.runPass(r, mt.rn.passOrder(r, li)); err != nil {
 					return err
 				}
 			}
@@ -739,14 +744,14 @@ func (mt *maintainer) runDeleteWaves(victims []victimRef) error {
 // lost a body instantiation; a count reaching zero schedules the row for
 // the next wave. Rows already dying this wave are skipped — their counts
 // no longer matter.
-func (mt *maintainer) deleteSink(r *compiledRule, tuple []Val) error {
+func (mt *maintainer) deleteSink(r *compiledRule, tuple []Val, _ []FactID) error {
 	mt.st.Inferences++
 	if mt.st.Inferences&ctxCheckMask == 0 {
 		if err := contextErr(mt.ctx); err != nil {
 			return err
 		}
 	}
-	rel := mt.m.db.Lookup(r.headPred)
+	rel := mt.head
 	row, ok := rel.findRow(tuple)
 	if !ok {
 		return nil

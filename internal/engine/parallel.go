@@ -36,7 +36,8 @@ import (
 //
 //  3. Every index a stratum's rules declare (compiledRule.indexNeeds) is
 //     built before the stratum's first round, so in-round probes never
-//     mutate shared state.
+//     mutate shared state; a literal bound on every column probes the
+//     membership table instead, which is never built.
 //
 // The final answer set and Stats.Derived are identical to the sequential
 // evaluator's — both compute the same least fixpoint — but Iterations
@@ -239,15 +240,19 @@ func (pw *parWorker) sink(r *compiledRule, tuple []Val, _ []FactID) error {
 
 // parEvaluator coordinates strata, rounds, and the worker pool.
 type parEvaluator struct {
-	db        *DB
-	rules     []*compiledRule
-	opts      Options
-	stats     Stats
-	curRound  int32
-	newCounts map[string]int
-	workers   []*parWorker
-	ctx       context.Context // nil when the evaluation is unbounded
-	stop      atomic.Bool     // set by the context watcher; polled by workers
+	db       *DB
+	rules    []*compiledRule
+	opts     Options
+	stats    Stats
+	curRound int32
+	workers  []*parWorker
+	ctx      context.Context // nil when the evaluation is unbounded
+	stop     atomic.Bool     // set by the context watcher; polled by workers
+
+	// newCounts and deltaCounts are the sequential evaluator's: the facts
+	// stamped curRound+1 and the running round's delta, swapped and
+	// cleared at every round.
+	newCounts, deltaCounts map[string]int
 	// panicked holds the first worker panic of the evaluation; the unit
 	// claim loop polls it so surviving workers stop scheduling new units
 	// once a sibling has died, and runRound reports it after the barrier.
@@ -409,13 +414,12 @@ func (ev *parEvaluator) evalStratum(si int, st *depgraph.Stratum) error {
 			if ev.opts.MaxIterations > 0 && ev.stats.Iterations >= ev.opts.MaxIterations {
 				return fmt.Errorf("%w: %d iterations", ErrBudgetExceeded, ev.stats.Iterations)
 			}
-			deltaCounts := ev.newCounts
-			ev.newCounts = map[string]int{}
+			ev.deltaCounts, ev.newCounts = ev.newCounts, clearedCounts(ev.deltaCounts)
 			ev.curRound++
 			units = units[:0]
 			for i, r := range srules {
 				for _, occ := range recOccs[i] {
-					if deltaCounts[r.body[occ].pred] == 0 {
+					if ev.deltaCounts[r.body[occ].pred] == 0 {
 						continue
 					}
 					units = ev.addUnits(units, r, recOccs[i], occ)
@@ -427,7 +431,7 @@ func (ev *parEvaluator) evalStratum(si int, st *depgraph.Stratum) error {
 			ev.stats.Iterations++
 		}
 	} else {
-		ev.newCounts = map[string]int{}
+		clear(ev.newCounts)
 		if ev.stream != nil {
 			addOnePass(ev.stream, srules, ev.stats.Inferences-inferencesBefore, ev.stats.Derived-factsBefore)
 		}

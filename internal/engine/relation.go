@@ -21,12 +21,15 @@ import (
 // the whole relation is one contiguous []Val. Membership (present) and
 // every column index are open-addressed hash tables over 64-bit hashes of
 // the Val words, resolved against the arena on collision — no tuple is
-// ever varint-encoded into a string key, and an insert allocates only when
-// the arena or a table doubles. Rows are immutable once written, which
-// makes every read-side operation (Tuple, Contains, Round, probeFrozen)
-// safe for concurrent readers while the relation is frozen between
-// mutations — the property the parallel evaluator's in-round probes rely
-// on.
+// ever varint-encoded into a string key, an insert hashes its tuple once,
+// and it allocates only when the arena, a table or an index's postings
+// pool doubles. The membership table doubles as the index on every column:
+// a probe that binds the whole tuple reads it, so no relation keeps an
+// index keyed on all of its columns (a unary relation keeps none). Rows
+// are immutable once written, which makes every read-side operation
+// (Tuple, Contains, Round, index probes) safe for concurrent readers while
+// the relation is frozen between mutations — the property the parallel
+// evaluator's in-round probes rely on.
 //
 // Every evaluator reads rows through a round window [lo, hi]. Semi-naive
 // rounds and insertion waves append rows in non-decreasing stamp order, so
@@ -65,8 +68,9 @@ import (
 // evaluators' recover barriers turn it into a typed ErrInternal. The one
 // thing that may still be added is a column index: ensureIndex, the single
 // gate every index build goes through, builds under ixMu and publishes the
-// new index set atomically, so an index built for one request serves every
-// later one and concurrent readers never see a half-built table.
+// new index set — a slice, searched by column mask — with one atomic
+// store, so an index built for one request serves every later one and
+// concurrent readers never see a half-built table.
 type Relation struct {
 	arity   int
 	arena   []Val   // row-major tuple storage; rows never move or change
@@ -74,8 +78,8 @@ type Relation struct {
 	present tupleSet
 
 	frozen  bool
-	ixMu    sync.Mutex                        // serializes index and statistics builds
-	indexes atomic.Pointer[map[uint32]*index] // key: bitmask of indexed columns; the map is never modified once stored
+	ixMu    sync.Mutex               // serializes index and statistics builds
+	indexes atomic.Pointer[[]*index] // the published index set; a stored slice is never modified
 	// distinct caches DistinctCounts on a frozen relation.
 	distinct atomic.Pointer[[]int]
 
@@ -208,44 +212,132 @@ func (s *tupleSet) grow() {
 }
 
 // index maps the projection of a tuple onto cols to the rows sharing that
-// key: an open-addressed table of key hashes whose slots name postings
-// lists of row ids. Collisions compare the probe key against the bucket's
-// first row in the arena.
+// key: an open-addressed table of key hashes whose slots name buckets, one
+// per distinct key, and one pool of row ids the buckets' postings are cut
+// from, so an index holds no pointer the garbage collector must trace and
+// a key costs no allocation of its own. Collisions compare the probe key
+// against the bucket's first row in the arena.
+//
+// A bucket's postings are pool[off : off+n], with room up to off+cap. A
+// full bucket moves to the end of the pool with twice the room (or, when
+// it is the pool's last, grows in place); its old entries are copied, never
+// overwritten, and the pool only ever appends. So a postings slice handed
+// out by probe keeps its contents while rows keep arriving — the round-0
+// cascade scans a bucket of the relation it is inserting into — at the
+// price of leaving the moved-from entries behind, at most as many as the
+// bucket holds.
 type index struct {
-	cols     []int // sorted ascending
-	hashes   []uint64
-	slots    []int32 // postings bucket ids; -1 = empty
-	n        int     // distinct keys
-	postings [][]int32
+	mask    uint32 // colMask(cols)
+	cols    []int  // sorted ascending
+	hashes  []uint64
+	slots   []int32 // bucket ids; -1 = empty
+	buckets []bucket
+	pool    []int32
+}
+
+// bucket locates one key's postings in its index's pool.
+type bucket struct{ off, n, cap int32 }
+
+// tableSize is the slot count an index grows to for keys distinct keys: the
+// smallest power of two from 16 that keeps the load at or below 3/4.
+func tableSize(keys int) int {
+	size := 16
+	for keys*4 > size*3 {
+		size *= 2
+	}
+	return size
+}
+
+// newIndex builds the index on cols over every arena row of r in two
+// passes: the first hashes each row into the slot table, sized for the row
+// count up front, and counts each key's rows; the second cuts every
+// bucket from one pool at its exact size and fills it in row order. The
+// table then shrinks to what adding the rows one by one would have grown
+// it to, so a build costs a handful of allocations and retains no more
+// than an incremental one. Dead rows are indexed like live ones, as
+// addRow would have: round windows filter them.
+func newIndex(r *Relation, cols []int, mask uint32) *index {
+	ix := &index{mask: mask, cols: cols}
+	n := r.Len()
+	ix.resize(tableSize(n))
+	bucketOf := make([]int32, n)
+	tableMask := uint64(len(ix.slots) - 1)
+	for row := int32(0); row < int32(n); row++ {
+		h := r.hashRowCols(row, cols)
+		for i := h & tableMask; ; i = (i + 1) & tableMask {
+			b := ix.slots[i]
+			if b < 0 {
+				// Until the second pass, off holds the bucket's first row.
+				b = int32(len(ix.buckets))
+				ix.hashes[i], ix.slots[i] = h, b
+				ix.buckets = append(ix.buckets, bucket{off: row})
+			} else if ix.hashes[i] != h || !r.rowsEqualOnCols(ix.buckets[b].off, row, cols) {
+				continue
+			}
+			ix.buckets[b].n++
+			bucketOf[row] = b
+			break
+		}
+	}
+	off := int32(0)
+	for i := range ix.buckets {
+		bk := &ix.buckets[i]
+		bk.off, bk.cap, bk.n = off, bk.n, 0
+		off += bk.cap
+	}
+	ix.pool = make([]int32, n)
+	for row, b := range bucketOf {
+		bk := &ix.buckets[b]
+		ix.pool[bk.off+bk.n] = int32(row)
+		bk.n++
+	}
+	if size := tableSize(len(ix.buckets)); size < len(ix.slots) {
+		ix.resize(size)
+	}
+	return ix
 }
 
 func (ix *index) addRow(r *Relation, row int32) {
 	h := r.hashRowCols(row, ix.cols)
-	if (ix.n+1)*4 > len(ix.slots)*3 {
-		ix.grow()
+	if (len(ix.buckets)+1)*4 > len(ix.slots)*3 {
+		ix.resize(tableSize(len(ix.buckets) + 1))
 	}
 	mask := uint64(len(ix.slots) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
 		b := ix.slots[i]
 		if b < 0 {
 			ix.hashes[i] = h
-			ix.slots[i] = int32(len(ix.postings))
-			ix.postings = append(ix.postings, []int32{row})
-			ix.n++
+			ix.slots[i] = int32(len(ix.buckets))
+			ix.buckets = append(ix.buckets, bucket{off: int32(len(ix.pool)), n: 1, cap: 1})
+			ix.pool = append(ix.pool, row)
 			return
 		}
-		if ix.hashes[i] == h && r.rowsEqualOnCols(ix.postings[b][0], row, ix.cols) {
-			ix.postings[b] = append(ix.postings[b], row)
+		if ix.hashes[i] == h && r.rowsEqualOnCols(ix.pool[ix.buckets[b].off], row, ix.cols) {
+			ix.push(b, row)
 			return
 		}
 	}
 }
 
-func (ix *index) grow() {
-	size := 2 * len(ix.slots)
-	if size == 0 {
-		size = 16
+// push appends row to bucket b's postings (see the type comment for why a
+// full bucket is copied rather than moved).
+func (ix *index) push(b, row int32) {
+	bk := &ix.buckets[b]
+	if bk.n == bk.cap {
+		if end := int32(len(ix.pool)); bk.off+bk.cap != end {
+			ix.pool = append(ix.pool, ix.pool[bk.off:bk.off+bk.n]...)
+			bk.off = end
+		}
+		ix.pool = slices.Grow(ix.pool, int(bk.cap))
+		ix.pool = ix.pool[:len(ix.pool)+int(bk.cap)]
+		bk.cap *= 2
 	}
+	ix.pool[bk.off+bk.n] = row
+	bk.n++
+}
+
+// resize rehashes the slot table into size slots.
+func (ix *index) resize(size int) {
 	oldHashes, oldSlots := ix.hashes, ix.slots
 	ix.hashes = make([]uint64, size)
 	ix.slots = make([]int32, size)
@@ -265,10 +357,12 @@ func (ix *index) grow() {
 	}
 }
 
-// probe returns the postings of the key (aligned with ix.cols), or nil.
-// It is a pure read: safe for concurrent use while the relation is frozen.
+// probe returns the postings of the key (aligned with ix.cols), ascending,
+// or nil. The slice is capped, so nothing a caller appends reaches the
+// pool. It is a pure read: safe for concurrent use while the relation is
+// frozen.
 func (ix *index) probe(r *Relation, key []Val) []int32 {
-	if ix.n == 0 {
+	if len(ix.buckets) == 0 {
 		return nil
 	}
 	h := hashVals(key)
@@ -278,8 +372,8 @@ func (ix *index) probe(r *Relation, key []Val) []int32 {
 		if b < 0 {
 			return nil
 		}
-		if ix.hashes[i] == h && r.rowMatchesKey(ix.postings[b][0], ix.cols, key) {
-			return ix.postings[b]
+		if bk := ix.buckets[b]; ix.hashes[i] == h && r.rowMatchesKey(ix.pool[bk.off], ix.cols, key) {
+			return ix.pool[bk.off : bk.off+bk.n : bk.off+bk.n]
 		}
 	}
 }
@@ -299,10 +393,21 @@ func (r *Relation) checkWritable() {
 	}
 }
 
-// indexSet returns the published indexes; the map must not be modified.
-func (r *Relation) indexSet() map[uint32]*index {
+// indexList returns the published indexes; the slice must not be modified.
+func (r *Relation) indexList() []*index {
 	if p := r.indexes.Load(); p != nil {
 		return *p
+	}
+	return nil
+}
+
+// lookupIndex returns the published index keyed on the columns of mask, or
+// nil.
+func (r *Relation) lookupIndex(mask uint32) *index {
+	for _, ix := range r.indexList() {
+		if ix.mask == mask {
+			return ix
+		}
 	}
 	return nil
 }
@@ -373,6 +478,27 @@ func (r *Relation) InsertRound(tuple []Val, round int32) bool {
 	if _, ok := r.present.lookup(r, h, tuple); ok {
 		return false
 	}
+	r.insertAbsent(h, tuple, round)
+	return true
+}
+
+// insertCounted records one derivation of tuple in a counted relation,
+// hashing it once: a present tuple gains a support, an absent one is
+// inserted at round with count 1. It reports whether the tuple was new.
+func (r *Relation) insertCounted(tuple []Val, round int32) bool {
+	r.checkWritable()
+	h := hashVals(tuple)
+	if row, ok := r.present.lookup(r, h, tuple); ok {
+		r.addCount(row, 1)
+		return false
+	}
+	r.insertAbsent(h, tuple, round)
+	return true
+}
+
+// insertAbsent appends tuple, which hashes to h and is not present, at
+// round and adds it to the membership table and every index.
+func (r *Relation) insertAbsent(h uint64, tuple []Val, round int32) {
 	if len(r.arena)+len(tuple) > cap(r.arena) {
 		// The arena is about to reallocate — the moment storage failures
 		// surface. The injection point sits before any mutation, so a fired
@@ -390,10 +516,9 @@ func (r *Relation) InsertRound(tuple []Val, round int32) bool {
 		r.counts = append(r.counts, 1)
 	}
 	r.present.add(h, row)
-	for _, ix := range r.indexSet() {
+	for _, ix := range r.indexList() {
 		ix.addRow(r, row)
 	}
-	return true
 }
 
 // EnableCounts switches the relation into counted mode: every row carries
@@ -465,7 +590,7 @@ func (r *Relation) Delete(tuple []Val) bool {
 // yet: an image relation's clone, between clone and freeze.
 func (r *Relation) remove(tuple []Val) bool {
 	r.checkWritable()
-	if r.counted || len(r.indexSet()) > 0 || r.dead > 0 {
+	if r.counted || len(r.indexList()) > 0 || r.dead > 0 {
 		panic("engine: dense remove on an indexed, counted or tombstoned relation")
 	}
 	h := hashVals(tuple)
@@ -612,17 +737,41 @@ func (r *Relation) DistinctCounts() []int {
 	return d
 }
 
+// countDistinct counts each column's distinct values among the live rows
+// in one open-addressed set of Vals, sized for Live() at load ≤ 1/2 and
+// cleared between columns. A slot holds uint32(v)+1, so 0 is empty and the
+// set holds no pointers. Vals are hashed, not used as bit positions: a
+// child store's Vals start at 1<<30.
 func (r *Relation) countDistinct() []int {
 	out := make([]int, r.arity)
-	seen := make(map[Val]struct{})
+	live := r.Live()
+	if live == 0 {
+		return out
+	}
+	bits := 3
+	for 1<<bits < 2*live {
+		bits++
+	}
+	set := make([]uint32, 1<<bits)
+	mask := uint32(len(set) - 1)
 	for c := 0; c < r.arity; c++ {
-		clear(seen)
+		clear(set)
+		n := 0
 		for row, i := 0, c; row < len(r.rounds); row, i = row+1, i+r.arity {
-			if r.rounds[row] >= 0 {
-				seen[r.arena[i]] = struct{}{}
+			if r.rounds[row] < 0 {
+				continue
+			}
+			key := uint32(r.arena[i]) + 1
+			j := uint32((uint64(key) * 0x9e3779b97f4a7c15) >> (64 - bits))
+			for set[j] != 0 && set[j] != key {
+				j = (j + 1) & mask
+			}
+			if set[j] == 0 {
+				set[j] = key
+				n++
 			}
 		}
-		out[c] = len(seen)
+		out[c] = n
 	}
 	return out
 }
@@ -653,32 +802,25 @@ func colMask(cols []int) uint32 {
 
 // ensureIndex builds (or returns) the index on the given columns. It is the
 // one gate for index builds — lazy Probe, the evaluators' up-front index
-// plans, the parallel strata — and the only write a frozen relation
-// accepts: the build runs under ixMu and the extended index set is
-// published with one atomic store, so concurrent first-time callers build
-// the index once and readers of the old set are never disturbed.
+// plans and first probes, the parallel strata — and the only write a
+// frozen relation accepts: the build runs under ixMu and the extended
+// index set is published with one atomic store, so concurrent first-time
+// callers build the index once and readers of the old set are never
+// disturbed.
 func (r *Relation) ensureIndex(cols []int) *index {
 	mask := colMask(cols)
-	if ix := r.indexSet()[mask]; ix != nil {
+	if ix := r.lookupIndex(mask); ix != nil {
 		return ix
 	}
 	r.ixMu.Lock()
 	defer r.ixMu.Unlock()
-	cur := r.indexSet()
-	if ix := cur[mask]; ix != nil {
+	if ix := r.lookupIndex(mask); ix != nil {
 		return ix
 	}
 	sorted := append([]int(nil), cols...)
 	sort.Ints(sorted)
-	ix := &index{cols: sorted}
-	for row := int32(0); row < int32(r.Len()); row++ {
-		ix.addRow(r, row)
-	}
-	next := make(map[uint32]*index, len(cur)+1)
-	for m, x := range cur {
-		next[m] = x
-	}
-	next[mask] = ix
+	ix := newIndex(r, sorted, mask)
+	next := append(slices.Clip(r.indexList()), ix)
 	r.indexes.Store(&next)
 	return ix
 }
@@ -688,8 +830,9 @@ func (r *Relation) ensureIndex(cols []int) *index {
 // first use; callers should not pass empty cols. On a frozen relation it
 // is safe for concurrent use — ensureIndex publishes the index atomically —
 // which tabled top-down evaluation over a base image relies on; otherwise,
-// like the rest of the mutating surface, it is single-threaded and
-// concurrent workers use probeFrozen.
+// like the rest of the mutating surface, it is single-threaded, and the
+// parallel evaluator's workers probe the indexes planned before each round
+// (plannedIndex).
 func (r *Relation) Probe(cols []int, key []Val) []int32 {
 	faultinject.Hit(faultinject.IndexProbe)
 	ix := r.ensureIndex(cols)
@@ -717,22 +860,33 @@ func (r *Relation) Probe(cols []int, key []Val) []int32 {
 
 // HasIndex reports whether an index on cols has already been built.
 func (r *Relation) HasIndex(cols []int) bool {
-	return r.indexSet()[colMask(cols)] != nil
+	return r.lookupIndex(colMask(cols)) != nil
 }
 
-// probeFrozen probes a prebuilt index without mutating the relation, so
-// concurrent workers can share it during a round: no lazy index build and
-// no scratch state — the probe hashes the key and reads the table. cols
-// must be sorted ascending (the compiler emits bound columns in column
-// order) and the index must have been built up front from the rule's index
-// plan; probing an unplanned index is a scheduling bug and panics.
-func (r *Relation) probeFrozen(cols []int, key []Val) []int32 {
-	faultinject.Hit(faultinject.IndexProbe)
-	ix := r.indexSet()[colMask(cols)]
+// plannedIndex returns the prebuilt index on cols without mutating the
+// relation, so concurrent workers can share it during a round. cols must be
+// sorted ascending (the compiler emits bound columns in column order) and
+// the index must have been built up front from the rule's index plan;
+// reaching an unplanned index is a scheduling bug and panics.
+func (r *Relation) plannedIndex(cols []int) *index {
+	ix := r.lookupIndex(colMask(cols))
 	if ix == nil {
 		panic(fmt.Sprintf("engine: frozen probe of unplanned index %v", cols))
 	}
-	return ix.probe(r, key)
+	return ix
+}
+
+// probeFull returns the row holding key, a whole tuple, as a one-element
+// slice of into, or nil: the membership table answers a probe that binds
+// every column, so such a probe needs no index. Like an index probe it is
+// a pure read.
+func (r *Relation) probeFull(key []Val, into []int32) []int32 {
+	row, ok := r.present.lookup(r, hashVals(key), key)
+	if !ok {
+		return nil
+	}
+	into[0] = row
+	return into[:1:1]
 }
 
 // StorageFootprint reports the relation's memory shape: arena bytes
@@ -740,7 +894,7 @@ func (r *Relation) probeFrozen(cols []int, key []Val) []int32 {
 // slots + postings), and the load factors of the membership table and the
 // indexes.
 func (r *Relation) StorageFootprint() (arenaBytes, indexBytes int64, presentLoad, indexLoad float64, nIndexes int) {
-	const valSize, roundSize, hashSize, slotSize = 4, 4, 8, 4
+	const valSize, roundSize, hashSize, slotSize, bucketSize = 4, 4, 8, 4, 12
 	arenaBytes = int64(cap(r.arena))*valSize + int64(cap(r.rounds))*roundSize
 	arenaBytes += int64(cap(r.counts)+cap(r.starts)) * roundSize
 	indexBytes = int64(cap(r.present.hashes))*hashSize + int64(cap(r.present.rows))*slotSize
@@ -748,13 +902,11 @@ func (r *Relation) StorageFootprint() (arenaBytes, indexBytes int64, presentLoad
 		presentLoad = float64(r.present.n) / float64(len(r.present.rows))
 	}
 	loadSum := 0.0
-	for _, ix := range r.indexSet() {
+	for _, ix := range r.indexList() {
 		indexBytes += int64(cap(ix.hashes))*hashSize + int64(cap(ix.slots))*slotSize
-		for _, p := range ix.postings {
-			indexBytes += int64(cap(p)) * slotSize
-		}
+		indexBytes += int64(cap(ix.buckets))*bucketSize + int64(cap(ix.pool))*slotSize
 		if len(ix.slots) > 0 {
-			loadSum += float64(ix.n) / float64(len(ix.slots))
+			loadSum += float64(len(ix.buckets)) / float64(len(ix.slots))
 		}
 		nIndexes++
 	}

@@ -12,13 +12,15 @@ type Point uint8
 const (
 	// ArenaGrow fires when a relation's tuple arena is about to grow —
 	// the moment a real allocation failure or corruption would surface in
-	// storage (internal/engine.Relation.InsertRound).
+	// storage (internal/engine.Relation.insertAbsent, under every insert).
 	ArenaGrow Point = iota
 	// WorkerStart fires as a parallel evaluation worker begins its unit
 	// loop (internal/engine.runRound), exercising worker-panic degradation.
 	WorkerStart
-	// IndexProbe fires on a frozen index probe (internal/engine
-	// Relation.probeFrozen), the parallel evaluator's hottest read path.
+	// IndexProbe fires on every probe a join makes — of a column index or,
+	// for a literal bound on every column, of the membership table
+	// (internal/engine runner.join) — and on Relation.Probe: the
+	// evaluators' hottest read path.
 	IndexProbe
 	// PlanCompile fires as the plan cache compiles a new plan
 	// (internal/pipeline.PlanCache), exercising compile-failure handling
