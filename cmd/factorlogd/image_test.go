@@ -64,9 +64,12 @@ func TestMaterializedBuildHonorsDeadline(t *testing.T) {
 
 // TestSlowBuildBlocksNobodyElse: while one entry's build runs (here: until
 // its deadline — the closure is far too large to finish), a build of
-// another entry, a hit on it, and a /facts batch all complete.
+// another entry, a hit on it, and a /facts batch all complete. The magic
+// closure from t(0,Y) derives n²/2 facts: over a 4000-node chain, about
+// 8 million, which an unloaded 2-CPU machine can finish in under the 5 s
+// deadline; 6000 nodes, about 18 million, cannot.
 func TestSlowBuildBlocksNobodyElse(t *testing.T) {
-	const n = 4000
+	const n = 6000
 	_, ts := testServer(t, longChainProgram(n), serve.Config{Strategy: "magic", Timeout: time.Minute, Materialize: true})
 
 	slowDone := make(chan int, 1)

@@ -22,8 +22,8 @@ import (
 // atomically).
 //
 // Nothing a reader interns lands in the base Store. Version.EvalDB and
-// MaterializeVersion work over a Store.Child, so unseen query constants and
-// derived compound terms die with the request or the evicted
+// CompiledProgram.Materialize work over a Store.Child, so unseen query
+// constants and derived compound terms die with the request or the evicted
 // materialization, and the shared store stays bounded by the vocabulary of
 // the facts that were ever asserted.
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"factorlog/internal/ast"
+	"factorlog/internal/depgraph"
 )
 
 // patKind discriminates compiled argument patterns.
@@ -15,11 +16,12 @@ const (
 	patCompound
 )
 
-// pattern is a compiled term: constants are interned up front, variables are
-// slot numbers into the rule's binding frame, compounds keep their shape.
+// pattern is a compiled term: constants are numbered in the program's
+// constant table, variables are slot numbers into the rule's binding frame,
+// compounds keep their shape.
 type pattern struct {
 	kind    patKind
-	val     Val    // patConst
+	val     Val    // patConst: the constant's index in the constant table
 	slot    int    // patVar
 	functor string // patCompound
 	args    []pattern
@@ -28,6 +30,7 @@ type pattern struct {
 // literalSpec is one compiled body literal.
 type literalSpec struct {
 	pred      string
+	id        int32 // pred's id in the compiled program
 	arity     int
 	args      []pattern
 	boundCols []int // indexable columns fully bound before this literal (probe key)
@@ -45,7 +48,7 @@ type literalSpec struct {
 // stratum in the parallel path) instead of at a pass's first probe —
 // removing the first-probe stall and making in-round probes read-only.
 type indexNeed struct {
-	pred string
+	pred int32 // predicate id
 	cols []int // sorted ascending (compiled in column order)
 }
 
@@ -55,6 +58,7 @@ type compiledRule struct {
 	idx      int // index into the program's rule list
 	nslots   int
 	headPred string
+	head     int32 // headPred's id
 	headArgs []pattern
 	body     []literalSpec
 	idbOccs  []int // body positions whose predicate is IDB (delta positions)
@@ -83,23 +87,145 @@ type joinOrder struct {
 // label renders the rule's source for trace records.
 func (r *compiledRule) label() string { return r.src.String() }
 
-// compiler lowers an ast.Program for a given store.
+// CompiledProgram is a program lowered for evaluation once: its compiled
+// rules with their delta-led orders and index needs, its predicates
+// numbered densely with what evaluation needs to know of each, and, when
+// compiled with one, its stratum schedule. It names no Store: constant
+// patterns index a constant table, which every evaluation or build interns
+// into its own store (internConsts), binding template parameters on the way.
+// Nothing writes it after compile returns, so any number of builds over
+// any number of images may share it.
+type CompiledProgram struct {
+	rules []*compiledRule
+	// preds is indexed by predicate id (literalSpec.id, indexNeed.pred,
+	// compiledRule.head): every predicate a rule names, numbered in first
+	// occurrence order, rule by rule, head before body.
+	preds []predInfo
+	ids   map[string]int32
+	// consts names the constant at each index of the constant table.
+	consts []string
+	// sched is the stratum schedule; nil unless compiled with one.
+	sched *depgraph.Schedule
+}
+
+// predInfo is what a compiled program knows of one predicate.
+type predInfo struct {
+	name      string
+	arity     int
+	idb       bool // the head of some rule
+	recursive bool // defined in a recursive stratum (known with a schedule)
+	// readers lists, ascending, the rules with a body literal of the
+	// predicate, and downstream their heads: what one rule application can
+	// derive from it.
+	readers    []int32
+	downstream []int32
+}
+
+// Compile lowers p for materialization (CompiledProgram.Materialize): the
+// rules in their written order, with the stratum schedule.
+func Compile(p *ast.Program) (*CompiledProgram, error) { return compile(p, false, true) }
+
+// compile lowers p, reordering rule bodies when reorder is set and
+// analysing its strata when schedule is.
+func compile(p *ast.Program, reorder, schedule bool) (*CompiledProgram, error) {
+	consts := &constTable{index: map[string]Val{}}
+	rules, err := compileRulesGuarded(p, consts, reorder)
+	if err != nil {
+		return nil, err
+	}
+	cp := &CompiledProgram{rules: rules, ids: map[string]int32{}, consts: consts.names}
+	// The compiler numbered the predicates in the order of this walk.
+	name := func(id int32, pred string, arity int) *predInfo {
+		if int(id) == len(cp.preds) {
+			cp.ids[pred] = id
+			cp.preds = append(cp.preds, predInfo{name: pred, arity: arity})
+		}
+		return &cp.preds[id]
+	}
+	for _, r := range rules {
+		name(r.head, r.headPred, len(r.headArgs)).idb = true
+		for _, l := range r.body {
+			info := name(l.id, l.pred, l.arity)
+			if n := len(info.readers); n == 0 || info.readers[n-1] != int32(r.idx) {
+				info.readers = append(info.readers, int32(r.idx))
+				info.downstream = append(info.downstream, r.head)
+			}
+		}
+	}
+	if schedule {
+		cp.sched = depgraph.Analyze(p)
+		for _, st := range cp.sched.Strata {
+			if st.Recursive {
+				for _, pred := range st.Preds {
+					cp.preds[cp.ids[pred]].recursive = true
+				}
+			}
+		}
+	}
+	return cp, nil
+}
+
+// id returns pred's id, or -1 when no rule names it.
+func (cp *CompiledProgram) id(pred string) int32 {
+	if id, ok := cp.ids[pred]; ok {
+		return id
+	}
+	return -1
+}
+
+// internConsts interns a constant table's names into store, in table
+// order; a name bind maps is replaced by its binding (a template parameter
+// by the query's constant).
+func internConsts(names []string, store *Store, bind map[string]string) []Val {
+	vals := make([]Val, len(names))
+	for i, name := range names {
+		if b, ok := bind[name]; ok {
+			name = b
+		}
+		vals[i] = store.Const(name)
+	}
+	return vals
+}
+
+// constInterner numbers the constants a compile meets; a constant pattern
+// holds the number.
+type constInterner interface{ Const(name string) Val }
+
+// constTable is a program's constant table: each distinct constant gets the
+// next index.
+type constTable struct {
+	names []string
+	index map[string]Val
+}
+
+func (t *constTable) Const(name string) Val {
+	v, ok := t.index[name]
+	if !ok {
+		v = Val(len(t.names))
+		t.names = append(t.names, name)
+		t.index[name] = v
+	}
+	return v
+}
+
+// compiler lowers an ast.Program's rules.
 type compiler struct {
-	store *Store
-	idb   map[string]bool
-	slots map[string]int
-	n     int
+	consts constInterner
+	idb    map[string]bool
+	ids    map[string]int32 // predicate ids, numbered by predID
+	slots  map[string]int
+	n      int
 }
 
 // compileProgram lowers all rules. It validates safety (every head variable
 // bound by the body) and consistent arities. With reorder set, body
 // literals are greedily reordered so that literals with more bound columns
 // run earlier (answers are unaffected; join work often is).
-func compileProgram(p *ast.Program, store *Store, reorder bool) ([]*compiledRule, error) {
+func compileProgram(p *ast.Program, consts constInterner, reorder bool) ([]*compiledRule, error) {
 	if _, err := p.PredArities(); err != nil {
 		return nil, err
 	}
-	c := &compiler{store: store, idb: p.IDBPreds()}
+	c := &compiler{consts: consts, idb: p.IDBPreds(), ids: map[string]int32{}}
 	rules := make([]*compiledRule, 0, len(p.Rules))
 	for i, r := range p.Rules {
 		if reorder {
@@ -112,6 +238,16 @@ func compileProgram(p *ast.Program, store *Store, reorder bool) ([]*compiledRule
 		rules = append(rules, cr)
 	}
 	return rules, nil
+}
+
+// predID returns pred's id, numbering a predicate seen for the first time.
+func (c *compiler) predID(pred string) int32 {
+	id, ok := c.ids[pred]
+	if !ok {
+		id = int32(len(c.ids))
+		c.ids[pred] = id
+	}
+	return id
 }
 
 // reorderBody greedily picks, at each step, the body literal with the most
@@ -171,12 +307,12 @@ func reorderBody(r ast.Rule) ast.Rule {
 func (c *compiler) compileRule(r ast.Rule, idx int) (*compiledRule, error) {
 	c.slots = map[string]int{}
 	c.n = 0
-	cr := &compiledRule{src: r, idx: idx, headPred: r.Head.Pred}
+	cr := &compiledRule{src: r, idx: idx, headPred: r.Head.Pred, head: c.predID(r.Head.Pred)}
 
 	// Compile body first so slot-bound analysis follows literal order.
 	bound := make(map[int]bool)
 	for bi, a := range r.Body {
-		spec := literalSpec{pred: a.Pred, arity: len(a.Args), idb: c.idb[a.Pred]}
+		spec := literalSpec{pred: a.Pred, id: c.predID(a.Pred), arity: len(a.Args), idb: c.idb[a.Pred]}
 		for _, t := range a.Args {
 			spec.args = append(spec.args, c.compileTerm(t))
 		}
@@ -185,7 +321,7 @@ func (c *compiler) compileRule(r ast.Rule, idx int) (*compiledRule, error) {
 			cr.idbOccs = append(cr.idbOccs, bi)
 		}
 		if len(spec.boundCols) > 0 && !spec.fullKey {
-			cr.indexNeeds = append(cr.indexNeeds, indexNeed{pred: spec.pred, cols: spec.boundCols})
+			cr.indexNeeds = append(cr.indexNeeds, indexNeed{pred: spec.id, cols: spec.boundCols})
 		}
 		cr.body = append(cr.body, spec)
 	}
@@ -289,7 +425,7 @@ func (c *compiler) compileTerm(t ast.Term) pattern {
 		}
 		return pattern{kind: patVar, slot: slot}
 	case ast.Const:
-		return pattern{kind: patConst, val: c.store.Const(t.Functor)}
+		return pattern{kind: patConst, val: c.consts.Const(t.Functor)}
 	default:
 		args := make([]pattern, len(t.Args))
 		for i, a := range t.Args {
@@ -326,17 +462,18 @@ func markBound(p pattern, bound map[int]bool) {
 	}
 }
 
-// evalPattern builds the Val denoted by a fully bound pattern.
-func evalPattern(p pattern, slots []Val, store *Store) Val {
+// evalPattern builds the Val denoted by a fully bound pattern; consts is
+// the constant table interned in store.
+func evalPattern(p pattern, slots, consts []Val, store *Store) Val {
 	switch p.kind {
 	case patConst:
-		return p.val
+		return consts[p.val]
 	case patVar:
 		return slots[p.slot]
 	default:
 		args := make([]Val, len(p.args))
 		for i, a := range p.args {
-			args[i] = evalPattern(a, slots, store)
+			args[i] = evalPattern(a, slots, consts, store)
 		}
 		return store.Compound(p.functor, args...)
 	}
@@ -344,10 +481,10 @@ func evalPattern(p pattern, slots []Val, store *Store) Val {
 
 // matchPattern matches p against v, binding unbound slots (recorded on
 // trail for backtracking) and checking bound ones.
-func matchPattern(p pattern, v Val, slots []Val, trail *[]int, store *Store) bool {
+func matchPattern(p pattern, v Val, slots []Val, trail *[]int, consts []Val, store *Store) bool {
 	switch p.kind {
 	case patConst:
-		return p.val == v
+		return consts[p.val] == v
 	case patVar:
 		if slots[p.slot] == NoVal {
 			slots[p.slot] = v
@@ -364,7 +501,7 @@ func matchPattern(p pattern, v Val, slots []Val, trail *[]int, store *Store) boo
 			return false
 		}
 		for i, a := range p.args {
-			if !matchPattern(a, args[i], slots, trail, store) {
+			if !matchPattern(a, args[i], slots, trail, consts, store) {
 				return false
 			}
 		}

@@ -16,6 +16,22 @@
 // compiler's declared index needs; a probe that binds every column reads
 // the relation's membership table instead.
 //
+// # Compiled programs
+//
+// A CompiledProgram is a program lowered once: its rules as join plans with
+// their delta-led orders and index needs, its stratum schedule, and its
+// predicates numbered densely, with each one's arity and the rules that
+// read it. It holds no Val: constant patterns index a constant table. An
+// evaluation or a materialization build interns that table into its own
+// store — a build into a child of the image's store, replacing each
+// template parameter by the query's constant (CompiledProgram.Materialize)
+// — and resolves the program's relations into a table indexed by predicate
+// id, so rounds, waves and passes find their relations, deltas and readers
+// by id, never by name. Whatever replaces a relation in the database (the
+// clone on a first write to an image relation, a DRed rebuild) replaces it
+// in that table. Eval compiles per call; a server compiles each plan
+// template's program once and every constant of the shape builds from it.
+//
 // # Evaluation
 //
 // Eval compiles a program's rules into join plans and runs them to the

@@ -277,12 +277,13 @@ func Eval(p *ast.Program, db *DB, opts Options) (*Result, error) {
 	if opts.Span != nil {
 		opts.Trace = true
 	}
-	rules, err := compileRulesGuarded(p, db.Store, opts.ReorderJoins)
+	parallel := opts.Workers > 1 && opts.Strategy == SemiNaive && !opts.Provenance
+	cp, err := compile(p, opts.ReorderJoins, parallel || opts.stratified())
 	if err != nil {
 		return nil, err
 	}
-	if opts.Workers > 1 && opts.Strategy == SemiNaive && !opts.Provenance {
-		res, err := evalParallelGuarded(p, db, rules, opts)
+	if parallel {
+		res, err := evalParallelGuarded(db, cp, opts)
 		if err == nil || !workerPanicked(err) {
 			return res, err
 		}
@@ -290,32 +291,32 @@ func Eval(p *ast.Program, db *DB, opts Options) (*Result, error) {
 		// are meaningless to a fresh fixpoint, so zero them (everything
 		// already derived becomes base state) and re-run sequentially.
 		db.resetRounds()
-		res, err = evalSequentialGuarded(p, db, rules, opts)
+		res, err = evalSequentialGuarded(p, db, cp, opts)
 		if res != nil {
 			res.Stats.Degraded = true
 		}
 		return res, err
 	}
-	return evalSequentialGuarded(p, db, rules, opts)
+	return evalSequentialGuarded(p, db, cp, opts)
 }
 
 // compileRulesGuarded runs rule compilation behind a recover barrier: a
 // compiler panic becomes a typed *PanicError instead of unwinding into the
 // caller's process.
-func compileRulesGuarded(p *ast.Program, store *Store, reorder bool) (rules []*compiledRule, err error) {
+func compileRulesGuarded(p *ast.Program, consts constInterner, reorder bool) (rules []*compiledRule, err error) {
 	defer recoverTo("compile", &err)
-	return compileProgram(p, store, reorder)
+	return compileProgram(p, consts, reorder)
 }
 
 // evalSequentialGuarded runs the sequential evaluator behind a recover
 // barrier.
-func evalSequentialGuarded(p *ast.Program, db *DB, rules []*compiledRule, opts Options) (res *Result, err error) {
+func evalSequentialGuarded(p *ast.Program, db *DB, cp *CompiledProgram, opts Options) (res *Result, err error) {
 	defer recoverTo("eval", &err)
 	ev := &evaluator{
-		db:    db,
-		rules: rules,
-		opts:  opts,
-		ctx:   opts.Context,
+		db:   db,
+		prog: cp,
+		opts: opts,
+		ctx:  opts.Context,
 	}
 	ev.rn.db = db
 	ev.rn.sink = ev.emit
@@ -324,11 +325,11 @@ func evalSequentialGuarded(p *ast.Program, db *DB, rules []*compiledRule, opts O
 		ev.rn.prov = ev.prov
 	}
 	if opts.Trace {
-		ev.stats.Rules = newRuleStats(rules)
+		ev.stats.Rules = newRuleStats(cp.rules)
 	}
 	ev.span = opts.Span
 	if opts.stratified() {
-		ev.sched = depgraph.Analyze(p)
+		ev.sched = cp.sched
 		ev.stream = &obsv.StreamStats{Strata: len(ev.sched.Strata)}
 	}
 	if err := ev.run(); err != nil {
@@ -342,9 +343,9 @@ func evalSequentialGuarded(p *ast.Program, db *DB, rules []*compiledRule, opts O
 // surfaces as a *PanicError with Where "worker", the degradation trigger);
 // this one catches panics on the coordinator itself — merge inserts, index
 // builds, scheduling.
-func evalParallelGuarded(p *ast.Program, db *DB, rules []*compiledRule, opts Options) (res *Result, err error) {
+func evalParallelGuarded(db *DB, cp *CompiledProgram, opts Options) (res *Result, err error) {
 	defer recoverTo("parallel", &err)
-	return evalParallel(p, db, rules, opts)
+	return evalParallel(db, cp, opts)
 }
 
 const noLimit = int32(math.MaxInt32)
@@ -356,18 +357,17 @@ var unrestricted = roundRange{0, noLimit}
 
 type evaluator struct {
 	db    *DB
-	rules []*compiledRule
+	prog  *CompiledProgram
 	opts  Options
 	stats Stats
 	prov  *Provenance
 	ctx   context.Context // nil when the evaluation is unbounded
 
 	curRound int32
-	// newCounts holds the facts stamped curRound+1, by predicate, and
+	// newCounts holds the facts stamped curRound+1, by predicate id, and
 	// deltaCounts the previous round's, the delta the running round joins;
-	// the two maps trade places at every round and are cleared, never
-	// reallocated.
-	newCounts, deltaCounts map[string]int
+	// the two trade places at every round.
+	newCounts, deltaCounts predCounts
 
 	// head is the relation the running pass derives into and headNew the
 	// facts it added so far, folded into newCounts when the pass ends.
@@ -395,13 +395,18 @@ type evaluator struct {
 // evaluator owns one, the maintainer one, and each parallel worker one;
 // sink receives the materialized head tuple of every successful body
 // instantiation. A pass resolves what it joins once, in runRule: the
-// relation of every body position, and — the first time a position probes
-// — the index it probes, so the join loop itself does no name lookup and
-// no index-set search. The zero-valued parallel fields (frozen, shardMod)
+// relation of every body position, read off preds by predicate id, and —
+// the first time a position probes — the index it probes, so neither the
+// pass nor the join loop does a name lookup, and the join loop does no
+// index-set search. The zero-valued parallel fields (frozen, shardMod)
 // select the sequential behavior: an index missing at a position's first
 // probe is built then (ensureIndex), and no shard filter.
 type runner struct {
 	db *DB
+	// preds is the relation of each predicate of the program being run, by
+	// id, and consts its constant table interned in db.Store.
+	preds  []*Relation
+	consts []Val
 	// limits holds the per-literal round windows of the rule being run,
 	// keyed by source body position.
 	limits []roundRange
@@ -473,7 +478,7 @@ func (ev *evaluator) traceRoundStart() {
 
 func (ev *evaluator) traceRoundEnd() {
 	if ev.roundSpan != nil {
-		ev.roundSpan.AddTuplesOut(int64(total(ev.newCounts)))
+		ev.roundSpan.AddTuplesOut(int64(ev.newCounts.total))
 		ev.roundSpan.End()
 		ev.roundSpan = nil
 	}
@@ -489,14 +494,18 @@ func (ev *evaluator) traceRule(r *compiledRule) {
 func (ev *evaluator) run() error {
 	// Materialize head and body relations up front so empty IDB predicates
 	// exist, arities are checked, and every head is private to this DB.
-	if err := prepareRelations(ev.db, ev.rules); err != nil {
+	rels, err := prepareRelations(ev.db, ev.prog)
+	if err != nil {
 		return err
 	}
+	ev.rn.preds, ev.rn.consts = rels, internConsts(ev.prog.consts, ev.db.Store, nil)
+	ev.newCounts.init(len(rels))
+	ev.deltaCounts.init(len(rels))
 
 	// Build every planned index up front (compile-time index planning):
 	// no probe ever pays a lazy build scan, and inserts keep the indexes
 	// current incrementally.
-	buildIndexes(ev.db, ev.rules)
+	buildIndexes(rels, ev.prog.rules)
 
 	if err := contextErr(ev.ctx); err != nil {
 		return err
@@ -508,7 +517,7 @@ func (ev *evaluator) run() error {
 				return err
 			}
 		}
-	} else if err := ev.fixpoint(ev.rules, false); err != nil {
+	} else if err := ev.fixpoint(ev.prog.rules, false); err != nil {
 		return err
 	}
 	// The loop checks the budget at round starts, which misses growth from
@@ -524,7 +533,7 @@ func (ev *evaluator) run() error {
 // position whose predicate gained facts in the previous round (Naive: one
 // unrestricted pass per rule).
 func (ev *evaluator) fixpoint(rules []*compiledRule, once bool) error {
-	ev.newCounts = clearedCounts(ev.newCounts)
+	ev.newCounts.reset()
 	ev.traceRoundStart()
 	for _, r := range rules {
 		if err := ev.evalRule(r, -1); err != nil {
@@ -534,7 +543,7 @@ func (ev *evaluator) fixpoint(rules []*compiledRule, once bool) error {
 	ev.traceRoundEnd()
 	ev.stats.Iterations++
 
-	for !once && total(ev.newCounts) > 0 {
+	for !once && ev.newCounts.total > 0 {
 		if err := contextErr(ev.ctx); err != nil {
 			return err
 		}
@@ -544,7 +553,8 @@ func (ev *evaluator) fixpoint(rules []*compiledRule, once bool) error {
 		if ev.opts.MaxIterations > 0 && ev.stats.Iterations >= ev.opts.MaxIterations {
 			return fmt.Errorf("%w: %d iterations", ErrBudgetExceeded, ev.stats.Iterations)
 		}
-		ev.deltaCounts, ev.newCounts = ev.newCounts, clearedCounts(ev.deltaCounts)
+		ev.deltaCounts, ev.newCounts = ev.newCounts, ev.deltaCounts
+		ev.newCounts.reset()
 		ev.curRound++
 		ev.traceRoundStart()
 		for _, r := range rules {
@@ -555,7 +565,7 @@ func (ev *evaluator) fixpoint(rules []*compiledRule, once bool) error {
 				continue
 			}
 			for _, occ := range r.idbOccs {
-				if ev.deltaCounts[r.body[occ].pred] == 0 {
+				if ev.deltaCounts.n[r.body[occ].id] == 0 {
 					continue
 				}
 				if err := ev.evalRule(r, occ); err != nil {
@@ -582,7 +592,7 @@ func (ev *evaluator) runStratum(si int, st *depgraph.Stratum) error {
 	}
 	rules := make([]*compiledRule, len(st.Rules))
 	for i, ri := range st.Rules {
-		rules[i] = ev.rules[ri]
+		rules[i] = ev.prog.rules[ri]
 	}
 	outer := ev.span
 	ev.span = outer.Child("stratum").SetStratum(si)
@@ -629,34 +639,51 @@ func addOnePass(s *obsv.StreamStats, rules []*compiledRule, emitted, derived int
 	}
 }
 
-// clearedCounts returns m emptied, or a new map when m is nil: the per-round
-// and per-wave fact counts are reused, not reallocated.
-func clearedCounts(m map[string]int) map[string]int {
-	if m == nil {
-		return map[string]int{}
-	}
-	clear(m)
-	return m
+// predCounts counts new facts per predicate id, the per-round and per-wave
+// bookkeeping of every evaluator: n by id, ids the ids with a nonzero
+// count (so reset clears only those) and total their sum. It is reused,
+// never reallocated.
+type predCounts struct {
+	n     []int
+	ids   []int32
+	total int
 }
 
-func total(m map[string]int) int {
-	n := 0
-	for _, v := range m {
-		n += v
+// init sizes c for npreds predicates, all at zero.
+func (c *predCounts) init(npreds int) {
+	c.n = make([]int, npreds)
+	c.ids, c.total = c.ids[:0], 0
+}
+
+// add counts k more facts of predicate id.
+func (c *predCounts) add(id int32, k int) {
+	if k == 0 {
+		return
 	}
-	return n
+	if c.n[id] == 0 {
+		c.ids = append(c.ids, id)
+	}
+	c.n[id] += k
+	c.total += k
+}
+
+// reset sets every count back to zero.
+func (c *predCounts) reset() {
+	for _, id := range c.ids {
+		c.n[id] = 0
+	}
+	c.ids, c.total = c.ids[:0], 0
 }
 
 // buildIndexes materializes every index the compiled rules declare they
-// probe; ensureIndex is idempotent, so repeated needs are free — and on a
-// relation aliased from a base image the index is usually there already,
-// built by an earlier request.
-func buildIndexes(db *DB, rules []*compiledRule) {
+// probe, on rels (a program's relations by predicate id); ensureIndex is
+// idempotent, so repeated needs are free — and on a relation aliased from a
+// base image the index is usually there already, built by an earlier
+// request.
+func buildIndexes(rels []*Relation, rules []*compiledRule) {
 	for _, r := range rules {
 		for _, need := range r.indexNeeds {
-			if rel := db.Lookup(need.pred); rel != nil {
-				rel.ensureIndex(need.cols)
-			}
+			rels[need.pred].ensureIndex(need.cols)
 		}
 	}
 }
@@ -668,11 +695,9 @@ func (ev *evaluator) evalRule(r *compiledRule, deltaOcc int) error {
 	ev.traceRule(r)
 	ev.rn.setLimits(r, r.idbOccs, deltaOcc, ev.curRound, unrestricted)
 	jo := ev.rn.passOrder(r, deltaOcc)
-	ev.head, ev.headNew = ev.db.Lookup(r.headPred), 0
+	ev.head, ev.headNew = ev.rn.preds[r.head], 0
 	err := ev.runPass(r, jo)
-	if ev.headNew > 0 {
-		ev.newCounts[r.headPred] += ev.headNew
-	}
+	ev.newCounts.add(r.head, ev.headNew)
 	return err
 }
 
@@ -747,10 +772,7 @@ func (rn *runner) passOrder(r *compiledRule, deltaOcc int) *joinOrder {
 	if deltaOcc < 1 || len(r.body[0].boundCols) > 0 {
 		return nil
 	}
-	lead, delta := rn.db.Lookup(r.body[0].pred), rn.db.Lookup(r.body[deltaOcc].pred)
-	if lead == nil || delta == nil {
-		return nil
-	}
+	lead, delta := rn.preds[r.body[0].id], rn.preds[r.body[deltaOcc].id]
 	if delta.windowSpan(rn.limits[deltaOcc].lo) < lead.windowSpan(rn.limits[0].lo) {
 		return &r.deltaLed[deltaOcc]
 	}
@@ -786,7 +808,7 @@ func (rn *runner) runRule(r *compiledRule, jo *joinOrder) error {
 	}
 	rn.rels, rn.ixs, rn.rows = rn.rels[:n], rn.ixs[:n], rn.rows[:n]
 	for li := range rn.body {
-		rn.rels[li], rn.ixs[li] = rn.db.Lookup(rn.body[li].pred), nil
+		rn.rels[li], rn.ixs[li] = rn.preds[rn.body[li].id], nil
 	}
 	return rn.join(r, 0, slots, rn.trail[:0])
 }
@@ -836,7 +858,7 @@ func (rn *runner) join(r *compiledRule, li int, slots []Val, trail []int) error 
 		mark := len(trail)
 		ok := true
 		for _, col := range spec.freeCols {
-			if !matchPattern(spec.args[col], tuple[col], slots, &trail, rn.db.Store) {
+			if !matchPattern(spec.args[col], tuple[col], slots, &trail, rn.consts, rn.db.Store) {
 				ok = false
 				break
 			}
@@ -862,7 +884,7 @@ func (rn *runner) join(r *compiledRule, li int, slots []Val, trail []int) error 
 		// reuse the same buffer.
 		key := rn.key[:0]
 		for _, col := range spec.boundCols {
-			key = append(key, evalPattern(spec.args[col], slots, rn.db.Store))
+			key = append(key, evalPattern(spec.args[col], slots, rn.consts, rn.db.Store))
 		}
 		rn.key = key
 		faultinject.Hit(faultinject.IndexProbe)
@@ -926,7 +948,7 @@ func shardRange(n int, shardRem, shardMod int32) (lo, hi int32) {
 func (rn *runner) emitHead(r *compiledRule, slots []Val) error {
 	tuple := rn.head[:0]
 	for _, p := range r.headArgs {
-		tuple = append(tuple, evalPattern(p, slots, rn.db.Store))
+		tuple = append(tuple, evalPattern(p, slots, rn.consts, rn.db.Store))
 	}
 	rn.head = tuple
 	return rn.sink(r, tuple, rn.children)
@@ -1057,11 +1079,13 @@ func answerMatcher(store *Store, args []ast.Term) func(tuple []Val) bool {
 	if distinctVars(args) {
 		return nil
 	}
-	c := &compiler{store: store, idb: map[string]bool{}, slots: map[string]int{}}
+	table := &constTable{index: map[string]Val{}}
+	c := &compiler{consts: table, slots: map[string]int{}}
 	pats := make([]pattern, len(args))
 	for i, t := range args {
 		pats[i] = c.compileTerm(t)
 	}
+	consts := internConsts(table.names, store, nil)
 	slots := make([]Val, c.n)
 	var trail []int
 	return func(tuple []Val) bool {
@@ -1070,7 +1094,7 @@ func answerMatcher(store *Store, args []ast.Term) func(tuple []Val) bool {
 		}
 		trail = trail[:0]
 		for i, p := range pats {
-			if !matchPattern(p, tuple[i], slots, &trail, store) {
+			if !matchPattern(p, tuple[i], slots, &trail, consts, store) {
 				return false
 			}
 		}

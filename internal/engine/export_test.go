@@ -11,12 +11,27 @@ import (
 // engine_test, which need packages that import the engine (pipeline for the
 // rewrites, workload for the inputs) and so cannot live in package engine.
 
-// CompiledRule is the compiler's lowering of one rule.
-type CompiledRule = compiledRule
+// CompiledRule is the compiler's lowering of one rule, with the program it
+// belongs to and that program's constants interned in a store.
+type CompiledRule struct {
+	*compiledRule
+	prog   *CompiledProgram
+	consts []Val
+}
 
-// CompileProgram lowers every rule of p against store, as Eval does.
+// CompileProgram lowers every rule of p, as Eval does, and interns its
+// constants in store.
 func CompileProgram(p *ast.Program, store *Store, reorder bool) ([]*CompiledRule, error) {
-	return compileRulesGuarded(p, store, reorder)
+	cp, err := compile(p, reorder, false)
+	if err != nil {
+		return nil, err
+	}
+	consts := internConsts(cp.consts, store, nil)
+	rules := make([]*CompiledRule, len(cp.rules))
+	for i, r := range cp.rules {
+		rules[i] = &CompiledRule{r, cp, consts}
+	}
+	return rules, nil
 }
 
 // Body returns the compiled body literals in source order.
@@ -63,7 +78,10 @@ const (
 // delta-led order for deltaOcc when deltaLed is set.
 func DeltaPass(db *DB, r *CompiledRule, w PassWindows, occs []int, deltaOcc int, k int32, deltaLed bool) ([][]Val, error) {
 	mt := &maintainer{wave: k}
-	mt.rn.db = db
+	mt.rn.db, mt.rn.consts = db, r.consts
+	for _, p := range r.prog.preds {
+		mt.rn.preds = append(mt.rn.preds, db.Lookup(p.name))
+	}
 	var heads [][]Val
 	mt.rn.sink = func(_ *compiledRule, tuple []Val, _ []FactID) error {
 		heads = append(heads, append([]Val(nil), tuple...))
@@ -71,17 +89,17 @@ func DeltaPass(db *DB, r *CompiledRule, w PassWindows, occs []int, deltaOcc int,
 	}
 	switch w {
 	case RoundWindows:
-		mt.rn.setLimits(r, occs, deltaOcc, k, unrestricted)
+		mt.rn.setLimits(r.compiledRule, occs, deltaOcc, k, unrestricted)
 	case InsertWindows:
-		mt.rn.setLimits(r, occs, deltaOcc, k, roundRange{0, k})
+		mt.rn.setLimits(r.compiledRule, occs, deltaOcc, k, roundRange{0, k})
 	case DeleteWindows:
-		mt.rn.setLimits(r, occs, deltaOcc, 1, roundRange{0, 1})
+		mt.rn.setLimits(r.compiledRule, occs, deltaOcc, 1, roundRange{0, 1})
 	}
 	var jo *joinOrder
 	if deltaLed {
 		jo = &r.deltaLed[deltaOcc]
 	}
-	err := mt.rn.runRule(r, jo)
+	err := mt.rn.runRule(r.compiledRule, jo)
 	return heads, err
 }
 

@@ -36,9 +36,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"factorlog/internal/ast"
-	"factorlog/internal/depgraph"
 	"factorlog/internal/faultinject"
 	"factorlog/internal/obsv"
 )
@@ -56,8 +56,8 @@ var ErrMutation = errors.New("invalid mutation")
 // that owns the base image (pipeline.Materializer.Apply, between Base.Begin
 // and Commit).
 type MaterializeOptions struct {
-	// StartEpoch is the epoch Materialize tags the initial build with
-	// (MaterializeVersion starts at its version's epoch); each successful
+	// StartEpoch is the epoch Materialize tags the initial build with (a
+	// build over a Version starts at the version's epoch); each successful
 	// Apply advances the epoch by one.
 	StartEpoch int64
 	// MaxWaves bounds maintenance waves per operation; 0 means the
@@ -119,25 +119,22 @@ func (st ApplyStats) Changed() int { return st.NewFacts + st.DeletedFacts }
 // clone one (Relation.clone) when they first write it: the counted database
 // its IDB heads at the build, a pure-EDB relation once a batch changes it.
 // A frozen row has stamp 0 and an implicit derivation count of 1. Terms the
-// program or later batches introduce are interned in a child of the
-// image's store and die with the materialization.
+// program's constants bind to, and those later batches introduce, are
+// interned in a child of the image's store and die with the
+// materialization; the compiled program it runs is shared and holds none.
 type Materialization struct {
-	prog  *ast.Program
-	store *Store // a child of the image's store
-	rules []*compiledRule
-	idb   map[string]bool
-	// recursive marks predicates defined in a recursive stratum.
-	recursive map[string]bool
-	// downstream maps a body predicate to the head predicates it can
-	// reach in one rule application.
-	downstream map[string][]string
-	arity      map[string]int
-	// reads is the relevance set: the predicates whose base rows were
-	// carried over from the image (see Reads).
-	reads map[string]bool
+	prog   *CompiledProgram
+	store  *Store // a child of the image's store
+	consts []Val  // prog's constant table, bound and interned in store
+	// keep lists the predicates carried besides the program's (see Reads).
+	keep []string
 
-	base  *DB // the mutable EDB (live asserted facts only); frozen aliases until written
-	db    *DB // materialized EDB + IDB; owned relations counted, frozen aliases until written
+	base *DB // the mutable EDB (live asserted facts only); frozen aliases until written
+	db   *DB // materialized EDB + IDB; owned relations counted, frozen aliases until written
+	// rels is db's relation of each of prog's predicates, by id. Every
+	// replacement of one of them in db — own's clone on first write, a
+	// rebuild — replaces it here too.
+	rels  []*Relation
 	epoch int64
 	dirty bool // a failed Apply poisoned db; rebuild before next use
 	opts  MaterializeOptions
@@ -160,79 +157,55 @@ func Materialize(p *ast.Program, baseFacts []ast.Atom, opts MaterializeOptions) 
 	return MaterializeVersion(context.TODO(), p, v, opts, v.Preds()...)
 }
 
-// MaterializeVersion compiles p and computes its fixpoint, with derivation
-// counts, over the base image v. Only the relations p names in a head or a
-// body — and those listed in keep, e.g. a query's own predicate when no
-// rule mentions it — are carried into the materialization; the rest of the
-// image is never touched. The epoch starts at v's. ctx bounds the build:
+// MaterializeVersion is Compile followed by the compiled program's
+// Materialize, for callers that build a program once; a server builds the
+// same program for many constants and compiles it once.
+func MaterializeVersion(ctx context.Context, p *ast.Program, v *Version, opts MaterializeOptions, keep ...string) (*Materialization, error) {
+	cp, err := Compile(p)
+	if err != nil {
+		return nil, err
+	}
+	return cp.Materialize(ctx, v, nil, opts, keep...)
+}
+
+// Materialize computes the program's fixpoint, with derivation counts, over
+// the base image v. The build binds only constants: it interns the
+// program's constant table into a child of v's store, each constant bind
+// names replaced by its binding (a template parameter by the query's
+// constant). Only the relations the program names in a head or a body —
+// and those listed in keep, e.g. a query's own predicate when no rule
+// mentions it — are carried into the materialization; the rest of the image
+// is never touched. The epoch starts at v's. ctx bounds the build:
 // cancellation or a deadline stops it with the engine's typed errors and
 // nothing is returned.
-func MaterializeVersion(ctx context.Context, p *ast.Program, v *Version, opts MaterializeOptions, keep ...string) (*Materialization, error) {
+func (cp *CompiledProgram) Materialize(ctx context.Context, v *Version, bind map[string]string, opts MaterializeOptions, keep ...string) (*Materialization, error) {
 	if opts.MaxWaves == 0 {
 		opts.MaxWaves = defaultMaxWaves
 	}
 	store := v.store.Child()
-	rules, err := compileRulesGuarded(p, store, false)
-	if err != nil {
-		return nil, err
-	}
 	m := &Materialization{
-		prog:       p,
-		store:      store,
-		rules:      rules,
-		idb:        p.IDBPreds(),
-		recursive:  map[string]bool{},
-		downstream: map[string][]string{},
-		arity:      map[string]int{},
-		reads:      map[string]bool{},
-		epoch:      v.epoch,
-		opts:       opts,
-	}
-	sched := depgraph.Analyze(p)
-	for i := range sched.Strata {
-		if !sched.Strata[i].Recursive {
-			continue
-		}
-		for _, pred := range sched.Strata[i].Preds {
-			m.recursive[pred] = true
-		}
-	}
-	for _, r := range rules {
-		m.arity[r.headPred] = len(r.headArgs)
-		for _, l := range r.body {
-			m.arity[l.pred] = l.arity
-		}
-		seen := map[string]bool{}
-		for _, l := range r.body {
-			if seen[l.pred] {
-				continue
-			}
-			seen[l.pred] = true
-			m.downstream[l.pred] = append(m.downstream[l.pred], r.headPred)
-		}
+		prog:   cp,
+		store:  store,
+		consts: internConsts(cp.consts, store, bind),
+		keep:   keep,
+		epoch:  v.epoch,
+		opts:   opts,
 	}
 	m.base = NewDBWith(store)
 	carry := func(pred string) error {
-		m.reads[pred] = true
 		rel := v.rels[pred]
 		if rel == nil || m.base.relations[pred] != nil {
 			return nil
 		}
-		if known, ok := m.arity[pred]; ok && known != rel.arity {
-			return fmt.Errorf("%w: %s used with arity %d and %d", ErrMutation, pred, known, rel.arity)
+		if id := cp.id(pred); id >= 0 && cp.preds[id].arity != rel.arity {
+			return fmt.Errorf("%w: %s used with arity %d and %d", ErrMutation, pred, cp.preds[id].arity, rel.arity)
 		}
-		m.arity[pred] = rel.arity
 		m.base.relations[pred] = rel
 		return nil
 	}
-	for _, r := range rules {
-		if err := carry(r.headPred); err != nil {
+	for i := range cp.preds {
+		if err := carry(cp.preds[i].name); err != nil {
 			return nil, err
-		}
-		for _, l := range r.body {
-			if err := carry(l.pred); err != nil {
-				return nil, err
-			}
 		}
 	}
 	for _, pred := range keep {
@@ -249,7 +222,9 @@ func MaterializeVersion(ctx context.Context, p *ast.Program, v *Version, opts Ma
 // Reads reports whether the materialization carries pred's base rows: a
 // rule of its program names pred, or the builder asked to keep it. Facts of
 // any other predicate cannot change its answers.
-func (m *Materialization) Reads(pred string) bool { return m.reads[pred] }
+func (m *Materialization) Reads(pred string) bool {
+	return m.prog.id(pred) >= 0 || slices.Contains(m.keep, pred)
+}
 
 // DB returns the materialized database (EDB + IDB, derivation-counted).
 // Treat it as read-only; Answers/AnswerSet skip dead rows.
@@ -269,11 +244,18 @@ func (m *Materialization) BaseCount() int { return m.base.TotalFacts() }
 func (m *Materialization) BaseFacts() []ast.Atom { return m.base.liveAtoms() }
 
 // validate interns and checks a batch without touching any state, so an
-// invalid batch is rejected atomically with ErrMutation.
+// invalid batch is rejected atomically with ErrMutation. A predicate's
+// arity is the program's, else that of its base relation.
 func (m *Materialization) validate(atoms []ast.Atom) ([][]Val, error) {
 	tuples := make([][]Val, len(atoms))
 	for i, a := range atoms {
-		if known, ok := m.arity[a.Pred]; ok && known != len(a.Args) {
+		known := -1
+		if id := m.prog.id(a.Pred); id >= 0 {
+			known = m.prog.preds[id].arity
+		} else if rel := m.base.Lookup(a.Pred); rel != nil {
+			known = rel.arity
+		}
+		if known >= 0 && known != len(a.Args) {
 			return nil, fmt.Errorf("%w: %s used with arity %d and %d", ErrMutation, a.Pred, known, len(a.Args))
 		}
 		tuple, err := groundTuple(m.store, a)
@@ -283,6 +265,18 @@ func (m *Materialization) validate(atoms []ast.Atom) ([][]Val, error) {
 		tuples[i] = tuple
 	}
 	return tuples, nil
+}
+
+// own returns pred's relation in db for writing (DB.own), keeping rels in
+// step when the write clones a relation aliased from the image.
+func (m *Materialization) own(pred string, arity int) (*Relation, error) {
+	rel, err := m.db.own(pred, arity)
+	if err == nil {
+		if id := m.prog.id(pred); id >= 0 {
+			m.rels[id] = rel
+		}
+	}
+	return rel, err
 }
 
 // Rebuild recomputes the materialization from the base EDB (clearing a
@@ -336,20 +330,14 @@ func (m *Materialization) Apply(ctx context.Context, assert, retract []ast.Atom)
 	if err != nil {
 		return st, err
 	}
-	for _, a := range retract {
-		m.arity[a.Pred] = len(a.Args)
-	}
-	for _, a := range assert {
-		m.arity[a.Pred] = len(a.Args)
-	}
 
 	mutating = true
-	mt := &maintainer{m: m, ctx: ctx, st: &st}
+	mt := m.maintainer(ctx, &st)
 
 	// Phase 1: retractions. Remove EDB support; facts whose derivation
 	// count hits zero die and cascade.
 	var victims []victimRef
-	retractedPreds := map[string]bool{}
+	var retracted []int32 // ids of the program predicates retracted from
 	for i, a := range retract {
 		brel := m.base.Lookup(a.Pred)
 		if brel == nil || !brel.Contains(retractTuples[i]) {
@@ -362,8 +350,11 @@ func (m *Materialization) Apply(ctx context.Context, assert, retract []ast.Atom)
 		brel.remove(retractTuples[i])
 		undoRetract = append(undoRetract, factRef{a.Pred, retractTuples[i]})
 		st.Retracted++
-		retractedPreds[a.Pred] = true
-		rel, rerr := m.db.own(a.Pred, len(a.Args))
+		id := m.prog.id(a.Pred)
+		if id >= 0 && !slices.Contains(retracted, id) {
+			retracted = append(retracted, id)
+		}
+		rel, rerr := m.own(a.Pred, len(a.Args))
 		if rerr != nil {
 			return st, fmt.Errorf("%w: %v", ErrMutation, rerr)
 		}
@@ -373,34 +364,32 @@ func (m *Materialization) Apply(ctx context.Context, assert, retract []ast.Atom)
 			continue
 		}
 		if c := rel.addCount(row, -1); c == 0 {
-			victims = append(victims, victimRef{a.Pred, row})
+			victims = append(victims, victimRef{rel, id, row})
 		} else if c < 0 {
 			panic(fmt.Sprintf("engine: negative derivation count for %s", a.Pred))
 		}
 	}
-	if len(victims) > 0 || len(retractedPreds) > 0 {
-		if closure, recursive := m.retractionClosure(retractedPreds); recursive {
-			// Counting is unsound here: kill the directly retracted
-			// facts, then clear and recompute the affected IDB strata.
-			for _, v := range victims {
-				m.db.Lookup(v.pred).deleteRow(v.row)
-				st.DeletedFacts++
-			}
-			if err := mt.rebuildPreds(closure); err != nil {
-				return st, err
-			}
-			st.Rebuilt = true
-		} else if len(victims) > 0 {
-			if err := mt.runDeleteWaves(victims); err != nil {
-				return st, err
-			}
+	if closure, recursive := m.retractionClosure(retracted); recursive {
+		// Counting is unsound here: kill the directly retracted facts,
+		// then clear and recompute the affected IDB strata.
+		for _, v := range victims {
+			v.rel.deleteRow(v.row)
+			st.DeletedFacts++
+		}
+		if err := mt.rebuildPreds(closure); err != nil {
+			return st, err
+		}
+		st.Rebuilt = true
+	} else if len(victims) > 0 {
+		if err := mt.runDeleteWaves(victims); err != nil {
+			return st, err
 		}
 	}
 
 	// Phase 2: assertions. New EDB facts are the wave-1 delta.
 	st.Restamped = m.db.resetRounds()
 	mt.wave = 0
-	mt.newCounts = map[string]int{}
+	mt.newCounts.reset()
 	for i, a := range assert {
 		brel, rerr := m.base.Rel(a.Pred, len(a.Args))
 		if rerr != nil {
@@ -416,22 +405,23 @@ func (m *Materialization) Apply(ctx context.Context, assert, retract []ast.Atom)
 		brel.Insert(assertTuples[i])
 		undoAssert = append(undoAssert, factRef{a.Pred, assertTuples[i]})
 		st.Asserted++
-		rel, rerr := m.db.own(a.Pred, len(a.Args))
+		rel, rerr := m.own(a.Pred, len(a.Args))
 		if rerr != nil {
 			return st, fmt.Errorf("%w: %v", ErrMutation, rerr)
 		}
 		rel.EnableCounts()
 		// A fact that is already derivable only gains EDB support: its
-		// presence is unchanged — a count bump, not a delta.
+		// presence is unchanged — a count bump, not a delta. A predicate
+		// no rule reads is no delta either.
 		if rel.insertCounted(assertTuples[i], 1) {
-			mt.newCounts[a.Pred]++
+			if id := m.prog.id(a.Pred); id >= 0 {
+				mt.newCounts.add(id, 1)
+			}
 			st.NewFacts++
 		}
 	}
-	if total(mt.newCounts) > 0 {
-		if err := mt.runInsertWaves(m.rules); err != nil {
-			return st, err
-		}
+	if err := mt.runInsertWaves(nil); err != nil {
+		return st, err
 	}
 
 	m.epoch++
@@ -445,35 +435,45 @@ type factRef struct {
 	tuple []Val
 }
 
-// victimRef names a live arena row whose derivation count reached zero.
+// victimRef names a live arena row whose derivation count reached zero: its
+// relation, the relation's predicate id (-1 for a predicate the program
+// never names) and the row.
 type victimRef struct {
-	pred string
-	row  int32
+	rel *Relation
+	id  int32
+	row int32
 }
 
-// retractionClosure returns the set of predicates reachable downstream
-// from the retracted predicates (including themselves) and whether any of
-// them belongs to a recursive stratum.
-func (m *Materialization) retractionClosure(preds map[string]bool) (map[string]bool, bool) {
-	closure := map[string]bool{}
-	recursive := false
-	var stack []string
-	for p := range preds {
-		stack = append(stack, p)
-	}
+// retractionClosure returns the IDB predicates downstream of the retracted
+// program predicates (themselves included) and whether any predicate of
+// the downstream closure belongs to a recursive stratum.
+func (m *Materialization) retractionClosure(retracted []int32) (idb []int32, recursive bool) {
+	seen := make([]bool, len(m.prog.preds))
+	stack := append([]int32(nil), retracted...)
 	for len(stack) > 0 {
 		p := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if closure[p] {
+		if seen[p] {
 			continue
 		}
-		closure[p] = true
-		if m.recursive[p] {
-			recursive = true
+		seen[p] = true
+		info := &m.prog.preds[p]
+		recursive = recursive || info.recursive
+		if info.idb {
+			idb = append(idb, p)
 		}
-		stack = append(stack, m.downstream[p]...)
+		stack = append(stack, info.downstream...)
 	}
-	return closure, recursive
+	return idb, recursive
+}
+
+// maintainer returns a maintainer for one operation over m.
+func (m *Materialization) maintainer(ctx context.Context, st *ApplyStats) *maintainer {
+	mt := &maintainer{m: m, ctx: ctx, st: st}
+	mt.newCounts.init(len(m.prog.preds))
+	mt.delta.init(len(m.prog.preds))
+	mt.visiting = make([]bool, len(m.prog.rules))
+	return mt
 }
 
 // rebuild recomputes the whole materialization from the base EDB: a base
@@ -488,7 +488,8 @@ func (m *Materialization) rebuild(ctx context.Context) error {
 		}
 		db.relations[pred] = brel
 	}
-	if err := prepareRelations(db, m.rules); err != nil {
+	rels, err := prepareRelations(db, m.prog)
+	if err != nil {
 		return err
 	}
 	for _, rel := range db.relations {
@@ -497,65 +498,49 @@ func (m *Materialization) rebuild(ctx context.Context) error {
 		}
 	}
 	var st ApplyStats
-	mt := &maintainer{m: m, ctx: ctx, st: &st}
-	old := m.db
-	m.db = db
-	if err := mt.initialWaves(m.rules); err != nil {
-		m.db = old
+	old, oldRels := m.db, m.rels
+	m.db, m.rels = db, rels
+	if err := m.maintainer(ctx, &st).initialWaves(nil); err != nil {
+		m.db, m.rels = old, oldRels
 		return err
 	}
 	m.dirty = false
 	return nil
 }
 
-// rebuildPreds clears the IDB predicates in closure and recomputes them
-// from the surviving facts — the DRed rederivation phase, run eagerly
-// over the affected strata only.
-func (mt *maintainer) rebuildPreds(closure map[string]bool) error {
+// rebuildPreds clears the IDB predicates rebuild (ids) and recomputes them
+// from the surviving facts — the DRed rederivation phase, run eagerly over
+// the affected strata only.
+func (mt *maintainer) rebuildPreds(rebuild []int32) error {
 	m := mt.m
-	rebuildSet := map[string]bool{}
-	for p := range closure {
-		if m.idb[p] {
-			rebuildSet[p] = true
-		}
-	}
-	if len(rebuildSet) == 0 {
+	if len(rebuild) == 0 {
 		return nil
 	}
 	// Each cleared relation is replaced by a fresh one rather than having
 	// every row tombstoned: nothing is leaked per rebuild, and later
-	// row-0 scans do not walk a stratum's worth of dead rows.
-	for pred := range rebuildSet {
-		rel := m.db.Lookup(pred)
-		if rel == nil {
-			continue
-		}
-		mt.st.DeletedFacts += rel.Live()
-		fresh := NewRelation(rel.arity)
+	// row-0 scans do not walk a stratum's worth of dead rows. Re-seed the
+	// EDB support of rebuilt predicates (a retractable predicate can also
+	// be derivable) as base state, stamp 0.
+	active := make([]bool, len(m.prog.rules))
+	for _, id := range rebuild {
+		info := &m.prog.preds[id]
+		mt.st.DeletedFacts += m.rels[id].Live()
+		fresh := NewRelation(info.arity)
 		fresh.EnableCounts()
-		m.db.relations[pred] = fresh
-	}
-	// Re-seed the EDB support of rebuilt predicates (a retractable
-	// predicate can also be derivable) as base state, stamp 0.
-	for pred := range rebuildSet {
-		brel := m.base.Lookup(pred)
-		if brel == nil {
-			continue
-		}
-		rel := m.db.Lookup(pred)
-		for pos := int32(0); pos < int32(brel.Len()); pos++ {
-			if brel.Round(pos) < 0 {
-				continue
+		m.db.relations[info.name] = fresh
+		m.rels[id] = fresh
+		if brel := m.base.Lookup(info.name); brel != nil {
+			for pos := int32(0); pos < int32(brel.Len()); pos++ {
+				if brel.Round(pos) < 0 {
+					continue
+				}
+				fresh.Insert(brel.Tuple(pos))
+				mt.st.NewFacts++
 			}
-			rel.Insert(brel.Tuple(pos))
-			mt.st.NewFacts++
 		}
 	}
-	var active []*compiledRule
-	for _, r := range m.rules {
-		if rebuildSet[r.headPred] {
-			active = append(active, r)
-		}
+	for _, r := range m.prog.rules {
+		active[r.idx] = slices.Contains(rebuild, r.head)
 	}
 	return mt.initialWaves(active)
 }
@@ -569,35 +554,41 @@ type maintainer struct {
 
 	rn   runner
 	wave int32
-	// newCounts holds the facts stamped wave+1, per predicate, and delta
-	// the running wave's (stamped wave); they trade places at every wave
-	// and are cleared, never reallocated. A deletion wave's dying
-	// predicates are counted in delta too.
-	newCounts, delta map[string]int
+	// newCounts holds the facts stamped wave+1, per predicate id, and delta
+	// the running wave's (stamped wave); they trade places at every wave. A
+	// deletion wave's dying predicates are counted in delta too.
+	newCounts, delta predCounts
 	// head is the relation the running pass derives into and headNew the
 	// facts it added so far, folded into newCounts when the pass ends.
-	head       *Relation
-	headNew    int
-	next       []victimRef // next deletion wave's victims
+	head    *Relation
+	headNew int
+	next    []victimRef // next deletion wave's victims
+	// waveRules lists the rules the running wave visits, and visiting marks
+	// them by rule index while the list is gathered.
+	waveRules  []int32
+	visiting   []bool
 	occScratch []int
 }
 
-// initialWaves runs the active rules to fixpoint over the live facts: the
-// initial build (active = all rules) and the DRed rederivation (active =
-// the rebuilt strata's rules) are the same computation over different rule
+// initialWaves runs the active rules (nil: all of them) to fixpoint over
+// the live facts: the initial build (all rules) and the DRed rederivation
+// (the rebuilt strata's rules) are the same computation over different rule
 // subsets. Wave 0 runs each rule once over the stamp-0 rows — every live
 // row, frozen ones included — emitting heads stamped 1 for the insertion
 // waves to go on from; each body instantiation is still counted once.
-func (mt *maintainer) initialWaves(active []*compiledRule) error {
+func (mt *maintainer) initialWaves(active []bool) error {
 	m := mt.m
 	m.db.resetRounds()
-	buildIndexes(m.db, active)
+	buildIndexes(m.rels, m.prog.rules)
 	mt.wave = 0
-	mt.newCounts = clearedCounts(mt.newCounts)
-	mt.rn = runner{db: m.db, sink: mt.insertSink}
+	mt.newCounts.reset()
+	mt.rn = runner{db: m.db, preds: m.rels, consts: m.consts, sink: mt.insertSink}
 	// Bodyless rules (e.g. magic seeds) fire exactly once, here, outside
 	// the join counters.
-	for _, r := range active {
+	for _, r := range m.prog.rules {
+		if active != nil && !active[r.idx] {
+			continue
+		}
 		mt.rn.cur = m.joins
 		if len(r.body) == 0 {
 			mt.rn.cur = nil
@@ -614,11 +605,9 @@ func (mt *maintainer) initialWaves(active []*compiledRule) error {
 // r's head relation, resolved once for the pass; the facts an insertion
 // pass adds are folded into newCounts when it ends.
 func (mt *maintainer) runPass(r *compiledRule, jo *joinOrder) error {
-	mt.head, mt.headNew = mt.m.db.Lookup(r.headPred), 0
+	mt.head, mt.headNew = mt.m.rels[r.head], 0
 	err := mt.rn.runRule(r, jo)
-	if mt.headNew > 0 {
-		mt.newCounts[r.headPred] += mt.headNew
-	}
+	mt.newCounts.add(r.head, mt.headNew)
 	return err
 }
 
@@ -651,13 +640,14 @@ func (mt *maintainer) insertSink(_ *compiledRule, tuple []Val, _ []FactID) error
 
 // runInsertWaves drains newCounts: facts stamped w are joined as the
 // wave-w delta, emitting facts stamped w+1, until no wave produces a new
-// fact.
-func (mt *maintainer) runInsertWaves(active []*compiledRule) error {
+// fact. A wave visits only the active rules (nil: all) that read a
+// predicate of its delta.
+func (mt *maintainer) runInsertWaves(active []bool) error {
 	m := mt.m
-	mt.rn.db = m.db
+	mt.rn.db, mt.rn.preds, mt.rn.consts = m.db, m.rels, m.consts
 	mt.rn.cur = m.joins
 	mt.rn.sink = mt.insertSink
-	for total(mt.newCounts) > 0 {
+	for mt.newCounts.total > 0 {
 		if err := contextErr(mt.ctx); err != nil {
 			return err
 		}
@@ -668,10 +658,12 @@ func (mt *maintainer) runInsertWaves(active []*compiledRule) error {
 			return fmt.Errorf("%w: %d maintenance waves", ErrBudgetExceeded, mt.st.Waves)
 		}
 		faultinject.Hit(faultinject.DeltaWave)
-		mt.delta, mt.newCounts = mt.newCounts, clearedCounts(mt.delta)
+		mt.delta, mt.newCounts = mt.newCounts, mt.delta
+		mt.newCounts.reset()
 		mt.wave++
-		for _, r := range active {
-			occs := mt.bodyOccs(r, mt.delta)
+		for _, ri := range mt.deltaReaders(active) {
+			r := m.prog.rules[ri]
+			occs := mt.bodyOccs(r)
 			for _, li := range occs {
 				mt.rn.setLimits(r, occs, li, mt.wave, roundRange{0, mt.wave})
 				if err := mt.runPass(r, mt.rn.passOrder(r, li)); err != nil {
@@ -684,11 +676,32 @@ func (mt *maintainer) runInsertWaves(active []*compiledRule) error {
 	return nil
 }
 
-// bodyOccs returns the body positions of r whose predicate is in delta.
-func (mt *maintainer) bodyOccs(r *compiledRule, delta map[string]int) []int {
+// deltaReaders returns, in program order, the active rules (nil: all) that
+// read a predicate of the running wave's delta.
+func (mt *maintainer) deltaReaders(active []bool) []int32 {
+	rules := mt.waveRules[:0]
+	for _, p := range mt.delta.ids {
+		for _, ri := range mt.m.prog.preds[p].readers {
+			if !mt.visiting[ri] && (active == nil || active[ri]) {
+				mt.visiting[ri] = true
+				rules = append(rules, ri)
+			}
+		}
+	}
+	for _, ri := range rules {
+		mt.visiting[ri] = false
+	}
+	slices.Sort(rules)
+	mt.waveRules = rules
+	return rules
+}
+
+// bodyOccs returns the body positions of r whose predicate is in the
+// running wave's delta.
+func (mt *maintainer) bodyOccs(r *compiledRule) []int {
 	occs := mt.occScratch[:0]
 	for i := range r.body {
-		if delta[r.body[i].pred] > 0 {
+		if mt.delta.n[r.body[i].id] > 0 {
 			occs = append(occs, i)
 		}
 	}
@@ -704,8 +717,8 @@ func (mt *maintainer) bodyOccs(r *compiledRule, delta map[string]int) []int {
 func (mt *maintainer) runDeleteWaves(victims []victimRef) error {
 	m := mt.m
 	m.db.resetRounds()
-	buildIndexes(m.db, m.rules)
-	mt.rn = runner{db: m.db, sink: mt.deleteSink}
+	buildIndexes(m.rels, m.prog.rules)
+	mt.rn = runner{db: m.db, preds: m.rels, consts: m.consts, sink: mt.deleteSink}
 	wave := victims
 	for len(wave) > 0 {
 		if err := contextErr(mt.ctx); err != nil {
@@ -715,14 +728,17 @@ func (mt *maintainer) runDeleteWaves(victims []victimRef) error {
 			return fmt.Errorf("%w: %d maintenance waves", ErrBudgetExceeded, mt.st.Waves)
 		}
 		faultinject.Hit(faultinject.DeltaWave)
-		mt.delta = clearedCounts(mt.delta)
+		mt.delta.reset()
 		for _, v := range wave {
-			m.db.Lookup(v.pred).stampDying(v.row)
-			mt.delta[v.pred]++
+			v.rel.stampDying(v.row)
+			if v.id >= 0 {
+				mt.delta.add(v.id, 1)
+			}
 		}
 		mt.next = mt.next[:0]
-		for _, r := range m.rules {
-			occs := mt.bodyOccs(r, mt.delta)
+		for _, ri := range mt.deltaReaders(nil) {
+			r := m.prog.rules[ri]
+			occs := mt.bodyOccs(r)
 			for _, li := range occs {
 				mt.rn.setLimits(r, occs, li, 1, roundRange{0, 1})
 				if err := mt.runPass(r, mt.rn.passOrder(r, li)); err != nil {
@@ -731,7 +747,7 @@ func (mt *maintainer) runDeleteWaves(victims []victimRef) error {
 			}
 		}
 		for _, v := range wave {
-			m.db.Lookup(v.pred).deleteRow(v.row)
+			v.rel.deleteRow(v.row)
 			mt.st.DeletedFacts++
 		}
 		mt.st.Waves++
@@ -761,7 +777,7 @@ func (mt *maintainer) deleteSink(r *compiledRule, tuple []Val, _ []FactID) error
 	}
 	switch c := rel.addCount(row, -1); {
 	case c == 0:
-		mt.next = append(mt.next, victimRef{r.headPred, row})
+		mt.next = append(mt.next, victimRef{rel, r.head, row})
 	case c < 0:
 		panic(fmt.Sprintf("engine: negative derivation count for %s", r.headPred))
 	}

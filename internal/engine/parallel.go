@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"factorlog/internal/ast"
 	"factorlog/internal/depgraph"
 	"factorlog/internal/faultinject"
 	"factorlog/internal/obsv"
@@ -215,7 +214,7 @@ func (pw *parWorker) sink(r *compiledRule, tuple []Val, _ []FactID) error {
 	if pw.stop != nil && pw.inferences&ctxCheckMask == 0 && pw.stop.Load() {
 		return errEvalStopped
 	}
-	dup := pw.rn.db.Lookup(r.headPred).Contains(tuple)
+	dup := pw.rn.preds[r.head].Contains(tuple)
 	if !dup {
 		// Key the local set by predicate + tuple: tuples of different
 		// predicates may hash-collide.
@@ -241,7 +240,8 @@ func (pw *parWorker) sink(r *compiledRule, tuple []Val, _ []FactID) error {
 // parEvaluator coordinates strata, rounds, and the worker pool.
 type parEvaluator struct {
 	db       *DB
-	rules    []*compiledRule
+	prog     *CompiledProgram
+	rels     []*Relation // the program's relations, by predicate id
 	opts     Options
 	stats    Stats
 	curRound int32
@@ -252,7 +252,7 @@ type parEvaluator struct {
 	// newCounts and deltaCounts are the sequential evaluator's: the facts
 	// stamped curRound+1 and the running round's delta, swapped and
 	// cleared at every round.
-	newCounts, deltaCounts map[string]int
+	newCounts, deltaCounts predCounts
 	// panicked holds the first worker panic of the evaluation; the unit
 	// claim loop polls it so surviving workers stop scheduling new units
 	// once a sibling has died, and runRound reports it after the barrier.
@@ -278,14 +278,13 @@ type parEvaluator struct {
 
 // evalParallel is the Workers > 1 entry point; the caller has already
 // validated opts and compiled the rules.
-func evalParallel(p *ast.Program, db *DB, rules []*compiledRule, opts Options) (*Result, error) {
+func evalParallel(db *DB, cp *CompiledProgram, opts Options) (*Result, error) {
 	ev := &parEvaluator{
-		db:        db,
-		rules:     rules,
-		opts:      opts,
-		newCounts: map[string]int{},
-		ctx:       opts.Context,
-		span:      opts.Span,
+		db:   db,
+		prog: cp,
+		opts: opts,
+		ctx:  opts.Context,
+		span: opts.Span,
 	}
 	if err := contextErr(ev.ctx); err != nil {
 		return nil, err
@@ -307,9 +306,13 @@ func evalParallel(p *ast.Program, db *DB, rules []*compiledRule, opts Options) (
 
 	// Materialize head and body relations up front, exactly like the
 	// sequential path.
-	if err := prepareRelations(db, rules); err != nil {
+	var err error
+	if ev.rels, err = prepareRelations(db, cp); err != nil {
 		return nil, err
 	}
+	consts := internConsts(cp.consts, db.Store, nil)
+	ev.newCounts.init(len(ev.rels))
+	ev.deltaCounts.init(len(ev.rels))
 
 	ev.workers = make([]*parWorker, opts.Workers)
 	for w := range ev.workers {
@@ -317,7 +320,7 @@ func evalParallel(p *ast.Program, db *DB, rules []*compiledRule, opts Options) (
 		if ev.ctx != nil {
 			pw.stop = &ev.stop
 		}
-		pw.rn.db = db
+		pw.rn.db, pw.rn.preds, pw.rn.consts = db, ev.rels, consts
 		pw.rn.frozen = true
 		pw.rn.sink = pw.sink
 		ev.workers[w] = pw
@@ -328,15 +331,15 @@ func evalParallel(p *ast.Program, db *DB, rules []*compiledRule, opts Options) (
 		}
 	}()
 	if opts.Trace {
-		ev.stats.Rules = newRuleStats(rules)
-		ev.roundDerived = make([]int, len(rules))
+		ev.stats.Rules = newRuleStats(cp.rules)
+		ev.roundDerived = make([]int, len(cp.rules))
 		for _, pw := range ev.workers {
-			pw.rules = make([]obsv.RuleStats, len(rules))
-			pw.ruleBusy = make([]time.Duration, len(rules))
+			pw.rules = make([]obsv.RuleStats, len(cp.rules))
+			pw.ruleBusy = make([]time.Duration, len(cp.rules))
 		}
 	}
 
-	sched := depgraph.Analyze(p)
+	sched := cp.sched
 	if opts.stratified() {
 		ev.stream = &obsv.StreamStats{Strata: len(sched.Strata)}
 	}
@@ -376,7 +379,7 @@ func (ev *parEvaluator) evalStratum(si int, st *depgraph.Stratum) error {
 	srules := make([]*compiledRule, len(st.Rules))
 	recOccs := make([][]int, len(st.Rules))
 	for i, ri := range st.Rules {
-		r := ev.rules[ri]
+		r := ev.prog.rules[ri]
 		srules[i] = r
 		for _, occ := range r.idbOccs {
 			if preds[r.body[occ].pred] {
@@ -387,11 +390,7 @@ func (ev *parEvaluator) evalStratum(si int, st *depgraph.Stratum) error {
 
 	// Compile-time index planning: build this stratum's indexes before its
 	// first round, so every in-round probe is read-only.
-	for _, r := range srules {
-		for _, need := range r.indexNeeds {
-			ev.db.Lookup(need.pred).ensureIndex(need.cols)
-		}
-	}
+	buildIndexes(ev.rels, srules)
 
 	factsBefore, inferencesBefore := ev.stats.Derived, ev.stats.Inferences
 
@@ -407,19 +406,20 @@ func (ev *parEvaluator) evalStratum(si int, st *depgraph.Stratum) error {
 	ev.stats.Iterations++
 
 	if st.Recursive {
-		for total(ev.newCounts) > 0 {
+		for ev.newCounts.total > 0 {
 			if err := contextErr(ev.ctx); err != nil {
 				return err
 			}
 			if ev.opts.MaxIterations > 0 && ev.stats.Iterations >= ev.opts.MaxIterations {
 				return fmt.Errorf("%w: %d iterations", ErrBudgetExceeded, ev.stats.Iterations)
 			}
-			ev.deltaCounts, ev.newCounts = ev.newCounts, clearedCounts(ev.deltaCounts)
+			ev.deltaCounts, ev.newCounts = ev.newCounts, ev.deltaCounts
+			ev.newCounts.reset()
 			ev.curRound++
 			units = units[:0]
 			for i, r := range srules {
 				for _, occ := range recOccs[i] {
-					if ev.deltaCounts[r.body[occ].pred] == 0 {
+					if ev.deltaCounts.n[r.body[occ].id] == 0 {
 						continue
 					}
 					units = ev.addUnits(units, r, recOccs[i], occ)
@@ -431,7 +431,7 @@ func (ev *parEvaluator) evalStratum(si int, st *depgraph.Stratum) error {
 			ev.stats.Iterations++
 		}
 	} else {
-		clear(ev.newCounts)
+		ev.newCounts.reset()
 		if ev.stream != nil {
 			addOnePass(ev.stream, srules, ev.stats.Inferences-inferencesBefore, ev.stats.Derived-factsBefore)
 		}
@@ -553,7 +553,7 @@ func (ev *parEvaluator) runRound(units []workUnit) error {
 		pw.inferences = 0
 		pw.tuples += len(pw.facts)
 		for _, bf := range pw.facts {
-			if !ev.db.Lookup(bf.rule.headPred).InsertRound(pw.tuple(bf), stamp) {
+			if !ev.rels[bf.rule.head].InsertRound(pw.tuple(bf), stamp) {
 				if ev.stats.Rules != nil {
 					ev.stats.Rules[bf.rule.idx].Duplicates++
 				}
@@ -562,7 +562,7 @@ func (ev *parEvaluator) runRound(units []workUnit) error {
 			if ev.roundDerived != nil {
 				ev.roundDerived[bf.rule.idx]++
 			}
-			ev.newCounts[bf.rule.headPred]++
+			ev.newCounts.add(bf.rule.head, 1)
 			ev.stats.Derived++
 			added++
 		}

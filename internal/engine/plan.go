@@ -32,12 +32,12 @@ type RulePlan struct {
 // PlanRules compiles p and describes the join of each rule, indexed by rule
 // position, with the bodies as written (Options.ReorderJoins off).
 func PlanRules(p *ast.Program) ([]RulePlan, error) {
-	rules, err := compileRulesGuarded(p, NewStore(), false)
+	cp, err := compile(p, false, false)
 	if err != nil {
 		return nil, err
 	}
-	plans := make([]RulePlan, len(rules))
-	for i, r := range rules {
+	plans := make([]RulePlan, len(cp.rules))
+	for i, r := range cp.rules {
 		plans[i] = RulePlan{Rule: i, Source: r.label(), Steps: make([]JoinStep, len(r.body))}
 		for li, l := range r.body {
 			atom := r.src.Body[li]

@@ -971,23 +971,27 @@ func (db *DB) own(pred string, arity int) (*Relation, error) {
 	return r, nil
 }
 
-// prepareRelations readies db for an evaluation of rules: every head and
-// body relation exists with a checked arity, and every head relation is
-// private to db (own), since heads are the only relations an evaluator
-// inserts into. Every evaluator starts here, which is what lets a DB alias
-// a base image's frozen relations without copying them.
-func prepareRelations(db *DB, rules []*compiledRule) error {
-	for _, r := range rules {
-		if _, err := db.own(r.headPred, len(r.headArgs)); err != nil {
-			return err
+// prepareRelations readies db for an evaluation of cp and returns the
+// relation of each of its predicates, by id: every head and body relation
+// exists with a checked arity, and every head relation is private to db
+// (own), since heads are the only relations an evaluator inserts into.
+// Every evaluator starts here, which is what lets a DB alias a base image's
+// frozen relations without copying them. Whoever later replaces one of
+// these relations in db (own, a rebuild) must replace it in the table too.
+func prepareRelations(db *DB, cp *CompiledProgram) ([]*Relation, error) {
+	rels := make([]*Relation, len(cp.preds))
+	for id, p := range cp.preds {
+		var err error
+		if p.idb {
+			rels[id], err = db.own(p.name, p.arity)
+		} else {
+			rels[id], err = db.Rel(p.name, p.arity)
 		}
-		for _, l := range r.body {
-			if _, err := db.Rel(l.pred, l.arity); err != nil {
-				return err
-			}
+		if err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	return rels, nil
 }
 
 // Insert adds a fact. It reports whether the fact was new.

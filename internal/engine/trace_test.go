@@ -110,7 +110,7 @@ func TestTraceOffRecordsNothing(t *testing.T) {
 // recording helpers on the evaluation hot path allocate nothing when
 // tracing is off.
 func TestTraceOffZeroAllocs(t *testing.T) {
-	ev := &evaluator{newCounts: map[string]int{}}
+	ev := &evaluator{}
 	r := &compiledRule{}
 	allocs := testing.AllocsPerRun(1000, func() {
 		ev.traceRoundStart()
@@ -209,7 +209,7 @@ func TestSpanTreeParallel(t *testing.T) {
 // TestSpanOffZeroAllocs extends the Trace=false contract to Options.Span:
 // with no span, the span hooks on the round path must not allocate.
 func TestSpanOffZeroAllocs(t *testing.T) {
-	ev := &evaluator{newCounts: map[string]int{}}
+	ev := &evaluator{}
 	allocs := testing.AllocsPerRun(1000, func() {
 		ev.traceRoundStart()
 		ev.traceRoundEnd()

@@ -124,8 +124,11 @@ func TestDRedRebuildLeaksNothing(t *testing.T) {
 	}
 	idbArena := func() int64 {
 		var total int64
-		for pred := range m.idb {
-			rel := m.db.Lookup(pred)
+		for _, p := range m.prog.preds {
+			if !p.idb {
+				continue
+			}
+			pred, rel := p.name, m.db.Lookup(p.name)
 			if rel.Len() != rel.Live() {
 				t.Fatalf("%s: Len %d != Live %d after a rebuild", pred, rel.Len(), rel.Live())
 			}

@@ -114,12 +114,12 @@ type MaterializerOptions struct {
 // and the answer read that follows it, so two requests for one shape
 // serialize while requests for different shapes do not.
 type matEntry struct {
-	key         string
-	prog        *ast.Program // the program the strategy evaluates
-	query       ast.Atom     // the answer atom of that program
-	transformed bool         // query is a rewritten predicate (see ProjectAnswers)
-	pl          *Pipeline    // reads the answers (ProjectAnswers)
-	elem        *list.Element
+	key string
+	// matProgram is what a build runs: the shape's compiled program, the
+	// query's constants to bind into it, and the answer atom.
+	matProgram
+	pl   *Pipeline // reads the answers (ProjectAnswers)
+	elem *list.Element
 
 	mu  sync.Mutex
 	mat *engine.Materialization // guarded by mu; nil until the first build succeeds
@@ -323,29 +323,32 @@ func (m *Materializer) Serve(ctx context.Context, query ast.Atom, strategy Strat
 		return nil, err
 	}
 
-	m.mu.Lock()
 	key := query.CanonicalKey() + "|" + strategy.String()
+	m.mu.Lock()
 	e := m.entries[key]
 	if e == nil {
-		prog, ansQuery, transformed, perr := plan.Pipeline().MaterializedProgram(strategy)
+		// A new entry's program comes from the plan's template, compiled
+		// there on first use: outside the registry lock.
+		m.mu.Unlock()
+		mp, perr := plan.Pipeline().materializedProgram(strategy)
 		if perr != nil {
-			m.mu.Unlock()
 			return nil, perr
 		}
-		e = &matEntry{key: key, prog: prog, query: ansQuery,
-			transformed: transformed, pl: plan.Pipeline()}
-		e.elem = m.order.PushFront(e)
-		m.entries[key] = e
-		for len(m.entries) > m.opts.Entries {
-			tail := m.order.Back()
-			victim := tail.Value.(*matEntry)
-			m.order.Remove(tail)
-			delete(m.entries, victim.key)
-			m.evictions++
+		m.mu.Lock()
+		if e = m.entries[key]; e == nil {
+			e = &matEntry{key: key, matProgram: mp, pl: plan.Pipeline()}
+			e.elem = m.order.PushFront(e)
+			m.entries[key] = e
+			for len(m.entries) > m.opts.Entries {
+				tail := m.order.Back()
+				victim := tail.Value.(*matEntry)
+				m.order.Remove(tail)
+				delete(m.entries, victim.key)
+				m.evictions++
+			}
 		}
-	} else {
-		m.order.MoveToFront(e.elem)
 	}
+	m.order.MoveToFront(e.elem)
 	// Read under the registry lock, the version and the log agree: the log
 	// ends at the version's epoch.
 	target, log := m.base.Current(), m.log
@@ -451,7 +454,7 @@ func (m *Materializer) refresh(ctx context.Context, e *matEntry, target *engine.
 		if e.mat == nil {
 			rf.kind = "build"
 		}
-		mat, merr := engine.MaterializeVersion(ctx, e.prog, target, m.opts.Engine, e.query.Pred)
+		mat, merr := e.cp.Materialize(ctx, target, e.bind, m.opts.Engine, e.query.Pred)
 		if merr != nil {
 			return rf, merr
 		}

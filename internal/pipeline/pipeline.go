@@ -34,6 +34,9 @@ type Pipeline struct {
 
 	// memo holds each rewrite stage's outcome once it has run (see stage).
 	memo [numStages]stageMemo
+	// source is the engine compile of Program, for the strategies that
+	// evaluate it as written (see compiledProgram).
+	source compiledMemo
 
 	// stageLog measures each transformation stage the first time it runs,
 	// in run order (the outcomes above are memoized, so each stage appears

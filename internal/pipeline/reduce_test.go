@@ -122,9 +122,13 @@ func TestAutoServesReducedClosure(t *testing.T) {
 			t.Errorf("%s: %d answers, BFS finds %d", q, len(res.Answers), len(want))
 		}
 		e := mat.entries[q.CanonicalKey()+"|"+pick.Strategy.String()]
-		idb := e.prog.IDBPreds()
+		prog, _, _, err := e.pl.MaterializedProgram(pick.Strategy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idb := prog.IDBPreds()
 		if len(idb) != 1 || !idb["r_r1"] {
-			t.Fatalf("%s: materialized IDB %v, want r_r1 alone\n%s", q, idb, e.prog)
+			t.Fatalf("%s: materialized IDB %v, want r_r1 alone\n%s", q, idb, prog)
 		}
 		if got := e.mat.DB().Lookup("r_r1"); got == nil || got.Arity() != 1 {
 			t.Errorf("%s: r_r1 not materialized at arity 1", q)

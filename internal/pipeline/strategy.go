@@ -334,6 +334,16 @@ type stageMemo struct {
 	// rec indexes the stage's entry in Pipeline.stageLog; -1 when the stage
 	// never ran because something upstream of it failed.
 	rec int
+	// compiled is the engine's compile of prog, for the strategies whose
+	// chain ends at this stage (see compiledProgram).
+	compiled compiledMemo
+}
+
+// compiledMemo is the memoized engine compile of one materialized program.
+type compiledMemo struct {
+	done bool
+	cp   *engine.CompiledProgram
+	err  error
 }
 
 // upstream reads the typed result of a stage that is known to have
@@ -434,8 +444,10 @@ func (pl *Pipeline) compile(s Strategy) (ran bool, err error) {
 	}
 	last := row.chain[len(row.chain)-1]
 	if pl.tmpl != nil {
-		ran, _ = pl.tmpl.compile(s)
-		return ran, pl.stage(last).err
+		if ran, err = pl.tmpl.compile(s); err != nil {
+			err = boundErr{err: err, text: pl.bound.text}
+		}
+		return ran, err
 	}
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
@@ -463,6 +475,74 @@ func (pl *Pipeline) MaterializedProgram(s Strategy) (prog *ast.Program, query as
 		return nil, ast.Atom{}, false, m.err
 	}
 	return m.prog, m.query, true, nil
+}
+
+// matProgram is what a materialization of one strategy builds from.
+type matProgram struct {
+	// cp is the compiled program; on a bound pipeline, its template's,
+	// shared by every constant of the shape.
+	cp *engine.CompiledProgram
+	// bind maps each template parameter to the query's constant; nil on a
+	// pipeline that compiles its own query.
+	bind map[string]string
+	// query and transformed are MaterializedProgram's.
+	query       ast.Atom
+	transformed bool
+}
+
+// materializedProgram returns what a materialization of strategy s builds
+// from: MaterializedProgram's program, compiled by the engine once per
+// template and strategy, and the constants a build binds into it
+// (engine.CompiledProgram.Materialize). A bound pipeline reads its
+// template's compile and never binds the program itself. A compile failure
+// is memoized like a stage failure: every constant of the shape gets the
+// template's error, naming its own constants.
+func (pl *Pipeline) materializedProgram(s Strategy) (matProgram, error) {
+	if pl.tmpl == nil {
+		return pl.compiledProgram(s)
+	}
+	mp, err := pl.tmpl.compiledProgram(s)
+	if err != nil {
+		return matProgram{}, boundErr{err: err, text: pl.bound.text}
+	}
+	mp.bind = pl.bound.params
+	if mp.transformed {
+		mp.query = pl.bound.atom(mp.query)
+	} else {
+		mp.query = pl.Query
+	}
+	return mp, nil
+}
+
+// compiledProgram is materializedProgram on a pipeline that compiles its
+// own query: the engine compile runs on first use, under the pipeline lock,
+// and is memoized beside the stage that produced the program (the source
+// program's in Pipeline.source). A transient failure — a compiler panic —
+// is not memoized.
+func (pl *Pipeline) compiledProgram(s Strategy) (matProgram, error) {
+	row := s.row()
+	if row.eval != bottomUp {
+		return matProgram{}, fmt.Errorf("strategy %v has no materialized program", s)
+	}
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	memo, prog, mp := &pl.source, pl.Program, matProgram{query: pl.Query}
+	if len(row.chain) > 0 {
+		m := pl.stageLocked(row.chain[len(row.chain)-1])
+		if m.err != nil {
+			return matProgram{}, m.err
+		}
+		memo, prog, mp = &m.compiled, m.prog, matProgram{query: m.query, transformed: true}
+	}
+	if !memo.done {
+		cp, err := engine.Compile(prog)
+		if err != nil && transientCompileErr(err) {
+			return matProgram{}, err
+		}
+		*memo = compiledMemo{done: true, cp: cp, err: err}
+	}
+	mp.cp = memo.cp
+	return mp, memo.err
 }
 
 // stagesFor returns the stage records of one strategy's chain, in chain

@@ -138,6 +138,9 @@ type binding struct {
 	consts map[string]ast.Term
 	vars   map[string]string
 	text   *strings.Replacer // the same rewrite of rendered text
+	// params maps each parameter's name to its constant's, the binding a
+	// materialization build interns the template's compiled program with.
+	params map[string]string
 }
 
 // bind returns the pipeline that serves query from this template, params[i]
@@ -146,11 +149,12 @@ type binding struct {
 // binding the first time it is read and memoized after that. A query that
 // is the template's own query is served by the template itself.
 func (pl *Pipeline) bind(query ast.Atom, params []ast.Term) *Pipeline {
-	b := &binding{consts: map[string]ast.Term{}, vars: map[string]string{}}
+	b := &binding{consts: map[string]ast.Term{}, vars: map[string]string{}, params: map[string]string{}}
 	var names []string
 	for i, c := range params {
-		b.consts[paramPrefix+strconv.Itoa(i)] = c
-		names = append(names, paramPrefix+strconv.Itoa(i))
+		name := paramPrefix + strconv.Itoa(i)
+		b.consts[name], b.params[name] = c, c.Functor
+		names = append(names, name)
 	}
 	qvars := query.Vars()
 	for i, v := range pl.Query.Vars() {
