@@ -19,11 +19,13 @@ import (
 //
 // Storage is a flat arena: row i occupies arena[i*arity : (i+1)*arity], so
 // the whole relation is one contiguous []Val. Membership (present) and
-// every column index are open-addressed hash tables over 64-bit hashes of
-// the Val words, resolved against the arena on collision — no tuple is
-// ever varint-encoded into a string key, an insert hashes its tuple once,
-// and it allocates only when the arena, a table or an index's postings
-// pool doubles. The membership table doubles as the index on every column:
+// every column index are open-addressed tables over 64-bit hashes of the
+// Val words, resolved against the arena — no tuple is ever varint-encoded
+// into a string key, an insert hashes its tuple once, and it allocates
+// only when the arena, a table or an index's postings pool doubles. The
+// membership table keeps row ids alone (4 bytes a slot, see tupleSet);
+// an index keeps each key's hash too, since its probes are the join's
+// hottest path. The membership table doubles as the index on every column:
 // a probe that binds the whole tuple reads it, so no relation keeps an
 // index keyed on all of its columns (a unary relation keeps none). Rows
 // are immutable once written, which makes every read-side operation
@@ -97,78 +99,70 @@ type Relation struct {
 }
 
 // tupleSet is the open-addressed membership table: hash of the full tuple
-// -> row id, with linear probing and full arena comparison on collision.
-// Slots store emptySlot when never used and tombSlot after a removal;
-// lookups probe past tombstones but stop at empties, so removal never
-// breaks a probe chain. The stored hashes make probe misses cheap and
-// growth rehash-free; growth drops tombstones.
+// -> row id, with linear probing. A slot holds row+1, so a freshly
+// allocated table is all empty (0) with no pass to fill it, and tombSlot
+// after a removal; lookups probe past tombstones but stop at empties, so
+// removal never breaks a probe chain. No hash is stored beside the row:
+// a slot costs 4 bytes, every live slot on a probe path is confirmed
+// against the arena (one Val compare for a unary relation), and growth
+// rehashes each live row from the arena. Growth drops tombstones.
 type tupleSet struct {
-	hashes []uint64
-	rows   []int32
-	n      int // live entries
-	used   int // live entries + tombstones (growth trigger)
+	slots []int32
+	n     int // live entries
+	used  int // live entries + tombstones (growth trigger)
 }
 
-const (
-	emptySlot = -1
-	tombSlot  = -2
-)
+const tombSlot = -1
 
 func (s *tupleSet) lookup(r *Relation, h uint64, tuple []Val) (int32, bool) {
-	if len(s.rows) == 0 {
+	if len(s.slots) == 0 {
 		return -1, false
 	}
-	mask := uint64(len(s.rows) - 1)
+	mask := uint64(len(s.slots) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
-		row := s.rows[i]
-		if row == emptySlot {
+		slot := s.slots[i]
+		if slot == 0 {
 			return -1, false
 		}
-		if row == tombSlot {
-			continue
-		}
-		if s.hashes[i] == h && r.rowEquals(row, tuple) {
-			return row, true
+		if slot > 0 && r.rowEquals(slot-1, tuple) {
+			return slot - 1, true
 		}
 	}
 }
 
 // add places a row known to be absent, growing at 3/4 load. The first
-// negative slot on the probe path is reused — a tombstone if one is
-// passed, the terminating empty otherwise.
-func (s *tupleSet) add(h uint64, row int32) {
-	if (s.used+1)*4 > len(s.rows)*3 {
-		s.grow()
+// free slot on the probe path is reused — a tombstone if one is passed,
+// the terminating empty otherwise.
+func (s *tupleSet) add(r *Relation, h uint64, row int32) {
+	if (s.used+1)*4 > len(s.slots)*3 {
+		s.grow(r)
 	}
-	mask := uint64(len(s.rows) - 1)
+	mask := uint64(len(s.slots) - 1)
 	i := h & mask
-	for s.rows[i] >= 0 {
+	for s.slots[i] > 0 {
 		i = (i + 1) & mask
 	}
-	if s.rows[i] == emptySlot {
+	if s.slots[i] == 0 {
 		s.used++
 	}
-	s.hashes[i], s.rows[i] = h, row
+	s.slots[i] = row + 1
 	s.n++
 }
 
-// remove tombstones the slot holding row (found by hash + arena compare).
-// It reports whether the row was present.
+// remove tombstones the slot holding tuple (found by hash + arena
+// compare). It reports whether the tuple was present.
 func (s *tupleSet) remove(r *Relation, h uint64, tuple []Val) bool {
-	if len(s.rows) == 0 {
+	if len(s.slots) == 0 {
 		return false
 	}
-	mask := uint64(len(s.rows) - 1)
+	mask := uint64(len(s.slots) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
-		row := s.rows[i]
-		if row == emptySlot {
+		slot := s.slots[i]
+		if slot == 0 {
 			return false
 		}
-		if row == tombSlot {
-			continue
-		}
-		if s.hashes[i] == h && r.rowEquals(row, tuple) {
-			s.rows[i] = tombSlot
+		if slot > 0 && r.rowEquals(slot-1, tuple) {
+			s.slots[i] = tombSlot
 			s.n--
 			return true
 		}
@@ -178,35 +172,30 @@ func (s *tupleSet) remove(r *Relation, h uint64, tuple []Val) bool {
 // repoint renames a present row: the slot holding from (a row whose tuple
 // hashes to h) now names to.
 func (s *tupleSet) repoint(h uint64, from, to int32) {
-	mask := uint64(len(s.rows) - 1)
+	mask := uint64(len(s.slots) - 1)
 	i := h & mask
-	for s.rows[i] != from {
+	for s.slots[i] != from+1 {
 		i = (i + 1) & mask
 	}
-	s.rows[i] = to
+	s.slots[i] = to + 1
 }
 
-func (s *tupleSet) grow() {
-	size := 2 * len(s.rows)
-	if size == 0 {
-		size = 16
-	}
-	oldHashes, oldRows := s.hashes, s.rows
-	s.hashes = make([]uint64, size)
-	s.rows = make([]int32, size)
-	for i := range s.rows {
-		s.rows[i] = emptySlot
-	}
+// grow doubles the table, placing each live row by the hash of its arena
+// tuple.
+func (s *tupleSet) grow(r *Relation) {
+	size := max(2*len(s.slots), 16)
+	old := s.slots
+	s.slots = make([]int32, size)
 	mask := uint64(size - 1)
-	for j, row := range oldRows {
-		if row < 0 {
+	for _, slot := range old {
+		if slot <= 0 {
 			continue
 		}
-		i := oldHashes[j] & mask
-		for s.rows[i] >= 0 {
+		i := hashVals(r.Tuple(slot-1)) & mask
+		for s.slots[i] != 0 {
 			i = (i + 1) & mask
 		}
-		s.hashes[i], s.rows[i] = oldHashes[j], row
+		s.slots[i] = slot
 	}
 	s.used = s.n
 }
@@ -515,7 +504,7 @@ func (r *Relation) insertAbsent(h uint64, tuple []Val, round int32) {
 	if r.counted {
 		r.counts = append(r.counts, 1)
 	}
-	r.present.add(h, row)
+	r.present.add(r, h, row)
 	for _, ix := range r.indexList() {
 		ix.addRow(r, row)
 	}
@@ -704,12 +693,7 @@ func (r *Relation) clone(extra int) *Relation {
 	nr := NewRelation(r.arity)
 	nr.arena = append(make([]Val, 0, len(r.arena)+extra*r.arity), r.arena...)
 	nr.rounds = append(make([]int32, 0, len(r.rounds)+extra), r.rounds...)
-	nr.present = tupleSet{
-		hashes: append([]uint64(nil), r.present.hashes...),
-		rows:   append([]int32(nil), r.present.rows...),
-		n:      r.present.n,
-		used:   r.present.used,
-	}
+	nr.present = tupleSet{slots: slices.Clone(r.present.slots), n: r.present.n, used: r.present.used}
 	nr.stampedFrom = r.stampedFrom
 	nr.starts = append([]int32(nil), r.starts...)
 	return nr
@@ -890,16 +874,16 @@ func (r *Relation) probeFull(key []Val, into []int32) []int32 {
 }
 
 // StorageFootprint reports the relation's memory shape: arena bytes
-// (tuples, round stamps, counts and the run table), index bytes (hash
-// slots + postings), and the load factors of the membership table and the
-// indexes.
+// (tuples, round stamps, counts and the run table), index bytes (4-byte
+// membership slots, the indexes' hash slots and postings), and the load
+// factors of the membership table and the indexes.
 func (r *Relation) StorageFootprint() (arenaBytes, indexBytes int64, presentLoad, indexLoad float64, nIndexes int) {
 	const valSize, roundSize, hashSize, slotSize, bucketSize = 4, 4, 8, 4, 12
 	arenaBytes = int64(cap(r.arena))*valSize + int64(cap(r.rounds))*roundSize
 	arenaBytes += int64(cap(r.counts)+cap(r.starts)) * roundSize
-	indexBytes = int64(cap(r.present.hashes))*hashSize + int64(cap(r.present.rows))*slotSize
-	if len(r.present.rows) > 0 {
-		presentLoad = float64(r.present.n) / float64(len(r.present.rows))
+	indexBytes = int64(cap(r.present.slots)) * slotSize
+	if len(r.present.slots) > 0 {
+		presentLoad = float64(r.present.n) / float64(len(r.present.slots))
 	}
 	loadSum := 0.0
 	for _, ix := range r.indexList() {

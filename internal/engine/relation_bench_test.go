@@ -38,18 +38,24 @@ func BenchmarkRelationInsert(b *testing.B) {
 
 // BenchmarkRelationInsertDup measures the duplicate-heavy regime (every
 // tuple inserted twice): the second insert is a pure membership probe, the
-// path the fixpoint's re-derivations hit.
+// path the fixpoint's re-derivations hit. At n=1<<20 the arena (8 MiB) and
+// the table (8 MiB) are far bigger than the cache, so the arena rows a
+// probe compares along its path are misses.
 func BenchmarkRelationInsertDup(b *testing.B) {
-	tuples := benchTuples(4096)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r := NewRelation(2)
-		for _, t := range tuples {
-			r.Insert(t)
-		}
-		for _, t := range tuples {
-			r.Insert(t)
-		}
+	for _, n := range []int{4096, 1 << 20} {
+		tuples := benchTuples(n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r := NewRelation(2)
+				for _, t := range tuples {
+					r.Insert(t)
+				}
+				for _, t := range tuples {
+					r.Insert(t)
+				}
+			}
+		})
 	}
 }
 
@@ -75,24 +81,36 @@ func BenchmarkRelationProbe(b *testing.B) {
 	}
 }
 
+// BenchmarkRelationContains probes present tuples (hit) and absent ones
+// (miss, which compares every live slot on its path against the arena) in
+// a scattered order, so at n=1<<20 neither the table nor the arena rows
+// are in cache.
 func BenchmarkRelationContains(b *testing.B) {
-	n := 16384
-	r := NewRelation(2)
-	for _, t := range benchTuples(n) {
-		r.Insert(t)
-	}
-	probe := []Val{0, 0}
-	b.ReportAllocs()
-	b.ResetTimer()
-	hits := 0
-	for i := 0; i < b.N; i++ {
-		probe[0], probe[1] = Val((i%n)/8), Val(i%n)
-		if r.Contains(probe) {
-			hits++
+	for _, n := range []int{16384, 1 << 20} {
+		r := NewRelation(2)
+		for _, t := range benchTuples(n) {
+			r.Insert(t)
 		}
-	}
-	if hits == 0 {
-		b.Fatal("contains found nothing")
+		for _, c := range []struct {
+			name string
+			off  int
+		}{{"hit", 0}, {"miss", n}} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, c.name), func(b *testing.B) {
+				probe := []Val{0, 0}
+				b.ReportAllocs()
+				hits := 0
+				for i := 0; i < b.N; i++ {
+					x := (i * 0x9e3779b1) & (n - 1) // an odd stride permutes 0..n-1
+					probe[0], probe[1] = Val(x/8), Val(x+c.off)
+					if r.Contains(probe) {
+						hits++
+					}
+				}
+				if (hits == 0) != (c.off > 0) {
+					b.Fatalf("%d of %d probes hit", hits, b.N)
+				}
+			})
+		}
 	}
 }
 

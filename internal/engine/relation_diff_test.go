@@ -1,67 +1,81 @@
 package engine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 )
 
 // Differential tests pinning the arena-backed Relation to a trivially
-// correct model: a map-based set plus linear-scan probes. Any divergence in
-// Insert return values, Contains answers, round stamps, or index-probe
-// result sets over randomized tuple streams (duplicate-heavy, with
-// out-of-order round stamps) is a storage-layer bug.
+// correct model: a map-based set plus a map per probed column set. Any divergence in
+// Insert or Delete return values, Contains, findRow or probeFull answers,
+// round stamps, live counts or index-probe result sets over randomized
+// tuple streams (duplicate-heavy, with out-of-order round stamps, deletes
+// and re-inserts) is a storage-layer bug.
 
-// modelRelation is the reference implementation.
+// modelRelation is the reference implementation: the live tuples by key,
+// each with the round it was (last) inserted in, and for each column set
+// it is probed on, the keys of the live tuples under each projection.
 type modelRelation struct {
-	arity  int
-	seen   map[string]int32 // tuple key -> round of first insertion
-	tuples [][]Val
-	rounds []int32
+	live  map[string]int32           // tuple key -> round
+	projs map[string]map[string]bool // projKey(cols, projection) -> tuple keys
+	cols  [][]int
 }
 
-func newModelRelation(arity int) *modelRelation {
-	return &modelRelation{arity: arity, seen: map[string]int32{}}
+func newModelRelation(cols [][]int) *modelRelation {
+	return &modelRelation{live: map[string]int32{}, projs: map[string]map[string]bool{}, cols: cols}
 }
 
-func modelKey(tuple []Val) string { return fmt.Sprint(tuple) }
+// modelKey encodes a tuple as its Val words; projKey prefixes the columns.
+func modelKey(tuple []Val) string {
+	b := make([]byte, 0, 4*len(tuple))
+	for _, v := range tuple {
+		b = binary.LittleEndian.AppendUint32(b, uint32(v))
+	}
+	return string(b)
+}
+
+func projKey(cols []int, key []Val) string {
+	return fmt.Sprint(colMask(cols)) + ":" + modelKey(key)
+}
+
+// project returns tuple's values on cols.
+func project(tuple []Val, cols []int) []Val {
+	key := make([]Val, len(cols))
+	for i, c := range cols {
+		key[i] = tuple[c]
+	}
+	return key
+}
 
 func (m *modelRelation) insertRound(tuple []Val, round int32) bool {
 	k := modelKey(tuple)
-	if _, ok := m.seen[k]; ok {
+	if _, ok := m.live[k]; ok {
 		return false
 	}
-	m.seen[k] = round
-	cp := make([]Val, len(tuple))
-	copy(cp, tuple)
-	m.tuples = append(m.tuples, cp)
-	m.rounds = append(m.rounds, round)
+	m.live[k] = round
+	for _, cols := range m.cols {
+		pk := projKey(cols, project(tuple, cols))
+		if m.projs[pk] == nil {
+			m.projs[pk] = map[string]bool{}
+		}
+		m.projs[pk][k] = true
+	}
 	return true
 }
 
-func (m *modelRelation) contains(tuple []Val) bool {
-	_, ok := m.seen[modelKey(tuple)]
-	return ok
-}
-
-// probe returns the model keys of all tuples matching key on cols.
-func (m *modelRelation) probe(cols []int, key []Val) []string {
-	var out []string
-	for _, t := range m.tuples {
-		match := true
-		for i, c := range cols {
-			if t[c] != key[i] {
-				match = false
-				break
-			}
-		}
-		if match {
-			out = append(out, modelKey(t))
-		}
+func (m *modelRelation) delete(tuple []Val) bool {
+	k := modelKey(tuple)
+	if _, ok := m.live[k]; !ok {
+		return false
 	}
-	sort.Strings(out)
-	return out
+	delete(m.live, k)
+	for _, cols := range m.cols {
+		delete(m.projs[projKey(cols, project(tuple, cols))], k)
+	}
+	return true
 }
 
 // randTuple draws from a small domain so duplicates and probe collisions
@@ -74,108 +88,197 @@ func randTuple(rng *rand.Rand, arity, domain int) []Val {
 	return t
 }
 
-func probeToKeys(r *Relation, positions []int32) []string {
-	out := make([]string, 0, len(positions))
-	for _, pos := range positions {
-		out = append(out, modelKey(r.Tuple(pos)))
-	}
-	sort.Strings(out)
-	return out
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// checkProbe compares an index probe of r on cols with the model: the
+// postings ascend, and their live rows are exactly the model's tuples with
+// that projection (an index keeps the ids of dead rows; round windows
+// filter them).
+func checkProbe(r *Relation, m *modelRelation, cols []int, key []Val) error {
+	want := m.projs[projKey(cols, key)]
+	got := r.Probe(cols, key)
+	live := 0
+	for i, pos := range got {
+		if i > 0 && got[i-1] >= pos {
+			return fmt.Errorf("probe cols=%v key=%v: postings %v do not ascend", cols, key, got)
+		}
+		if r.Round(pos) < 0 {
+			continue
+		}
+		live++
+		if !want[modelKey(r.Tuple(pos))] {
+			return fmt.Errorf("probe cols=%v key=%v returned row %d holding %v, not a live match in the model",
+				cols, key, pos, r.Tuple(pos))
 		}
 	}
-	return true
+	if live != len(want) {
+		return fmt.Errorf("probe cols=%v key=%v: %d live rows, model has %d", cols, key, live, len(want))
+	}
+	return nil
 }
 
-func TestRelationDifferential(t *testing.T) {
-	for _, cfg := range []struct {
-		arity, domain, inserts int
-	}{
-		{1, 8, 200},
-		{2, 6, 800},
-		{3, 5, 1500},
-	} {
-		cfg := cfg
-		t.Run(fmt.Sprintf("arity=%d", cfg.arity), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(42 + cfg.arity)))
-			rel := NewRelation(cfg.arity)
-			model := newModelRelation(cfg.arity)
+// checkMembership compares every membership read of r for tuple with the
+// model: Contains, findRow (the row must hold tuple at the model's round)
+// and probeFull.
+func checkMembership(r *Relation, m *modelRelation, tuple []Val) error {
+	round, ok := m.live[modelKey(tuple)]
+	if got := r.Contains(tuple); got != ok {
+		return fmt.Errorf("Contains(%v) = %v, model %v", tuple, got, ok)
+	}
+	row, found := r.findRow(tuple)
+	if found != ok {
+		return fmt.Errorf("findRow(%v) found %v, model %v", tuple, found, ok)
+	}
+	if found && (!slices.Equal(r.Tuple(row), tuple) || r.Round(row) != round) {
+		return fmt.Errorf("findRow(%v) = row %d holding %v at round %d, model round %d",
+			tuple, row, r.Tuple(row), r.Round(row), round)
+	}
+	into := make([]int32, 1)
+	if got := r.probeFull(tuple, into); (got != nil) != ok || (got != nil && got[0] != row) {
+		return fmt.Errorf("probeFull(%v) = %v, findRow %d/%v", tuple, got, row, found)
+	}
+	return nil
+}
 
-			// Declare some indexes up front and some mid-stream, covering
+// TestRelationDifferential drives two relations of each arity through one
+// random stream of inserts, deletes and re-inserts of deleted tuples, and
+// checks both against the model after every step. The indexed relation
+// deletes with Delete, leaving tombstones in its membership table and dead
+// rows in its arena and postings; the dense one has no index and deletes
+// with the dense remove, which moves the last row into the hole and
+// repoints its membership slot. Each domain holds thousands of tuples, so
+// the tables double many times with tombstones inside their probe chains:
+// a lookup that stopped at a tombstone, a growth that kept a dead row or a
+// repoint that missed would each show as a wrong answer here. Every run
+// draws a fresh seed and a failure prints it.
+func TestRelationDifferential(t *testing.T) {
+	seed := rand.Int63()
+	for _, cfg := range []struct {
+		arity, domain, steps int
+	}{
+		{1, 6000, 12000},
+		{2, 64, 12000},
+		{3, 14, 12000},
+	} {
+		t.Run(fmt.Sprintf("arity=%d", cfg.arity), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed + int64(cfg.arity)))
+			step := 0
+			fail := func(format string, args ...any) {
+				t.Helper()
+				t.Fatalf("seed %d step %d: %s", seed, step, fmt.Sprintf(format, args...))
+			}
+			// Declare some indexes up front and one mid-stream, covering
 			// lazily built and incrementally maintained paths.
-			rel.ensureIndex([]int{0})
-			var indexCols [][]int
-			indexCols = append(indexCols, []int{0})
+			indexCols := [][]int{{0}}
 			if cfg.arity >= 2 {
 				indexCols = append(indexCols, []int{1}, []int{0, 1})
 			}
+			rel, dense := NewRelation(cfg.arity), NewRelation(cfg.arity)
+			for _, cols := range indexCols {
+				rel.ensureIndex(cols)
+			}
+			model := newModelRelation(append(slices.Clone(indexCols), []int{cfg.arity - 1}))
+			rows := 0           // arena rows the model expects rel to hold, dead ones included
+			var deleted [][]Val // tuples deleted so far, drawn from for re-inserts
 
-			for i := 0; i < cfg.inserts; i++ {
+			for ; step < cfg.steps; step++ {
 				// Rounds arrive out of order: semi-naive evaluation stamps
 				// monotonically, but the storage layer must not rely on it.
 				round := int32(rng.Intn(7))
-				tuple := randTuple(rng, cfg.arity, cfg.domain)
-				got := rel.InsertRound(tuple, round)
-				want := model.insertRound(tuple, round)
-				if got != want {
-					t.Fatalf("insert %v round %d: got %v, model %v", tuple, round, got, want)
+				var tuple []Val
+				insert := true
+				switch op := rng.Intn(20); {
+				case op < 11 || rel.Len() == 0:
+					tuple = randTuple(rng, cfg.arity, cfg.domain)
+				case op < 14 && len(deleted) > 0:
+					tuple = slices.Clone(deleted[rng.Intn(len(deleted))])
+				default:
+					insert = false
+					// Delete a tuple some arena row holds, live or dead.
+					tuple = slices.Clone(rel.Tuple(int32(rng.Intn(rel.Len()))))
+					want := model.delete(tuple)
+					if got := rel.Delete(tuple); got != want {
+						fail("Delete(%v) = %v, model %v", tuple, got, want)
+					}
+					if got := dense.remove(tuple); got != want {
+						fail("dense remove(%v) = %v, model %v", tuple, got, want)
+					}
+					if want {
+						deleted = append(deleted, tuple)
+					}
 				}
-				// Mutating the caller's slice must not affect the relation.
-				for j := range tuple {
-					tuple[j] = -99
+				if insert {
+					want := model.insertRound(tuple, round)
+					if got := rel.InsertRound(tuple, round); got != want {
+						fail("insert %v round %d: got %v, model %v", tuple, round, got, want)
+					}
+					if got := dense.InsertRound(tuple, round); got != want {
+						fail("dense insert %v round %d: got %v, model %v", tuple, round, got, want)
+					}
+					if want {
+						rows++
+					}
+					// Mutating the caller's slice must not affect the relation.
+					kept := slices.Clone(tuple)
+					for j := range tuple {
+						tuple[j] = -99
+					}
+					tuple = kept
 				}
 
-				if i == cfg.inserts/2 && cfg.arity >= 2 {
+				if step == cfg.steps/2 && cfg.arity >= 2 {
 					rel.ensureIndex([]int{cfg.arity - 1})
 					indexCols = append(indexCols, []int{cfg.arity - 1})
 				}
 
-				// Periodically cross-check membership, rounds, and probes.
-				if i%16 != 0 {
-					continue
-				}
+				// Check the tuple just touched and a random one.
 				probe := randTuple(rng, cfg.arity, cfg.domain)
-				if got, want := rel.Contains(probe), model.contains(probe); got != want {
-					t.Fatalf("contains %v: got %v, model %v", probe, got, want)
+				for _, r := range []*Relation{rel, dense} {
+					for _, tup := range [][]Val{tuple, probe} {
+						if err := checkMembership(r, model, tup); err != nil {
+							fail("%v", err)
+						}
+					}
+					if r.Live() != len(model.live) {
+						fail("Live = %d, model has %d", r.Live(), len(model.live))
+					}
+				}
+				if rel.Len() != rows || dense.Len() != len(model.live) {
+					fail("Len = %d and dense %d, model %d arena rows and %d facts",
+						rel.Len(), dense.Len(), rows, len(model.live))
 				}
 				for _, cols := range indexCols {
-					key := make([]Val, len(cols))
-					for k, c := range cols {
-						key[k] = probe[c]
+					if err := checkProbe(rel, model, cols, project(probe, cols)); err != nil {
+						fail("%v", err)
 					}
-					got := probeToKeys(rel, rel.Probe(cols, key))
-					want := model.probe(cols, key)
-					if !equalStrings(got, want) {
-						t.Fatalf("probe cols=%v key=%v:\n got  %v\n want %v", cols, key, got, want)
-					}
+				}
+			}
+			// The stream must have done what it is for: many deletes, tables
+			// grown past a few doublings, and tombstones still in them.
+			for _, ts := range []*tupleSet{&rel.present, &dense.present} {
+				if len(deleted) < cfg.steps/10 || len(ts.slots) < 2048 || ts.used-ts.n < 50 {
+					fail("%d deletes, %d slots holding %d tombstones: too few to test growth and tombstones",
+						len(deleted), len(ts.slots), ts.used-ts.n)
 				}
 			}
 
-			// Full sweep: every model tuple present with the right stamp,
-			// relation enumeration matches the model set exactly.
-			if rel.Len() != len(model.tuples) {
-				t.Fatalf("Len = %d, model has %d", rel.Len(), len(model.tuples))
-			}
-			for pos := int32(0); pos < int32(rel.Len()); pos++ {
-				tup := rel.Tuple(pos)
-				k := modelKey(tup)
-				round, ok := model.seen[k]
-				if !ok {
-					t.Fatalf("relation holds %v, model does not", tup)
-				}
-				if rel.Round(pos) != round {
-					t.Fatalf("round of %v: got %d, model %d", tup, rel.Round(pos), round)
-				}
-				if !rel.Contains(tup) {
-					t.Fatalf("relation does not Contain its own tuple %v", tup)
+			// Full sweep: every live row of either relation is a model fact
+			// at its stamp and is found at its own row, and the dense
+			// relation holds no dead row.
+			for _, r := range []*Relation{rel, dense} {
+				for pos := int32(0); pos < int32(r.Len()); pos++ {
+					if r.Round(pos) < 0 {
+						if r == dense {
+							fail("dense relation holds a dead row at %d", pos)
+						}
+						continue
+					}
+					tup := r.Tuple(pos)
+					round, ok := model.live[modelKey(tup)]
+					if !ok || round != r.Round(pos) {
+						fail("row %d holds %v at round %d; model has it: %v at round %d", pos, tup, r.Round(pos), ok, round)
+					}
+					if row, _ := r.findRow(tup); row != pos {
+						fail("findRow(%v) = %d, want its row %d", tup, row, pos)
+					}
 				}
 			}
 		})

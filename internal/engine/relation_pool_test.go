@@ -216,6 +216,39 @@ func TestMaterializeAllocsFlatInWaves(t *testing.T) {
 	}
 }
 
+// TestHeadMembershipBytesPerFact pins what a materialized fact costs in
+// its head's membership table: a slot is a 4-byte row id, and the table's
+// load is at least 3/8 (just after a doubling at 3/4), so a fact costs at
+// most 4 / (3/8) < 11 bytes. The factored chain closure's heads are unary
+// and keep no column index, so the table is all the index bytes they have.
+// Reach 1538 puts every head just past a doubling, where the load is lowest.
+func TestHeadMembershipBytesPerFact(t *testing.T) {
+	prog := parser.MustParseProgram(chainRewrites["factored+opt"])
+	for _, n := range []int{1000, 1538} {
+		m, err := Materialize(prog, chainFacts(t, n), MaterializeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reach := m.DB().Count("m_t_bf"); reach != n {
+			t.Fatalf("the build reaches %d nodes, want %d", reach, n)
+		}
+		for _, p := range m.prog.preds {
+			if !p.idb {
+				continue
+			}
+			rel := m.DB().Lookup(p.name)
+			_, indexBytes, _, _, nIndexes := rel.StorageFootprint()
+			if nIndexes != 0 {
+				t.Fatalf("reach %d: head %s keeps %d column indexes, want none", n, p.name, nIndexes)
+			}
+			if perFact := float64(indexBytes) / float64(rel.Live()); perFact > 11 {
+				t.Errorf("reach %d: head %s's membership table costs %.1f bytes per fact (%d bytes, %d facts), want at most 11",
+					n, p.name, perFact, indexBytes, rel.Live())
+			}
+		}
+	}
+}
+
 // TestFullKeyProbeBuildsNoIndex: a literal bound on every column probes the
 // membership table — under Eval, a materialization build and its
 // maintenance — so no index is planned, built or maintained for it, while

@@ -52,8 +52,11 @@ type StorageStats struct {
 	// ArenaBytes is the capacity of the columnar tuple arenas (tuple words
 	// plus round stamps) across all relations.
 	ArenaBytes int64 `json:"arena_bytes"`
-	// IndexBytes covers the membership tables, column-index tables, and
-	// index postings.
+	// IndexBytes covers the membership tables (4 bytes a slot: a row id,
+	// confirmed against the arena, with no stored hash), the column-index
+	// tables (a 64-bit key hash and a bucket id a slot, the hash kept
+	// because index probes are the join's hottest path), and index
+	// postings.
 	IndexBytes int64 `json:"index_bytes"`
 	// Indexes counts column indexes across all relations.
 	Indexes int `json:"indexes"`
