@@ -644,9 +644,5 @@ func (m *Materialized) BaseCount() int { return m.mat.BaseCount() }
 // Answers returns the query's current answers, sorted, in the same
 // projected "(v1,...,vk)" rendering Run produces.
 func (m *Materialized) Answers() ([]string, error) {
-	set, err := m.sys.pl.ProjectAnswers(m.mat.DB(), m.query, m.transformed)
-	if err != nil {
-		return nil, err
-	}
-	return pipeline.SortedAnswers(&pipeline.RunResult{Answers: set}), nil
+	return m.sys.pl.ProjectSorted(m.mat.DB(), m.query, m.transformed)
 }

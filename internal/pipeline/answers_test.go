@@ -82,9 +82,9 @@ e(1,[]). e(2,[a,'B'|c]). e('It''s',g(h,[1,2])). e('',x).`)
 }
 
 // TestAnswerStringsMatchReference: for every case, query and strategy that
-// compiles, SortedAnswers of a run equals the reference path over the same
-// database; tabled answers, which render through ast.Term, equal the
-// semi-naive reference.
+// compiles, SortedAnswers of a run and ProjectSorted over its database
+// equal the reference path over the same database; tabled answers, which
+// render through ast.Term, equal the semi-naive reference.
 func TestAnswerStringsMatchReference(t *testing.T) {
 	budget := engine.Options{MaxFacts: 20_000}
 	runs, proofs := 0, 0
@@ -129,6 +129,10 @@ func TestAnswerStringsMatchReference(t *testing.T) {
 				if got := SortedAnswers(res); !reflect.DeepEqual(got, ref) {
 					t.Errorf("%s: %q, reference %q", where, got, ref)
 				}
+				_, aq, transformed, _ := pl.MaterializedProgram(s)
+				if got, err := pl.ProjectSorted(db, aq, transformed); err != nil || !reflect.DeepEqual(got, ref) {
+					t.Errorf("%s: sorted read %q (%v), reference %q", where, got, err, ref)
+				}
 				if s == SemiNaive {
 					want = ref
 				}
@@ -141,8 +145,8 @@ func TestAnswerStringsMatchReference(t *testing.T) {
 }
 
 // TestAnswerStringsSkipDeadRows: materializations maintained through random
-// assert/retract batches hold dead rows; every serve's answers equal the
-// reference read of the entry's own database.
+// assert/retract batches hold dead rows; every read's sorted answers equal
+// the reference read of the entry's own database.
 func TestAnswerStringsSkipDeadRows(t *testing.T) {
 	prog := parser.MustParseProgram(`
 t(X, Y) :- e(X, W), t(W, Y).
@@ -175,7 +179,7 @@ two(X, Z) :- e(X, Y), e(Y, Z).
 				if !MaterializableStrategy(s) {
 					continue
 				}
-				res, err := m.Serve(context.Background(), q, s)
+				res, err := m.Read(context.Background(), q, s)
 				if err != nil {
 					continue // a rewrite that does not apply to q
 				}
@@ -185,9 +189,8 @@ two(X, Z) :- e(X, Y), e(Y, Z).
 				if rel := db.Lookup(query.Pred); rel != nil && rel.Len() > rel.Live() {
 					dead++
 				}
-				got := SortedAnswers(&RunResult{Answers: res.Answers})
-				if ref := referenceAnswers(t, db, query, cols); !reflect.DeepEqual(got, ref) {
-					t.Fatalf("batch %d %s %s (%s): %q, reference %q", batch, q, s, res.Kind, got, ref)
+				if ref := referenceAnswers(t, db, query, cols); !reflect.DeepEqual(res.Sorted, ref) {
+					t.Fatalf("batch %d %s %s (%s): %q, reference %q", batch, q, s, res.Kind, res.Sorted, ref)
 				}
 			}
 		}

@@ -26,7 +26,7 @@ import (
 // time). Each refresh disposition, its wall time, and its O(change)/O(db)
 // ratio feed obsv.MutationStats.
 
-// ErrNotMaterializable reports a Serve for a strategy with no materialized
+// ErrNotMaterializable reports a Read for a strategy with no materialized
 // program (the top-down strategies). Gate with MaterializableStrategy.
 var ErrNotMaterializable = errors.New("strategy is not materializable")
 
@@ -56,9 +56,14 @@ type BatchResult struct {
 // Changed reports whether the batch changed the base EDB.
 func (r BatchResult) Changed() bool { return r.Asserted+r.Retracted > 0 }
 
-// MatResult is one materialized serve: the answers at the epoch they
+// MatResult is one materialized read: the answers at the epoch they
 // reflect, plus how the entry was brought there.
 type MatResult struct {
+	// Sorted is the answers, sorted. It may be the entry's kept list,
+	// shared with every later hit: read-only.
+	Sorted []string
+	// Answers is the same answers as a set, built by Serve only (Read
+	// leaves it nil) for callers that still range over a set.
 	Answers map[string]bool
 	// Epoch is the mutation epoch the answers reflect.
 	Epoch int64
@@ -118,11 +123,15 @@ type matEntry struct {
 	// matProgram is what a build runs: the shape's compiled program, the
 	// query's constants to bind into it, and the answer atom.
 	matProgram
-	pl   *Pipeline // reads the answers (ProjectAnswers)
+	pl   *Pipeline // reads the answers (ProjectSorted)
 	elem *list.Element
 
 	mu  sync.Mutex
 	mat *engine.Materialization // guarded by mu; nil until the first build succeeds
+	// sorted is mat's sorted answers, guarded by mu: kept by a read whose
+	// refresh was a hit, returned as is by later hits, dropped by every
+	// other refresh (failed ones included). Shared and read-only once kept.
+	sorted []string
 }
 
 // Materializer owns the base image and the materialization registry.
@@ -261,7 +270,7 @@ func (m *Materializer) BaseSnapshot() ([]ast.Atom, int64) {
 // version together with its log entry; a batch of pure noops changes
 // nothing, and a batch that cannot be made durable is never published.
 // Registered materializations are not touched — they catch up lazily on
-// their next Serve.
+// their next Read.
 func (m *Materializer) Apply(assert, retract []ast.Atom) (BatchResult, error) {
 	for _, a := range assert {
 		if err := m.checkAtom(a); err != nil {
@@ -308,13 +317,29 @@ func (m *Materializer) Apply(assert, retract []ast.Atom) (BatchResult, error) {
 	return res, nil
 }
 
-// Serve answers query under strategy from the registry, refreshing (or
-// building) the entry to the current epoch first. The compiled plan comes
-// from the shared plan cache, so materialized serving keeps the plan-cache
-// counters meaningful. ctx bounds the refresh, builds included: a deadline
-// or cancellation stops it with the engine's typed errors, a half-built
-// entry is discarded, and the next Serve builds again.
+// Serve is Read plus the answers as a set in MatResult.Answers, for
+// callers that range over a set (the benchmark's layer pass).
 func (m *Materializer) Serve(ctx context.Context, query ast.Atom, strategy Strategy) (*MatResult, error) {
+	res, err := m.Read(ctx, query, strategy)
+	if err != nil {
+		return nil, err
+	}
+	res.Answers = make(map[string]bool, len(res.Sorted))
+	for _, a := range res.Sorted {
+		res.Answers[a] = true
+	}
+	return res, nil
+}
+
+// Read answers query under strategy from the registry, refreshing (or
+// building) the entry to the current epoch first, and returns the answers
+// sorted in MatResult.Sorted. A hit at an unchanged state returns the list
+// the previous hit kept, rendering and sorting nothing. The compiled plan
+// comes from the shared plan cache, so materialized serving keeps the
+// plan-cache counters meaningful. ctx bounds the refresh, builds included:
+// a deadline or cancellation stops it with the engine's typed errors, a
+// half-built entry is discarded, and the next Read builds again.
+func (m *Materializer) Read(ctx context.Context, query ast.Atom, strategy Strategy) (*MatResult, error) {
 	if !MaterializableStrategy(strategy) {
 		return nil, fmt.Errorf("%w: %v", ErrNotMaterializable, strategy)
 	}
@@ -354,19 +379,36 @@ func (m *Materializer) Serve(ctx context.Context, query ast.Atom, strategy Strat
 	target, log := m.base.Current(), m.log
 	m.mu.Unlock()
 
+	res, err := m.read(ctx, e, target, log)
+	if err != nil {
+		return nil, err
+	}
+	res.PlanHit = planHit
+	return res, nil
+}
+
+// read refreshes e to target (see refresh) and reads its sorted answers.
+func (m *Materializer) read(ctx context.Context, e *matEntry, target *engine.Version, log []MutationBatch) (*MatResult, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	rf, err := m.refresh(ctx, e, target, log)
 	if err != nil {
 		return nil, err
 	}
-	answers, err := e.pl.ProjectAnswers(e.mat.DB(), e.query, e.transformed)
-	if err != nil {
-		return nil, err
+	sorted := e.sorted
+	if sorted == nil {
+		if sorted, err = e.pl.ProjectSorted(e.mat.DB(), e.query, e.transformed); err != nil {
+			return nil, err
+		}
+		// Kept on a hit only, so an entry read once at each state (a cold
+		// shape, or one behind every write) holds no copy of its answers.
+		if rf.kind == "hit" {
+			e.sorted = sorted
+		}
 	}
 	m.record(rf, e.mat.DB().TotalFacts())
-	return &MatResult{Answers: answers, Epoch: e.mat.Epoch(), Kind: rf.kind,
-		Batches: rf.batches, RefreshWall: rf.wall, PlanHit: planHit}, nil
+	return &MatResult{Sorted: sorted, Epoch: e.mat.Epoch(), Kind: rf.kind,
+		Batches: rf.batches, RefreshWall: rf.wall}, nil
 }
 
 // refreshed describes one successful refresh.
@@ -402,18 +444,20 @@ func (m *Materializer) record(rf refreshed, total int) {
 	}
 }
 
-// refresh brings e to target's epoch (or leaves it where a racing Serve
+// refresh brings e to target's epoch (or leaves it where a racing Read
 // already took it, if that is later); the caller holds e.mu. log is the
-// registry's batch log as of target. A failed refresh leaves the entry's
-// materialization dirty (or absent), so the next Serve rebuilds; the base
+// registry's batch log as of target. Any refresh but a hit drops the kept
+// sorted answers before it starts. A failed refresh leaves the entry's
+// materialization dirty (or absent), so the next Read rebuilds; the base
 // image is never affected.
 func (m *Materializer) refresh(ctx context.Context, e *matEntry, target *engine.Version, log []MutationBatch) (rf refreshed, err error) {
 	if e.mat != nil && !e.mat.Dirty() && e.mat.Epoch() >= target.Epoch() {
 		return refreshed{kind: "hit"}, nil
 	}
+	e.sorted = nil
 	defer func() {
 		// The MatRefresh fault and any maintenance panic surface here as a
-		// typed internal error; the dirty entry rebuilds on the next Serve.
+		// typed internal error; the dirty entry rebuilds on the next Read.
 		if r := recover(); r != nil {
 			err = &engine.PanicError{Where: "refresh", Value: r, Stack: debug.Stack()}
 		}

@@ -360,10 +360,7 @@ func (pl *Pipeline) runTopDown(s Strategy, eval evaluator, db *engine.DB, parent
 // matching the original query are projected onto its free positions — the
 // answer shape every strategy shares.
 func (pl *Pipeline) ProjectAnswers(db *engine.DB, query ast.Atom, transformed bool) (map[string]bool, error) {
-	if transformed {
-		return engine.AnswerSet(db, query)
-	}
-	answers, err := engine.AnswerStrings(db, pl.Query, pl.freePositions())
+	answers, err := pl.answerStrings(db, query, transformed)
 	if err != nil {
 		return nil, err
 	}
@@ -372,6 +369,32 @@ func (pl *Pipeline) ProjectAnswers(db *engine.DB, query ast.Atom, transformed bo
 		out[a] = true
 	}
 	return out, nil
+}
+
+// ProjectSorted reads the answers ProjectAnswers reads as one sorted
+// list, never nil, without building a set: distinct tuples render
+// distinct answers, so the list holds no duplicates.
+func (pl *Pipeline) ProjectSorted(db *engine.DB, query ast.Atom, transformed bool) ([]string, error) {
+	answers, err := pl.answerStrings(db, query, transformed)
+	if err != nil {
+		return nil, err
+	}
+	sort.Strings(answers)
+	return answers, nil
+}
+
+// answerStrings renders the answers in relation order: a rewritten
+// program's whole answer tuples, or the source program's tuples that match
+// the original query projected on its free positions.
+func (pl *Pipeline) answerStrings(db *engine.DB, query ast.Atom, transformed bool) ([]string, error) {
+	if !transformed {
+		return engine.AnswerStrings(db, pl.Query, pl.freePositions())
+	}
+	cols := make([]int, len(query.Args))
+	for i := range cols {
+		cols[i] = i
+	}
+	return engine.AnswerStrings(db, query, cols)
 }
 
 func (pl *Pipeline) freePositions() []int {

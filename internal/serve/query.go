@@ -319,12 +319,13 @@ func (s *Server) Query(ctx context.Context, req Request) (resp Response, err err
 		// incrementally-maintained registry, which refreshes the entry to
 		// the current epoch first (see internal/pipeline.Materializer).
 		// EXPLAIN and streaming requests ask about a specific evaluation
-		// and always run it.
-		mres, err := s.Mat.Serve(ctx, query, strategy)
+		// and always run it. The answers come sorted, and on a hit they are
+		// the entry's kept list, encoded as is.
+		mres, err := s.Mat.Read(ctx, query, strategy)
 		if err != nil {
 			return resp, err
 		}
-		res.Answers, res.EvalWall = mres.Answers, mres.RefreshWall
+		resp.Answers, res.EvalWall = mres.Sorted, mres.RefreshWall
 		resp.PlanCache, resp.Epoch = cacheLabel(mres.PlanHit), mres.Epoch
 		resp.Materialized, resp.RefreshWallNS = mres.Kind, mres.RefreshWall.Nanoseconds()
 	} else {
@@ -379,7 +380,9 @@ func (s *Server) Query(ctx context.Context, req Request) (resp Response, err err
 	s.recordTrace(tc, traced, total, resp.Strategy, resp.Materialized)
 	s.observe(strategy.String(), total, nil)
 
-	resp.Answers = pipeline.SortedAnswers(&res)
+	if resp.Answers == nil { // an evaluation's answer set, sorted here
+		resp.Answers = pipeline.SortedAnswers(&res)
+	}
 	resp.AnswerCount = len(resp.Answers)
 	resp.Facts, resp.Inferences, resp.Iterations = res.Facts, res.Inferences, res.Iterations
 	resp.EvalWallNS, resp.TotalWallNS = res.EvalWall.Nanoseconds(), total.Nanoseconds()

@@ -269,3 +269,26 @@ func TestCompactJSON(t *testing.T) {
 		t.Errorf("HTTP body decodes to %+v, Query returned %+v", got, want)
 	}
 }
+
+// TestEmptyAnswersEncodeAsList: a query with no answers encodes
+// "answers":[], never null, whether its materialization was just built or
+// is read again as a hit.
+func TestEmptyAnswersEncodeAsList(t *testing.T) {
+	_, ts := newTestServer(t, true)
+	for _, kind := range []string{"build", "hit", "hit"} {
+		resp, err := http.Get(ts.URL + "/query?" + url.Values{"q": {"t(99,Y)"}}.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body bytes.Buffer
+		_, err = body.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := body.String()
+		if !strings.Contains(raw, `"answers":[],`) || !strings.Contains(raw, `"materialized":"`+kind+`"`) {
+			t.Errorf("want a %s with \"answers\":[], got %s", kind, raw)
+		}
+	}
+}
