@@ -183,7 +183,7 @@ two(X, Z) :- e(X, Y), e(Y, Z).
 				if err != nil {
 					continue // a rewrite that does not apply to q
 				}
-				e := m.entries[q.CanonicalKey()+"|"+s.String()]
+				e := m.entries[matKey{q.CanonicalKey(), s}]
 				db := e.mat.DB()
 				query, cols := answerSource(t, e.pl, s)
 				if rel := db.Lookup(query.Pred); rel != nil && rel.Len() > rel.Live() {

@@ -40,7 +40,7 @@ func entryProgram(t *testing.T, m *Materializer, query ast.Atom, s Strategy) *en
 	t.Helper()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	e := m.entries[query.CanonicalKey()+"|"+s.String()]
+	e := m.entries[matKey{query.CanonicalKey(), s}]
 	if e == nil {
 		t.Fatalf("no registry entry for %s %v", query, s)
 	}

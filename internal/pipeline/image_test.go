@@ -377,7 +377,7 @@ func TestMaterializerEntriesHoldTheirSlice(t *testing.T) {
 	entryDB := func(m *Materializer, query ast.Atom, s Strategy) *engine.DB {
 		m.mu.Lock()
 		defer m.mu.Unlock()
-		return m.entries[query.CanonicalKey()+"|"+s.String()].mat.DB()
+		return m.entries[matKey{query.CanonicalKey(), s}].mat.DB()
 	}
 	query := mustAtom(t, "t(1, Y)")
 	for _, s := range []Strategy{Magic, FactoredOptimized} {

@@ -33,7 +33,9 @@ func naiveSorted(t *testing.T, p *ast.Program, query ast.Atom, base []ast.Atom) 
 // failed by the MatRefresh fault and by a deadline — reading twice after
 // each, so a hit keeps the list and the next one returns it. Every read
 // must equal naive evaluation at its epoch; a list kept across any
-// refresh but a hit reads stale answers here.
+// refresh but a hit reads stale answers here. The answers are numbers, so
+// a kept list is plain (JSONPlain); its flag must be set exactly while the
+// entry keeps it.
 func TestKeptAnswersMatchNaive(t *testing.T) {
 	p, err := parser.ParseProgram(rlTCSrc)
 	if err != nil {
@@ -62,6 +64,10 @@ func TestKeptAnswersMatchNaive(t *testing.T) {
 				}
 				if res.Sorted == nil {
 					t.Errorf("%s (%s): nil answers", stage, res.Kind)
+				}
+				e := m.entries[matKey{query.CanonicalKey(), s}]
+				if kept := e.sorted != nil; kept != (kind == "hit") || e.plain != kept || res.Plain != kept {
+					t.Errorf("%s (%s): kept %v, entry plain %v, read plain %v", stage, res.Kind, kept, e.plain, res.Plain)
 				}
 			}
 			// hits reads twice at an unchanged state: the first hit keeps
@@ -116,6 +122,9 @@ func TestKeptAnswersMatchNaive(t *testing.T) {
 			disable()
 			if !errors.Is(err, engine.ErrInternal) {
 				t.Fatalf("faulted read: err = %v, want ErrInternal", err)
+			}
+			if e := m.entries[matKey{query.CanonicalKey(), s}]; e.sorted != nil || e.plain {
+				t.Errorf("faulted read kept %q, plain %v", e.sorted, e.plain)
 			}
 			read("after a fault", "delta")
 			hits("after a fault")
@@ -173,12 +182,15 @@ func TestKeptAnswersDroppedByAFailedRefresh(t *testing.T) {
 			}
 			v1, log1 := pin(edgeAtoms(t, [2]int{2, 3}))
 			v2, log2 := pin(edgeAtoms(t, [2]int{3, 4}))
-			e := m.entries[query.CanonicalKey()+"|"+s.String()]
+			e := m.entries[matKey{query.CanonicalKey(), s}]
 
 			// The second batch fails validation before it changes anything.
 			bad := []MutationBatch{log2[0], {Epoch: v2.Epoch(), Assert: matFacts(t, "e(1, 2, 3)")}}
 			if _, err := m.read(ctx, e, v2, bad); !errors.Is(err, engine.ErrMutation) {
 				t.Fatalf("refresh over a bad batch: err = %v, want ErrMutation", err)
+			}
+			if e.sorted != nil || e.plain {
+				t.Errorf("failed refresh kept %q, plain %v", e.sorted, e.plain)
 			}
 			if e.mat.Epoch() != v1.Epoch() || e.mat.Dirty() {
 				t.Fatalf("failed refresh left the entry at epoch %d (dirty %v), want clean at %d",
@@ -192,6 +204,60 @@ func TestKeptAnswersDroppedByAFailedRefresh(t *testing.T) {
 				t.Errorf("%s at epoch %d: read %q, naive %q", res.Kind, res.Epoch, res.Sorted, want)
 			}
 		})
+	}
+}
+
+// TestKeptListNotPlainWithEscapedAnswer: a kept list with an answer
+// encoding/json must escape is kept with its flag false, on every hit.
+func TestKeptListNotPlainWithEscapedAnswer(t *testing.T) {
+	p, err := parser.ParseProgram(rlTCSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge := func(x, y string) ast.Atom { return ast.Atom{Pred: "e", Args: []ast.Term{ast.C(x), ast.C(y)}} }
+	query := mustAtom(t, "t(1, Y)")
+	for _, odd := range []string{`a<b"c`, "é", `x\y`, "tab\t", "\u2028", "\xff"} {
+		m, err := NewMaterializer(p, nil, []ast.Atom{edge("1", "2"), edge("2", odd)}, nil, MaterializerOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range []string{"build", "hit", "hit"} {
+			res, err := m.Read(context.Background(), query, FactoredOptimized)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := m.entries[matKey{query.CanonicalKey(), FactoredOptimized}]
+			if res.Kind != kind || len(res.Sorted) != 2 || res.Plain || e.plain || (kind == "hit") != (e.sorted != nil) {
+				t.Errorf("%q: %s %q, read plain %v, entry plain %v, kept %v", odd, res.Kind, res.Sorted, res.Plain, e.plain, e.sorted != nil)
+			}
+		}
+	}
+}
+
+// TestJSONPlain: a plain string encodes as itself between quotes, and each
+// class of byte encoding/json escapes or replaces makes a string not plain.
+func TestJSONPlain(t *testing.T) {
+	for _, s := range []string{"", "(6)", "('a b')", "('it''s')", "q-0a1b2c3d-42", "~\x7f"} {
+		if b, _ := json.Marshal(s); !JSONPlain(s) || string(b) != `"`+s+`"` {
+			t.Errorf("%q: JSONPlain %v, encodes %s", s, JSONPlain(s), b)
+		}
+	}
+	for _, s := range []string{"\x00", "\x1f", "\t", `"`, `\`, "<", ">", "&", "é", "\u2028", "\u2029", "\xff", "\xc3"} {
+		if JSONPlain("(6)", "(a"+s+"b)") {
+			t.Errorf("%q: JSONPlain", s)
+		}
+	}
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 10000; i++ {
+		b := make([]byte, r.Intn(6))
+		for j := range b {
+			b[j] = byte(r.Intn(256))
+		}
+		if s := string(b); JSONPlain(s) {
+			if enc, _ := json.Marshal(s); string(enc) != `"`+s+`"` {
+				t.Fatalf("%q is plain but encodes %s", s, enc)
+			}
+		}
 	}
 }
 

@@ -62,6 +62,10 @@ type MatResult struct {
 	// Sorted is the answers, sorted. It may be the entry's kept list,
 	// shared with every later hit: read-only.
 	Sorted []string
+	// Plain reports that Sorted is a kept list none of whose answers needs
+	// JSON escaping (JSONPlain), decided once when the entry kept it. False
+	// says nothing: the list was not kept, or an answer needs escaping.
+	Plain bool
 	// Answers is the same answers as a set, built by Serve only (Read
 	// leaves it nil) for callers that still range over a set.
 	Answers map[string]bool
@@ -119,7 +123,7 @@ type MaterializerOptions struct {
 // and the answer read that follows it, so two requests for one shape
 // serialize while requests for different shapes do not.
 type matEntry struct {
-	key string
+	key matKey
 	// matProgram is what a build runs: the shape's compiled program, the
 	// query's constants to bind into it, and the answer atom.
 	matProgram
@@ -132,6 +136,16 @@ type matEntry struct {
 	// refresh was a hit, returned as is by later hits, dropped by every
 	// other refresh (failed ones included). Shared and read-only once kept.
 	sorted []string
+	// plain is JSONPlain(sorted), decided when sorted is kept and dropped
+	// with it.
+	plain bool
+}
+
+// matKey identifies a registry entry: the query's canonical key (the one
+// its plan was cached under) and the strategy.
+type matKey struct {
+	canon    string
+	strategy Strategy
 }
 
 // Materializer owns the base image and the materialization registry.
@@ -157,7 +171,7 @@ type Materializer struct {
 
 	mu      sync.Mutex
 	log     []MutationBatch // consecutive epochs ending at the current version's; re-sliced, never overwritten
-	entries map[string]*matEntry
+	entries map[matKey]*matEntry
 	order   *list.List // front = most recently served
 
 	batches, asserted, retracted    int64
@@ -215,7 +229,7 @@ func NewMaterializerOn(prog *ast.Program, constraints []ast.Rule, image *engine.
 		plans:       plans,
 		arity:       arity,
 		base:        image,
-		entries:     map[string]*matEntry{},
+		entries:     map[matKey]*matEntry{},
 		order:       list.New(),
 		opts:        opts,
 		refreshWall: obsv.NewHistogram(),
@@ -348,7 +362,7 @@ func (m *Materializer) Read(ctx context.Context, query ast.Atom, strategy Strate
 		return nil, err
 	}
 
-	key := query.CanonicalKey() + "|" + strategy.String()
+	key := matKey{plan.canon, strategy}
 	m.mu.Lock()
 	e := m.entries[key]
 	if e == nil {
@@ -395,19 +409,27 @@ func (m *Materializer) read(ctx context.Context, e *matEntry, target *engine.Ver
 	if err != nil {
 		return nil, err
 	}
-	sorted := e.sorted
+	sorted, plain := e.sorted, e.plain
 	if sorted == nil {
 		if sorted, err = e.pl.ProjectSorted(e.mat.DB(), e.query, e.transformed); err != nil {
 			return nil, err
 		}
 		// Kept on a hit only, so an entry read once at each state (a cold
 		// shape, or one behind every write) holds no copy of its answers.
+		// Its JSON safety is decided here, once for every later hit.
 		if rf.kind == "hit" {
-			e.sorted = sorted
+			plain = JSONPlain(sorted...)
+			e.sorted, e.plain = sorted, plain
 		}
 	}
-	m.record(rf, e.mat.DB().TotalFacts())
-	return &MatResult{Sorted: sorted, Epoch: e.mat.Epoch(), Kind: rf.kind,
+	// A hit changes nothing, so it folds no change ratio: the entry's facts
+	// are counted for other refreshes only.
+	total := 0
+	if rf.kind != "hit" {
+		total = e.mat.DB().TotalFacts()
+	}
+	m.record(rf, total)
+	return &MatResult{Sorted: sorted, Plain: plain, Epoch: e.mat.Epoch(), Kind: rf.kind,
 		Batches: rf.batches, RefreshWall: rf.wall}, nil
 }
 
@@ -447,14 +469,14 @@ func (m *Materializer) record(rf refreshed, total int) {
 // refresh brings e to target's epoch (or leaves it where a racing Read
 // already took it, if that is later); the caller holds e.mu. log is the
 // registry's batch log as of target. Any refresh but a hit drops the kept
-// sorted answers before it starts. A failed refresh leaves the entry's
-// materialization dirty (or absent), so the next Read rebuilds; the base
-// image is never affected.
+// sorted answers, and their JSON safety, before it starts. A failed
+// refresh leaves the entry's materialization dirty (or absent), so the
+// next Read rebuilds; the base image is never affected.
 func (m *Materializer) refresh(ctx context.Context, e *matEntry, target *engine.Version, log []MutationBatch) (rf refreshed, err error) {
 	if e.mat != nil && !e.mat.Dirty() && e.mat.Epoch() >= target.Epoch() {
 		return refreshed{kind: "hit"}, nil
 	}
-	e.sorted = nil
+	e.sorted, e.plain = nil, false
 	defer func() {
 		// The MatRefresh fault and any maintenance panic surface here as a
 		// typed internal error; the dirty entry rebuilds on the next Read.

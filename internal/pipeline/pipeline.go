@@ -502,6 +502,32 @@ func ProfileTable(r *RunResult, tc *trace.Context) string {
 	return b.String()
 }
 
+// JSONPlain reports whether every string encodes as JSON by quoting alone.
+// A string is not plain if it holds a byte encoding/json escapes by
+// default (a control byte, '"', '\\', '<', '>', '&') or any byte >= 0x80,
+// which covers invalid UTF-8 and U+2028/U+2029.
+func JSONPlain(strs ...string) bool {
+	for _, s := range strs {
+		for i := 0; i < len(s); i++ {
+			if !jsonPlainByte[s[i]] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// jsonPlainByte marks the bytes JSONPlain lets through.
+var jsonPlainByte = func() (t [256]bool) {
+	for b := 0x20; b < 0x80; b++ {
+		t[b] = true
+	}
+	for _, b := range `"\<>&` {
+		t[b] = false
+	}
+	return t
+}()
+
 // SortedAnswers renders a run's answers sorted, for display.
 func SortedAnswers(r *RunResult) []string {
 	out := make([]string, 0, len(r.Answers))

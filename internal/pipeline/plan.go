@@ -53,7 +53,11 @@ type Plan struct {
 	// into the compiled template after that.
 	CompileWall time.Duration
 
-	pl *Pipeline
+	// canon is Query's canonical key (ast.Atom.CanonicalKey), computed once
+	// by the lookup that cached the plan; the materialization registry keys
+	// its entries on it too.
+	canon string
+	pl    *Pipeline
 }
 
 // Pipeline returns the plan's underlying pipeline (for Explain-style
@@ -240,7 +244,7 @@ func (c *PlanCache) Lookup(ctx context.Context, prog *ast.Program, progHash stri
 	c.mu.Unlock()
 
 	sh := shapeOf(query, prog, constraints)
-	e.plan, hit, e.err = buildPlan(ctx, c.template(prog, progHash, constraints, sh), query, sh.params, key, strategy)
+	e.plan, hit, e.err = buildPlan(ctx, c.template(prog, progHash, constraints, sh), query, sh.params, id, strategy)
 	c.mu.Lock()
 	if hit {
 		c.hits++
@@ -281,7 +285,8 @@ func (c *PlanCache) template(prog *ast.Program, progHash string, constraints []a
 // becomes a typed engine.ErrInternal instead of killing the process. hit
 // reports that no rewrite ran: the template had compiled the strategy.
 func buildPlan(ctx context.Context, tmpl *Pipeline, query ast.Atom, params []ast.Term,
-	key PlanKey, strategy Strategy) (plan *Plan, hit bool, err error) {
+	id cacheID, strategy Strategy) (plan *Plan, hit bool, err error) {
+	key := id.key
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("%w: panic compiling %s plan for %s%s: %v",
@@ -299,7 +304,7 @@ func buildPlan(ctx context.Context, tmpl *Pipeline, query ast.Atom, params []ast
 		return nil, false, fmt.Errorf("compile %s for %s%s: %w", strategy, query.Pred, key.Adornment, cerr)
 	}
 	return &Plan{Key: key, Binding: BindingOf(query), Query: query,
-		CompileWall: time.Since(start), pl: pl}, !ran, nil
+		CompileWall: time.Since(start), canon: id.canon, pl: pl}, !ran, nil
 }
 
 // typedCtxErr maps a done context to the engine's typed sentinels so HTTP

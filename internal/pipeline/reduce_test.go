@@ -121,7 +121,7 @@ func TestAutoServesReducedClosure(t *testing.T) {
 		if want := reachBack(t, db, fmt.Sprint(k)); len(res.Answers) != len(want) {
 			t.Errorf("%s: %d answers, BFS finds %d", q, len(res.Answers), len(want))
 		}
-		e := mat.entries[q.CanonicalKey()+"|"+pick.Strategy.String()]
+		e := mat.entries[matKey{q.CanonicalKey(), pick.Strategy}]
 		prog, _, _, err := e.pl.MaterializedProgram(pick.Strategy)
 		if err != nil {
 			t.Fatal(err)

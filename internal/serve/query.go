@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -127,7 +129,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.ID = qid
-	resp, err := s.Query(r.Context(), req)
+	resp, plain, err := s.query(r.Context(), req)
 	if err != nil {
 		writeError(w, qid, err)
 		return
@@ -136,7 +138,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, resp.Explain)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeResponse(w, &resp, plain)
 }
 
 // decodeQuery reads a GET query string or a POST JSON body.
@@ -145,29 +147,15 @@ func decodeQuery(w http.ResponseWriter, r *http.Request) (Request, error) {
 	switch r.Method {
 	case http.MethodGet:
 		q := r.URL.Query()
-		req.Query = q.Get("q")
-		req.Strategy = q.Get("strategy")
-		req.Explain = q.Get("explain")
-		for name, dst := range map[string]any{
-			"workers": &req.Workers, "budget": &req.Budget, "timeout_ms": &req.TimeoutMS,
-			"max_bytes": &req.MaxBytes, "stream": &req.Stream,
-		} {
-			v := q.Get(name)
-			if v == "" {
-				continue
-			}
-			var err error
-			switch dst := dst.(type) {
-			case *int:
-				*dst, err = strconv.Atoi(v)
-			case *int64:
-				*dst, err = strconv.ParseInt(v, 10, 64)
-			case *bool:
-				*dst, err = strconv.ParseBool(v)
-			}
-			if err != nil {
-				return req, badRequest(fmt.Errorf("bad %s: %v", name, err))
-			}
+		req.Query, req.Strategy, req.Explain = q.Get("q"), q.Get("strategy"), q.Get("explain")
+		if err := cmp.Or(
+			queryParam(q, "workers", &req.Workers, strconv.Atoi),
+			queryParam(q, "budget", &req.Budget, strconv.Atoi),
+			queryParam(q, "timeout_ms", &req.TimeoutMS, strconv.Atoi),
+			queryParam(q, "max_bytes", &req.MaxBytes, parseInt64),
+			queryParam(q, "stream", &req.Stream, strconv.ParseBool),
+		); err != nil {
+			return req, err
 		}
 	case http.MethodPost:
 		r.Body = http.MaxBytesReader(w, r.Body, MaxQueryBody)
@@ -179,6 +167,23 @@ func decodeQuery(w http.ResponseWriter, r *http.Request) (Request, error) {
 	}
 	return req, nil
 }
+
+// queryParam parses the query-string parameter name into dst, leaving dst
+// alone when the parameter is absent or empty.
+func queryParam[T any](q url.Values, name string, dst *T, parse func(string) (T, error)) error {
+	v := q.Get(name)
+	if v == "" {
+		return nil
+	}
+	x, err := parse(v)
+	if err != nil {
+		return badRequest(fmt.Errorf("bad %s: %v", name, err))
+	}
+	*dst = x
+	return nil
+}
+
+func parseInt64(v string) (int64, error) { return strconv.ParseInt(v, 10, 64) }
 
 func methodNotAllowed(method string) error {
 	return &markedError{ErrMethodNotAllowed, fmt.Errorf("method %s not allowed", method)}
@@ -207,7 +212,14 @@ func parseQueryAtom(q string) (ast.Atom, error) {
 // planner's pick, the plan cache, or a materialization), serves it, and
 // folds the outcome into the server's metrics. Failures are typed; Status
 // maps them to HTTP statuses.
-func (s *Server) Query(ctx context.Context, req Request) (resp Response, err error) {
+func (s *Server) Query(ctx context.Context, req Request) (Response, error) {
+	resp, _, err := s.query(ctx, req)
+	return resp, err
+}
+
+// query is Query plus whether resp.Answers is a kept list that needs no
+// JSON escaping (pipeline.MatResult.Plain), for the /query encoder.
+func (s *Server) query(ctx context.Context, req Request) (resp Response, plain bool, err error) {
 	start := time.Now()
 	defer func() {
 		if err != nil {
@@ -218,21 +230,21 @@ func (s *Server) Query(ctx context.Context, req Request) (resp Response, err err
 		req.ID = trace.NewID()
 	}
 	if strings.TrimSpace(req.Query) == "" {
-		return resp, badRequest(errors.New("missing query (GET ?q=... or POST {\"query\":...})"))
+		return resp, false, badRequest(errors.New("missing query (GET ?q=... or POST {\"query\":...})"))
 	}
 	switch req.Explain {
 	case "", "plan", "analyze":
 	default:
-		return resp, badRequest(fmt.Errorf("bad explain %q (one of: plan, analyze)", req.Explain))
+		return resp, false, badRequest(fmt.Errorf("bad explain %q (one of: plan, analyze)", req.Explain))
 	}
 	query, err := parseQueryAtom(req.Query)
 	if err != nil {
-		return resp, badRequest(fmt.Errorf("parse query: %w", err))
+		return resp, false, badRequest(fmt.Errorf("parse query: %w", err))
 	}
 	strategy := s.defStrategy
 	if req.Strategy != "" {
 		if strategy, err = pipeline.ParseStrategy(req.Strategy); err != nil {
-			return resp, badRequest(err)
+			return resp, false, badRequest(err)
 		}
 	}
 
@@ -276,7 +288,7 @@ func (s *Server) Query(ctx context.Context, req Request) (resp Response, err err
 	// without bound; a draining server's closed limiter refuses everything.
 	release, err := s.Limiter.Acquire(ctx, int64(opts.Workers))
 	if err != nil {
-		return resp, err
+		return resp, false, err
 	}
 	defer release()
 	s.InFlight.Add(1)
@@ -290,7 +302,7 @@ func (s *Server) Query(ctx context.Context, req Request) (resp Response, err err
 	var auto *pipeline.AutoServe
 	if strategy == pipeline.Auto {
 		if auto, err = s.planner.Choose(ctx, query); err != nil {
-			return resp, compileFailed(err)
+			return resp, false, compileFailed(err)
 		}
 		strategy = auto.Strategy
 		opts.ReorderJoins = auto.Reorder
@@ -323,9 +335,9 @@ func (s *Server) Query(ctx context.Context, req Request) (resp Response, err err
 		// the entry's kept list, encoded as is.
 		mres, err := s.Mat.Read(ctx, query, strategy)
 		if err != nil {
-			return resp, err
+			return resp, false, err
 		}
-		resp.Answers, res.EvalWall = mres.Sorted, mres.RefreshWall
+		resp.Answers, plain, res.EvalWall = mres.Sorted, mres.Plain, mres.RefreshWall
 		resp.PlanCache, resp.Epoch = cacheLabel(mres.PlanHit), mres.Epoch
 		resp.Materialized, resp.RefreshWallNS = mres.Kind, mres.RefreshWall.Nanoseconds()
 	} else {
@@ -334,7 +346,7 @@ func (s *Server) Query(ctx context.Context, req Request) (resp Response, err err
 		if auto != nil {
 			plan, hit = auto.Plan, auto.PlanHit
 		} else if plan, hit, err = s.cache.Lookup(ctx, s.Program, s.hash, s.constraints, query, strategy); err != nil {
-			return resp, compileFailed(err)
+			return resp, false, compileFailed(err)
 		}
 		resp.PlanCache = cacheLabel(hit)
 		// EXPLAIN describes the compiled plan (and, for explain=plan, stops
@@ -342,7 +354,7 @@ func (s *Server) Query(ctx context.Context, req Request) (resp Response, err err
 		if req.Explain != "" {
 			info, err := plan.Pipeline().Explain(strategy)
 			if err != nil {
-				return resp, compileFailed(err)
+				return resp, false, compileFailed(err)
 			}
 			if auto != nil {
 				info.Candidates = auto.Candidates
@@ -352,7 +364,7 @@ func (s *Server) Query(ctx context.Context, req Request) (resp Response, err err
 				PlanCache: PlanCacheInfo{Disposition: resp.PlanCache, CompileWallNS: plan.CompileWall.Nanoseconds()},
 			}
 			if !analyze {
-				return resp, nil
+				return resp, false, nil
 			}
 		}
 		// A DB per request, the base shared: the request pins the current
@@ -365,7 +377,7 @@ func (s *Server) Query(ctx context.Context, req Request) (resp Response, err err
 		resp.Epoch = version.Epoch()
 		run, err := plan.Run(version.EvalDB(), opts)
 		if err != nil {
-			return resp, err
+			return resp, false, err
 		}
 		// Calibrate the planner with what the run actually derived, so the
 		// next shadow re-cost of this query shape prices against measured
@@ -392,7 +404,7 @@ func (s *Server) Query(ctx context.Context, req Request) (resp Response, err err
 		snap := tc.Snapshot()
 		resp.Explain.Result, resp.Explain.Trace, resp.Explain.Profile = &result, &snap, tc.Profile()
 	}
-	return resp, nil
+	return resp, plain, nil
 }
 
 func cacheLabel(hit bool) string {

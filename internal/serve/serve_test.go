@@ -292,3 +292,23 @@ func TestEmptyAnswersEncodeAsList(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeQueryParams: a GET query string fills every numeric and
+// boolean field, and a malformed one is a 400 naming the parameter.
+func TestDecodeQueryParams(t *testing.T) {
+	r := httptest.NewRequest(http.MethodGet,
+		"/query?q=t(5,Y)&strategy=magic&explain=plan&workers=2&budget=30&timeout_ms=40&max_bytes=50&stream=true", nil)
+	got, err := decodeQuery(httptest.NewRecorder(), r)
+	want := Request{Query: "t(5,Y)", Strategy: "magic", Explain: "plan", Workers: 2, Budget: 30,
+		TimeoutMS: 40, MaxBytes: 50, Stream: true}
+	if err != nil || got != want {
+		t.Errorf("decoded %+v (err %v), want %+v", got, err, want)
+	}
+	for _, name := range []string{"workers", "budget", "timeout_ms", "max_bytes", "stream"} {
+		r := httptest.NewRequest(http.MethodGet, "/query?q=t(5,Y)&"+name+"=x", nil)
+		_, err := decodeQuery(httptest.NewRecorder(), r)
+		if Status(err) != http.StatusBadRequest || !strings.HasPrefix(err.Error(), "bad "+name+": ") {
+			t.Errorf("%s=x: %v (status %d)", name, err, Status(err))
+		}
+	}
+}

@@ -26,6 +26,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -51,7 +52,9 @@ var idCounter atomic.Uint64
 
 // NewID returns a process-unique query ID, e.g. "q-9f2c1a7b-42".
 func NewID() string {
-	return fmt.Sprintf("q-%s-%d", idPrefix, idCounter.Add(1))
+	var b [32]byte // "q-", 8 hex digits, '-', at most 20 decimal digits
+	id := append(append(append(b[:0], "q-"...), idPrefix...), '-')
+	return string(strconv.AppendUint(id, idCounter.Add(1), 10))
 }
 
 // Context is one query's trace: an ID, a start time, and a span tree rooted

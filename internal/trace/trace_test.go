@@ -139,6 +139,14 @@ func TestNewIDUnique(t *testing.T) {
 	}
 }
 
+// TestNewIDShape: an ID is "q-", the process prefix, '-' and the counter.
+func TestNewIDShape(t *testing.T) {
+	before := idCounter.Load()
+	if id, want := NewID(), fmt.Sprintf("q-%s-%d", idPrefix, before+1); id != want {
+		t.Errorf("NewID() = %q, want %q", id, want)
+	}
+}
+
 func TestSampler(t *testing.T) {
 	if NewSampler(0).Sample() {
 		t.Error("every=0 must never sample")
